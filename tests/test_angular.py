@@ -1,5 +1,7 @@
 """Direction nets, cap partitions, pointwise ray bound, dispersive decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from magschro.angular import (
     pointwise_ray_bound_check,
     random_caps,
     _dense_sphere_sample,
+    _PhiKernel,
 )
-from magschro.grid import fourier_inverse, make_grid
+from magschro.grid import fourier_forward, fourier_inverse, make_grid
 from magschro.lp import CutoffPair
+from magschro.parametrix import AnnulusCutoff
 
 
 class TestNets:
@@ -66,6 +70,18 @@ class TestPartition:
         assert np.max(vals[outside]) == 0.0
 
 
+class TestPhiKernel:
+    def test_table_matches_dense_formula(self):
+        kern = _PhiKernel(CutoffPair(), 5.94)
+        w = kern.weights * kern.phi
+        dense = np.concatenate([
+            np.exp(2j * np.pi * np.multiply.outer(chunk, kern.nodes)) @ w
+            for chunk in np.array_split(kern.sig, 12)
+        ])
+        err = np.max(np.abs(kern.table - dense)) / np.max(np.abs(dense))
+        assert err <= 1e-12
+
+
 class TestPointwiseRayBound:
     def band_bump(self, grid, k, seed):
         c = CutoffPair()
@@ -94,6 +110,36 @@ class TestPointwiseRayBound:
         out1 = pointwise_ray_bound_check(g, H, 0)
         out2 = pointwise_ray_bound_check(g, np.roll(H, (9, -5), axis=(0, 1)), 0)
         assert abs(out1["lhs"] - out2["lhs"]) <= 1e-8 * out1["lhs"]
+
+    def test_one_inverse_fft_matches_per_direction_sum(self):
+        g = make_grid(2, 64, 16, 0.5, 1)
+        k = 0
+        H = self.band_bump(g, k, seed=3)
+        out = pointwise_ray_bound_check(g, H, k)
+        # reference: one inverse FFT per direction, summed in space
+        spec = fourier_forward(g, np.abs(H).astype(complex))
+        s_max = float(np.max(np.abs(g.xi_norm))) * 2.0 ** out["l_truncated_at"] * 1.05
+        kern = _PhiKernel(CutoffPair(), s_max)
+        total = np.zeros(g.shape)
+        for l in range(out["l_start"], out["l_truncated_at"] + 1):
+            for theta in angular_net(2, l + k).thetas:
+                mult = 2.0**l * kern(2.0**l * (g.xi[0] * theta[0] + g.xi[1] * theta[1]))
+                total += fourier_inverse(g, spec * mult).real
+        ref = float(np.max(total))
+        assert abs(out["lhs"] - ref) <= 1e-12 * ref
+
+    def test_peak_memory_bounded(self):
+        # L = 32 at 128^2 puts s_max near 24: a dense (240001, 429) phase
+        # matrix alone would take 1.6 GB
+        g = make_grid(2, 128, 32, 0.5, 1)
+        H = self.band_bump(g, 0, seed=7)
+        tracemalloc.start()
+        try:
+            pointwise_ray_bound_check(g, H, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     @pytest.mark.slow
     def test_ratio_stable_across_bands(self):
@@ -134,6 +180,25 @@ class TestOscillatoryDecay:
         ts = [1, 2, 4, 8]
         tab = cap_oscillatory_decay(ts, [], k_f=0, n=2, fixed_axis=True)
         assert abs(decay_slope(tab) - (-0.5)) <= 0.15
+
+    def test_fixed_axis_sups_match_dense_sum(self):
+        ts = [1.0, 2.0]
+        tab = cap_oscillatory_decay(ts, [], k_f=0, n=2, fixed_axis=True)
+        om = AnnulusCutoff(0, CutoffPair())
+        xi1 = tab["xi1"]
+        for t, sup in zip(ts, tab["sup"]):
+            # reference: the dense (x2, xi2) phase matrix, a few hundred rows at
+            # a time; up to t = 13 the xi2 grid is the 4096-point floor
+            x2_max = 4 * np.pi * t * 2.2 * 1.12 + 8.0
+            xi2 = np.linspace(-2.2, 2.2, 4096)
+            w = om.profile(np.sqrt(xi1**2 + xi2**2)) * (xi2[1] - xi2[0])
+            ref = 0.0
+            for x2 in np.array_split(np.linspace(-x2_max, x2_max, 6000), 12):
+                phase = np.exp(
+                    -4j * np.pi**2 * t * xi2[None, :] ** 2 + 2j * np.pi * np.outer(x2, xi2)
+                )
+                ref = max(ref, float(np.max(np.abs(phase @ w))))
+            assert abs(sup - ref) <= 1e-12 * ref
 
     def test_rejects_three_d(self):
         with pytest.raises(ValueError):
