@@ -81,7 +81,6 @@ from .parametrix import (
     error_term_groups,
     parametrix_residual,
     phase_identity_residual,
-    taylor_parametrix,
 )
 from .angular import (
     AngularNet,

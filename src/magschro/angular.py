@@ -201,14 +201,19 @@ class _PhiKernel:
         self.phi = cutoffs.phi(self.nodes)
         hi, count = sigma_max * 1.05 + 1.0, 240001
         self.sig = np.linspace(-hi, hi, count)
-        self.table = _uniform_dft(
-            -hi, 2.0 * hi / (count - 1), count, self.nodes, self.weights * self.phi
-        )
+        self.step = 2.0 * hi / (count - 1)
+        self.spacing = np.diff(self.sig)  # step up to the rounding of sig
+        self.table = _uniform_dft(-hi, self.step, count, self.nodes, self.weights * self.phi)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        re = np.interp(s, self.sig, self.table.real)
-        im = np.interp(s, self.sig, self.table.imag)
-        return re + 1j * im
+        """np.interp(s, sig, table) for the complex table in one pass, held at the
+        end values; the uniform spacing gives each point's cell directly."""
+        s = np.asarray(s, dtype=float)
+        cell = np.clip(np.floor((s - self.sig[0]) / self.step), 0, len(self.sig) - 2)
+        cell = cell.astype(np.intp)
+        frac = np.clip((s - self.sig[cell]) / self.spacing[cell], 0.0, 1.0)
+        lo = self.table[cell]
+        return lo + frac * (self.table[cell + 1] - lo)
 
 
 def pointwise_ray_bound_check(

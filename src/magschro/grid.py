@@ -30,6 +30,7 @@ __all__ = [
     "free_evolution",
     "gaussian_wavepacket",
     "l2_norm",
+    "slice_l2",
 ]
 
 
@@ -138,10 +139,15 @@ def fourier_inverse(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spectrum, axes=axes) / grid.dx**grid.n
 
 
+def slice_l2(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Discrete L^2 norms over the trailing n spatial axes, one per leading index."""
+    axes = tuple(range(-grid.n, 0))
+    return np.sqrt(np.sum(np.abs(values) ** 2, axis=axes) * grid.dx**grid.n)
+
+
 def l2_norm(grid: Grid, values: np.ndarray) -> float:
     """Discrete L^2 norm over the trailing n spatial axes (all axes for a slice)."""
-    axes = tuple(range(-grid.n, 0))
-    return float(np.sqrt(np.sum(np.abs(values) ** 2, axis=axes) * grid.dx**grid.n))
+    return float(slice_l2(grid, values))
 
 
 def _nyquist_leak_fraction(grid: Grid, spectrum: np.ndarray) -> float:
@@ -197,8 +203,7 @@ class SpaceTimeField:
 
     def slice_l2(self) -> np.ndarray:
         """L^2 norm of every time slice."""
-        axes = tuple(range(-self.grid.n, 0))
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=axes) * self.grid.dx**self.grid.n)
+        return slice_l2(self.grid, self.values)
 
 
 def free_evolution(grid: Grid, f: np.ndarray) -> SpaceTimeField:

@@ -28,6 +28,10 @@ frequency projection s = eta.theta (Gauss-Legendre on the chi' support plus
 the exact integration-by-parts relations), so the phase identity holds to
 round-off.  A composite-trapezoid ray quadrature along wrapped rays is kept
 as an independent cross-check (`ray_integral_trapezoid`).
+
+The operator's sums over the M data modes run through one kernel, chunked
+over modes; for a potential rank-1 in time, time enters it only through
+scalars (see `ParametrixOperator`).
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm
-from .lp import CutoffPair, band_mask, project_leq, representable_bands
+from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
+from .lp import CutoffPair, band_mask, project_leq, representable_bands, spectral_gradient
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -52,8 +56,6 @@ __all__ = [
     "ParametrixOperator",
     "apply_parametrix",
     "parametrix_residual",
-    "taylor_parametrix",
-    "taylor_term_norms",
     "error_term",
     "error_term_groups",
     "error_term_besov_ratio",
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 SIGMA0_FACTOR = 0.5  # cancellation-correct weight of the displayed ray integral
+_CHUNK_BYTES = 2 * 2**20  # one (mode chunk, P) complex temporary of the direct sum
 
 
 # -- annulus cutoff -------------------------------------------------------------
@@ -209,7 +212,9 @@ class PhaseField:
             raise AssertionError(f"ray field lost reality: imag {imag:.2e}")
         return res.real
 
-    def _ray(self, t_idx: int, which: str, kernel: str, mult_key=None, mult_fn=None) -> np.ndarray:
+    def _ray(self, t_idx, which: str, kernel: str, mult_key=None, mult_fn=None) -> np.ndarray:
+        """The ray field at slice t_idx; t_idx None gives the static factor of a
+        rank-1 field (see `time_groups`)."""
         if self._env is None:
             return self._assemble(t_idx, which, kernel, mult_key, mult_fn)
         env = self._denv if which in ("dt", "tilde_dt") else self._env
@@ -221,7 +226,17 @@ class PhaseField:
                 ref = int(np.argmax(np.abs(env)))
                 scale = env[ref]
             self._static[key] = self._assemble(ref, which, kernel, mult_key, mult_fn) / scale
-        return env[t_idx] * self._static[key]
+        return self._static[key] if t_idx is None else env[t_idx] * self._static[key]
+
+    def time_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int | None]]:
+        """(slices, env, denv, t_field) groups: at slices[j] every ray field is
+        env[j] (denv[j] for dt fields) times the field read at t_field.  One
+        group, t_field None, when rank-1; else one per slice with env = 1."""
+        n_t = self.grid.n_steps + 1
+        if self._env is None:
+            one = np.ones(1)
+            return [(np.array([i]), one, one, i) for i in range(n_t)]
+        return [(np.arange(n_t), self._env, self._denv, None)]
 
     def ray_S(self, t_idx: int) -> np.ndarray:
         """Displayed ray integral of A_k.theta with the chi kernel; (D,) + shape."""
@@ -521,7 +536,20 @@ def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray, t_idx: in
 
 
 class ParametrixOperator:
-    """Direct-summation application of the phase-corrected oscillatory integral."""
+    """Direct-summation application of the phase-corrected oscillatory integral.
+
+    ``apply``, ``residual_analytic`` and ``taylor_study`` share one kernel,
+    `_mode_sum`.  It walks the data modes in chunks sized so that one
+    (chunk, P) complex temporary takes `_CHUNK_BYTES`, and builds each chunk's
+    plane waves as it goes.  Within a time group of the phase (one group for
+    a rank-1 potential, see `PhaseField.time_groups`) the per-mode fields are
+    gathered once per chunk, and time enters only through the scalars env(t),
+    denv(t) and the potential A(t, x).  A slice of ``apply`` then costs one
+    exponential exp(env(t) E), E = i sigma0 - 2 pi |xi| T, and one
+    matrix-vector product; the order-a Taylor term is
+    env(t)^a (i^a / a!) AMP @ (sigma^a plane) for all slices at once, AMP the
+    (n_t, M) amplitude matrix.
+    """
 
     def __init__(
         self,
@@ -553,81 +581,80 @@ class ParametrixOperator:
                 f"direct summation budget exceeded: {n_products:.2e} > {product_budget:.2e}"
             )
         self.phase = build_sigma(A, omega.k_f, dirs, self.cutoffs)
-        X = np.stack([m.ravel() for m in grid.spatial_meshes()])
-        self.plane = np.exp(2j * np.pi * (self.xi @ X))  # (M, P)
         self.A = A
         self.f = f
 
-    # -- exponent pieces per time slice -------------------------------------------
+    def _plane(self, sel: slice) -> np.ndarray:
+        """(chunk, P) waves e^{2 pi i xi.x} of the modes sel, a product of 1-D factors."""
+        out = np.ones((len(self.xi[sel]), 1))
+        for j in range(self.grid.n):
+            wave = np.exp(2j * np.pi * np.multiply.outer(self.xi[sel, j], self.grid.x1d))
+            out = (out[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
+        return out
 
-    def _sigma_mode_fields(self, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma0, T) gathered per mode: sigma0 (M, P) real, T (M, P) real."""
-        S = self.phase.ray_S(t_idx).reshape(len(self.phase.directions), -1)
-        T = self.phase.ray_T(t_idx).reshape(len(self.phase.directions), -1)
-        return SIGMA0_FACTOR * S[self.dir_of_mode], T[self.dir_of_mode]
+    def _mode_sum(self, fields, integrand, n_out: int = 1) -> np.ndarray:
+        """out[k, t] = sum_m amp_m(t) w Z_m(x) e^{2 pi i xi_m.x}, amp_m(t) =
+        coef_m e^{-4 pi^2 i t |xi_m|^2}, as (n_out, n_t, P).
+
+        ``fields`` names the PhaseField ray fields the integrand reads.  For
+        every time group (slices, env, denv) and chunk of modes the kernel
+        iterates integrand(ray, r, slices, env, denv): ray(name) gathers a
+        field onto the chunk's modes ((chunk, P) or (n, chunk, P)) and r is
+        the chunk's |xi| as a column.  Each (k, rows, w, Z) it yields adds
+        (w amp) @ (Z plane) to out[k, slices[rows]]; w is a scalar or a
+        (rows, 1) column.
+        """
+        grid = self.grid
+        n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
+        out = np.zeros((n_out, n_t, P), dtype=complex)
+        amp = self.coef * np.exp(-4j * np.pi**2 * np.multiply.outer(grid.times, self.radii**2))
+        chunk = max(1, _CHUNK_BYTES // (16 * P))
+        for slices, env, denv, t_field in self.phase.time_groups():
+            rays = {}
+            for name in fields:
+                values = getattr(self.phase, name)(t_field)
+                rays[name] = values.reshape(values.shape[: -grid.n] + (P,))
+            for lo in range(0, len(self.xi), chunk):
+                sel = slice(lo, lo + chunk)
+                dmap = self.dir_of_mode[sel]
+                plane = self._plane(sel)
+                r = self.radii[sel, None]
+
+                def ray(name, dmap=dmap):
+                    return rays[name][..., dmap, :]
+
+                for k, rows, w, Z in integrand(ray, r, slices, env, denv):
+                    out[k, slices[rows]] += (w * amp[slices[rows], sel]) @ (Z * plane)
+        return out
 
     def apply(self) -> SpaceTimeField:
         """v = Lambda f sampled on the grid's time grid."""
-        grid = self.grid
-        out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
-        for i, t in enumerate(grid.times):
-            s0, T = self._sigma_mode_fields(i)
-            exponent = 1j * s0 - 2.0 * np.pi * self.radii[:, None] * T
-            amp = self.coef * np.exp(-4j * np.pi**2 * t * self.radii**2)
-            out[i] = (amp[:, None] * np.exp(exponent) * self.plane).sum(axis=0).reshape(grid.shape)
-        return SpaceTimeField(grid, out)
 
-    def taylor_apply(self, order: int) -> SpaceTimeField:
-        """Truncated expansion sum_{a<=order} (i sigma)^a / a! inside the integral."""
-        grid = self.grid
-        out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
-        facts = [math.factorial(a) for a in range(order + 1)]
-        for i, t in enumerate(grid.times):
-            s0, T = self._sigma_mode_fields(i)
-            sigma = s0 + 2j * np.pi * self.radii[:, None] * T
-            amp = self.coef * np.exp(-4j * np.pi**2 * t * self.radii**2)
-            series = sum((1j * sigma) ** a / facts[a] for a in range(order + 1))
-            out[i] = (amp[:, None] * series * self.plane).sum(axis=0).reshape(grid.shape)
-        return SpaceTimeField(grid, out)
+        def integrand(ray, r, slices, env, denv):
+            E = 1j * SIGMA0_FACTOR * ray("ray_S") - 2.0 * np.pi * r * ray("ray_T")
+            for j, e in enumerate(env):
+                yield 0, slice(j, j + 1), 1.0, np.exp(e * E)
 
-    def taylor_term(self, order: int) -> SpaceTimeField:
-        """The single term with sigma^order (no i^a/a! weight)."""
-        grid = self.grid
-        out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
-        for i, t in enumerate(grid.times):
-            s0, T = self._sigma_mode_fields(i)
-            sigma = s0 + 2j * np.pi * self.radii[:, None] * T
-            amp = self.coef * np.exp(-4j * np.pi**2 * t * self.radii**2)
-            out[i] = (amp[:, None] * sigma**order * self.plane).sum(axis=0).reshape(grid.shape)
-        return SpaceTimeField(grid, out)
+        out = self._mode_sum(("ray_S", "ray_T"), integrand)[0]
+        return SpaceTimeField(self.grid, out.reshape((-1,) + self.grid.shape))
 
     def taylor_study(self, max_order: int) -> tuple[dict[int, SpaceTimeField], dict[int, float]]:
-        """All truncations 0..max_order and per-order weighted L^inf_t L^2_x term
-        norms, sharing one pass over the time slices."""
+        """All truncations sum_{a<=order} (i sigma)^a / a! inside the integral for
+        orders 0..max_order, and the L^inf_t L^2_x norm of each order's term."""
         grid = self.grid
-        sums = {
-            a: np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
-            for a in range(max_order + 1)
-        }
-        term_sup = {a: 0.0 for a in range(max_order + 1)}
-        meas = grid.dx**grid.n
-        for i, t in enumerate(grid.times):
-            s0, T = self._sigma_mode_fields(i)
-            sigma = s0 + 2j * np.pi * self.radii[:, None] * T
-            amp = (self.coef * np.exp(-4j * np.pi**2 * t * self.radii**2))[:, None]
+
+        def integrand(ray, r, slices, env, denv):
+            sigma = SIGMA0_FACTOR * ray("ray_S") + 2j * np.pi * r * ray("ray_T")
             power = np.ones_like(sigma)
-            partial = np.zeros(self.plane.shape[1], dtype=complex)
             for a in range(max_order + 1):
-                fact = math.factorial(a)
-                term = (amp * ((1j) ** a * power / fact) * self.plane).sum(axis=0)
-                partial = partial + term
-                sums[a][i] = partial.reshape(grid.shape)
-                term_sup[a] = max(
-                    term_sup[a], float(np.sqrt(np.sum(np.abs(term) ** 2) * meas))
-                )
-                if a < max_order:
-                    power = power * sigma
-        fields = {a: SpaceTimeField(grid, arr) for a, arr in sums.items()}
+                yield a, slice(None), (1j) ** a / math.factorial(a) * env[:, None] ** a, power
+                power = power * sigma
+
+        terms = self._mode_sum(("ray_S", "ray_T"), integrand, max_order + 1)
+        terms = terms.reshape((max_order + 1, -1) + grid.shape)
+        sums = np.cumsum(terms, axis=0)
+        fields = {a: SpaceTimeField(grid, sums[a]) for a in range(max_order + 1)}
+        term_sup = {a: float(np.max(slice_l2(grid, terms[a]))) for a in range(max_order + 1)}
         return fields, term_sup
 
     def residual_analytic(self) -> SpaceTimeField:
@@ -635,45 +662,35 @@ class ParametrixOperator:
 
         i dt sigma + Lap sigma0 + 4 pi i <grad sigma1, xi>
         + i [ (grad sigma)^2 + A . grad sigma ].
+
+        With g_j = d_j sigma at env = 1, the slice integrand is
+        denv (i dt sigma) + env (Lap sigma0 + 4 pi i <grad sigma1, xi>)
+        + i env^2 sum_j g_j^2 + i env sum_j A_j(t, x) g_j.
         """
         grid = self.grid
-        D = len(self.phase.directions)
-        out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
-        dirs = self.phase.directions
-        for i, t in enumerate(grid.times):
-            S = self.phase.ray_S(i).reshape(D, -1)
-            T = self.phase.ray_T(i).reshape(D, -1)
-            S_dt = self.phase.ray_S_dt(i).reshape(D, -1)
-            T_dt = self.phase.ray_T_dt(i).reshape(D, -1)
-            lapS = self.phase.lap_S(i).reshape(D, -1)
-            gradS = self.phase.grad_S(i).reshape(grid.n, D, -1)
-            gradT = self.phase.grad_T(i).reshape(grid.n, D, -1)
-            gradT_theta = self.phase.grad_T_dot_theta(i).reshape(D, -1)
-            A_flat = self.A.values[i].reshape(grid.n, -1)
+        n = grid.n
 
-            r = self.radii[:, None]
-            dmap = self.dir_of_mode
-            s0 = SIGMA0_FACTOR * S[dmap]
-            sigma = s0 + 2j * np.pi * r * T[dmap]
-            dt_sigma = SIGMA0_FACTOR * S_dt[dmap] + 2j * np.pi * r * T_dt[dmap]
-            lap_s0 = SIGMA0_FACTOR * lapS[dmap]
-            grad_sigma1_xi = 2j * np.pi * r**2 * gradT_theta[dmap]
-            grad_sq = np.zeros_like(sigma)
-            a_dot = np.zeros_like(sigma)
-            for j in range(grid.n):
-                gj = SIGMA0_FACTOR * gradS[j][dmap] + 2j * np.pi * r * gradT[j][dmap]
-                grad_sq += gj * gj
-                a_dot += A_flat[j][None, :] * gj
-            integrand = (
-                1j * dt_sigma + lap_s0 + 4j * np.pi * grad_sigma1_xi
-                + 1j * (grad_sq + a_dot)
+        def integrand(ray, r, slices, env, denv):
+            E = 1j * SIGMA0_FACTOR * ray("ray_S") - 2.0 * np.pi * r * ray("ray_T")
+            dt_term = 1j * (SIGMA0_FACTOR * ray("ray_S_dt") + 2j * np.pi * r * ray("ray_T_dt"))
+            lap_term = SIGMA0_FACTOR * ray("lap_S") + 4j * np.pi * (
+                2j * np.pi * r**2 * ray("grad_T_dot_theta")
             )
-            amp = self.coef * np.exp(-4j * np.pi**2 * t * self.radii**2)
-            exponent = np.exp(1j * s0 - 2.0 * np.pi * r * T[dmap])
-            out[i] = (amp[:, None] * integrand * exponent * self.plane).sum(axis=0).reshape(
-                grid.shape
-            )
-        return SpaceTimeField(grid, out)
+            g = SIGMA0_FACTOR * ray("grad_S") + 2j * np.pi * r * ray("grad_T")  # (n, chunk, P)
+            static = np.stack([dt_term, lap_term, 1j * np.sum(g * g, axis=0)])
+            for j, t in enumerate(slices):
+                Z = np.tensordot(np.array([denv[j], env[j], env[j] ** 2]), static, 1)
+                a_t = self.A.values[t].reshape(n, 1, -1)
+                for c in range(n):
+                    Z += (1j * env[j] * a_t[c]) * g[c]
+                yield 0, slice(j, j + 1), 1.0, Z * np.exp(env[j] * E)
+
+        fields = (
+            "ray_S", "ray_T", "ray_S_dt", "ray_T_dt", "lap_S", "grad_S", "grad_T",
+            "grad_T_dot_theta",
+        )
+        out = self._mode_sum(fields, integrand)[0]
+        return SpaceTimeField(grid, out.reshape((-1,) + grid.shape))
 
 
 def apply_parametrix(
@@ -700,19 +717,10 @@ def parametrix_residual(
     from .solver import equation_residual
 
     grid = op.grid
-
-    def F_zero(t):
-        return np.zeros(grid.shape, dtype=complex)
-
     res_numeric, l1l2_numeric = equation_residual(v, op.A, None)
     res_analytic = op.residual_analytic()
-    slice_l2 = np.sqrt(
-        np.sum(np.abs(res_analytic.values) ** 2, axis=tuple(range(-grid.n, 0)))
-        * grid.dx**grid.n
-    )
-    l1l2_analytic = time_lq(grid.times, slice_l2, 1.0)
-    diff = res_numeric - res_analytic.values
-    diff_l2 = np.sqrt(np.sum(np.abs(diff) ** 2, axis=tuple(range(-grid.n, 0))) * grid.dx**grid.n)
+    l1l2_analytic = time_lq(grid.times, res_analytic.slice_l2(), 1.0)
+    diff_l2 = slice_l2(grid, res_numeric - res_analytic.values)
     rel = time_lq(grid.times, diff_l2, 1.0) / max(l1l2_analytic, 1e-300)
     if rel > dual_tol:
         raise ValueError(
@@ -727,27 +735,7 @@ def parametrix_residual(
     }
 
 
-def taylor_parametrix(op: ParametrixOperator, order: int) -> SpaceTimeField:
-    return op.taylor_apply(order)
-
-
-def taylor_term_norms(op: ParametrixOperator, orders) -> dict[int, float]:
-    """L^inf_t L^2_x of the order-a term weighted by 1/a!."""
-    out = {}
-    for a in orders:
-        term = op.taylor_term(a)
-        out[a] = float(np.max(term.slice_l2())) / math.factorial(a)
-    return out
-
-
 # -- frequency-localized error terms ----------------------------------------------
-
-
-def _grad_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    spec = fourier_forward(grid, values)
-    return np.stack(
-        [fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spec) for j in range(grid.n)], axis=1
-    )
 
 
 def error_term(
@@ -759,14 +747,14 @@ def error_term(
     """E^k = P_k(A . grad u) - A_{<=k-4} . grad u_k (exact identity)."""
     grid = u.grid
     c = cutoffs or CutoffPair()
-    grad_u = _grad_spectral(grid, u.values)  # (t, n, x)
+    grad_u = np.moveaxis(spectral_gradient(grid, u.values), 0, 1)  # (t, n, x)
     a_vals = np.stack([A.at(t) for t in grid.times])
     a_low = project_leq(grid, a_vals, k - 4, c).real
     full = np.sum(a_vals * grad_u, axis=1)
     mask = band_mask(grid, k, c)
     pk_full = fourier_inverse(grid, fourier_forward(grid, full) * mask)
     u_k = fourier_inverse(grid, u.spectrum() * mask)
-    grad_uk = _grad_spectral(grid, u_k)
+    grad_uk = np.moveaxis(spectral_gradient(grid, u_k), 0, 1)
     return pk_full - np.sum(a_low * grad_uk, axis=1)
 
 
@@ -790,16 +778,16 @@ def error_term_groups(
     def pk(vals):
         return fourier_inverse(grid, fourier_forward(grid, vals) * mask)
 
-    grad_u = _grad_spectral(grid, u.values)
+    grad_u = np.moveaxis(spectral_gradient(grid, u.values), 0, 1)
     a_vals = np.stack([A.at(t) for t in grid.times])
     a_low = project_leq(grid, a_vals, k - 4, c).real
     a_hi = a_vals - a_low
     u_k = fourier_inverse(grid, u.spectrum() * mask)
-    grad_uk = _grad_spectral(grid, u_k)
+    grad_uk = np.moveaxis(spectral_gradient(grid, u_k), 0, 1)
     commutator = pk(np.sum(a_low * grad_u, axis=1)) - np.sum(a_low * grad_uk, axis=1)
 
     u_low = project_leq(grid, u.values, k - 4, c)
-    grad_u_low = _grad_spectral(grid, u_low)
+    grad_u_low = np.moveaxis(spectral_gradient(grid, u_low), 0, 1)
     high_low = pk(np.sum(a_hi * grad_u_low, axis=1))
 
     _, k_max = representable_bands(grid, c)
@@ -824,9 +812,13 @@ def error_term_groups(
     cum_u_prev = np.zeros_like(u.values)
     cum_a_incl = np.zeros_like(a_vals)
     for j in order:
-        hh_a += pk(np.sum(a_piece[j] * _grad_spectral(grid, cum_u_prev), axis=1))
+        hh_a += pk(
+            np.sum(a_piece[j] * np.moveaxis(spectral_gradient(grid, cum_u_prev), 0, 1), axis=1)
+        )
         cum_a_incl = cum_a_incl + a_piece[j]
-        hh_u += pk(np.sum(cum_a_incl * _grad_spectral(grid, u_piece[j]), axis=1))
+        hh_u += pk(
+            np.sum(cum_a_incl * np.moveaxis(spectral_gradient(grid, u_piece[j]), 0, 1), axis=1)
+        )
         cum_u_prev = cum_u_prev + u_piece[j]
     return {
         "commutator": commutator,
@@ -851,11 +843,9 @@ def error_term_besov_ratio(
     den = 0.0
     for k in range(k_range[0], k_range[1] + 1):
         e_k = error_term(u, A, k, c)
-        e_slice = np.sqrt(np.sum(np.abs(e_k) ** 2, axis=tuple(range(-grid.n, 0))) * grid.dx**grid.n)
-        num += 2.0 ** (2 * k * s) * time_lq(grid.times, e_slice, 1.0) ** 2
+        num += 2.0 ** (2 * k * s) * time_lq(grid.times, slice_l2(grid, e_k), 1.0) ** 2
         u_k = fourier_inverse(grid, u.spectrum() * band_mask(grid, k, c))
-        u_slice = np.sqrt(np.sum(np.abs(u_k) ** 2, axis=tuple(range(-grid.n, 0))) * grid.dx**grid.n)
-        den += 2.0 ** (2 * k * s) * float(np.max(u_slice)) ** 2
+        den += 2.0 ** (2 * k * s) * float(np.max(slice_l2(grid, u_k))) ** 2
     return num / (eps**2 * den) if den > 0 else 0.0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm
+from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
 from .lp import CutoffPair, band_mask, project_leq
 from .norms import time_lq
 from .potentials import VectorPotential
@@ -273,11 +273,7 @@ def energy_bound_check(
     g_norm = 0.0
     if F is not None:
         fvals = np.stack([F(t) for t in grid.times])
-        g_norm = time_lq(
-            grid.times,
-            np.sqrt(np.sum(np.abs(fvals) ** 2, axis=tuple(range(-grid.n, 0))) * grid.dx**grid.n),
-            1.0,
-        )
+        g_norm = time_lq(grid.times, slice_l2(grid, fvals), 1.0)
     bound = 4.0 * (l2_norm(grid, f) + g_norm)
     out["sup_l2"] = sup
     out["bound"] = bound
@@ -321,8 +317,7 @@ def equation_residual(u: SpaceTimeField, A, F) -> tuple[np.ndarray, float]:
     if F is not None:
         for i, t in enumerate(grid.times):
             res[i] -= F(t)
-    slice_l2 = np.sqrt(np.sum(np.abs(res) ** 2, axis=tuple(range(-grid.n, 0))) * grid.dx**grid.n)
-    return res, time_lq(grid.times, slice_l2, 1.0)
+    return res, time_lq(grid.times, slice_l2(grid, res), 1.0)
 
 
 def lp_reduced_equation_check(
@@ -359,5 +354,4 @@ def lp_reduced_equation_check(
     if F is not None:
         for i, t in enumerate(grid.times):
             res[i] -= fourier_inverse(grid, fourier_forward(grid, F(t)) * mask)
-    slice_l2 = np.sqrt(np.sum(np.abs(res) ** 2, axis=tuple(range(-grid.n, 0))) * grid.dx**grid.n)
-    return time_lq(grid.times, slice_l2, 1.0)
+    return time_lq(grid.times, slice_l2(grid, res), 1.0)

@@ -81,6 +81,20 @@ class TestPhiKernel:
         err = np.max(np.abs(kern.table - dense)) / np.max(np.abs(dense))
         assert err <= 1e-12
 
+    def test_lookup_matches_interp(self):
+        kern = _PhiKernel(CutoffPair(), 5.94)
+        rng = np.random.default_rng(11)
+        lo, hi = kern.sig[0], kern.sig[-1]
+        s = np.concatenate([
+            rng.uniform(1.1 * lo, 1.1 * hi, size=19995),  # beyond both ends too
+            kern.sig[[0, 1, 1000, -2, -1]],  # table nodes, ends included
+            [lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)],
+        ]).reshape(4, -1)
+        ref = np.interp(s, kern.sig, kern.table.real)
+        ref = ref + 1j * np.interp(s, kern.sig, kern.table.imag)
+        err = np.max(np.abs(kern(s) - ref)) / np.max(np.abs(kern.table))
+        assert err <= 1e-14
+
 
 class TestPointwiseRayBound:
     def band_bump(self, grid, k, seed):

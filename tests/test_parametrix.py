@@ -1,5 +1,8 @@
 """Phase construction, identities, operator quality, Taylor truncation, E^k."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from magschro.parametrix import (
     SIGMA0_FACTOR,
     AnnulusCutoff,
     ParametrixOperator,
+    _detect_envelope,
     annulus_data,
     build_sigma,
     error_term,
@@ -268,3 +272,96 @@ class TestErrorTerm:
         for s, vals in ratios.items():
             vals = np.array(vals)
             assert vals.max() <= 2.0 * vals.min()
+
+
+def dense_oracle(op, max_order):
+    """apply, residual_analytic and the taylor_study terms summed over all modes
+    at once per slice, (M, P) arrays throughout."""
+    g, ph = op.grid, op.phase
+    D, dmap, r = len(ph.directions), op.dir_of_mode, op.radii[:, None]
+    X = np.stack([m.ravel() for m in g.spatial_meshes()])
+    plane = np.exp(2j * np.pi * (op.xi @ X))
+
+    def modes(field, t):
+        return field(t).reshape(-1, D, X.shape[1])[:, dmap]
+
+    v, res, terms = [], [], []
+    for i, t in enumerate(g.times):
+        S, T = modes(ph.ray_S, i)[0], modes(ph.ray_T, i)[0]
+        amp = (op.coef * np.exp(-4j * np.pi**2 * t * op.radii**2))[:, None]
+        wave = amp * np.exp(1j * SIGMA0_FACTOR * S - 2.0 * np.pi * r * T) * plane
+        v.append(wave.sum(axis=0))
+        S_dt, T_dt = modes(ph.ray_S_dt, i)[0], modes(ph.ray_T_dt, i)[0]
+        dt_sigma = SIGMA0_FACTOR * S_dt + 2j * np.pi * r * T_dt
+        lap_s0 = SIGMA0_FACTOR * modes(ph.lap_S, i)[0]
+        grad_sigma1_xi = 2j * np.pi * r**2 * modes(ph.grad_T_dot_theta, i)[0]
+        g_all = SIGMA0_FACTOR * modes(ph.grad_S, i) + 2j * np.pi * r * modes(ph.grad_T, i)
+        a_dot = np.sum(op.A.values[i].reshape(g.n, 1, -1) * g_all, axis=0)
+        integrand = (
+            1j * dt_sigma + lap_s0 + 4j * np.pi * grad_sigma1_xi
+            + 1j * (np.sum(g_all * g_all, axis=0) + a_dot)
+        )
+        res.append((integrand * wave).sum(axis=0))
+        sigma = SIGMA0_FACTOR * S + 2j * np.pi * r * T
+        terms.append([
+            (amp * (1j * sigma) ** a / math.factorial(a) * plane).sum(axis=0)
+            for a in range(max_order + 1)
+        ])
+    shape = (-1,) + g.shape
+    terms = np.moveaxis(np.array(terms), 1, 0).reshape((max_order + 1,) + shape)
+    return np.array(v).reshape(shape), np.array(res).reshape(shape), terms
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestModeSumKernel:
+    @pytest.fixture(scope="class")
+    def short_grid(self):
+        # the benchmark's data ring: M = 120 modes, several mode chunks
+        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.125)
+        f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
+        return g, f
+
+    def check_against_oracle(self, g, f, A):
+        op = ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+        v, res, terms = dense_oracle(op, 3)
+        assert rel_err(op.apply().values, v) <= 1e-12
+        assert rel_err(op.residual_analytic().values, res) <= 1e-12
+        fields, term_sup = op.taylor_study(3)
+        partial = np.cumsum(terms, axis=0)
+        for a in range(4):
+            assert rel_err(fields[a].values, partial[a]) <= 1e-12
+            norm = float(np.max(SpaceTimeField(g, terms[a]).slice_l2()))
+            assert abs(term_sup[a] - norm) <= 1e-12 * norm
+
+    def test_rank1_potential(self, short_grid):
+        g, f = short_grid
+        A = make_potential("low_band", 0.02, g, seed=1, single_band=-6)
+        assert _detect_envelope(build_sigma(A, -2, circle_directions(4)).bands)[0] is not None
+        self.check_against_oracle(g, f, A)
+
+    def test_potential_not_rank1_in_time(self, short_grid):
+        g, f = short_grid
+        a1 = make_potential("low_band", 0.02, g, seed=1, single_band=-6).values
+        a2 = make_potential("low_band", 0.02, g, seed=2, single_band=-6).values
+        profile = np.cos(6.0 * g.times)[:, None, None, None]
+        A = VectorPotential(g, a1 + profile * a2, band_limit=-6)
+        assert _detect_envelope(build_sigma(A, -2, circle_directions(4)).bands)[0] is None
+        self.check_against_oracle(g, f, A)
+
+    def test_residual_peak_memory(self):
+        # the benchmark's size: 64^2, 33 slices, M = 120
+        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
+        f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
+        A = make_potential("low_band", 0.02, g, seed=1, single_band=-6)
+        op = ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+        assert len(op.xi) == 120
+        tracemalloc.start()
+        try:
+            op.residual_analytic()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
