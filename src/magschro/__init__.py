@@ -22,7 +22,6 @@ from .grid import (
 from .lp import (
     BandDecomposition,
     CutoffPair,
-    band_range,
     bernstein_ratio,
     besov_l2_norm,
     build_cutoffs,
@@ -37,7 +36,6 @@ from .lp import (
 )
 from .norms import (
     AdmissiblePair,
-    PathMode,
     admissible_pairs,
     anisotropic_norm,
     is_admissible,

@@ -16,7 +16,7 @@ from math import floor, isqrt, log2
 
 import numpy as np
 
-from .grid import Grid, fourier_forward, fourier_inverse
+from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
 from .lp import CutoffPair, band_mask
 
 __all__ = [
@@ -253,7 +253,7 @@ def pointwise_ray_bound_check(
             s = sum(grid.xi[j] * theta[j] for j in range(grid.n))
             mult += 2.0**l * kern(2.0**l * s)
     lhs = float(np.max(fourier_inverse(grid, spec * mult).real))
-    rhs = 2.0 ** (k * (grid.n - 1)) * float(np.sum(mag) * grid.dx**grid.n)
+    rhs = 2.0 ** (k * (grid.n - 1)) * float(spatial_norm(grid, mag, 1.0))
     return {
         "lhs": lhs,
         "rhs": rhs,

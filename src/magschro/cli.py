@@ -1,4 +1,4 @@
-"""Command-line entry: magschro <experiment> --config <path> [--out DIR] [--seed N] [--threads K].
+"""Command-line entry: magschro <experiment> --config <path> [--out DIR] [--seed N].
 
 Also `magschro list-checks` (the check catalog with default tolerances) and
 `magschro validate --config <path>`.  MAGSCHRO_OUT overrides the output
@@ -24,7 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=False, help="JSON config path")
         sp.add_argument("--out", help="output directory for CSV/JSON reports")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--threads", type=int, help="worker threads")
 
     sub.add_parser("list-checks", help="print the check catalog")
 
@@ -38,7 +37,7 @@ def _load_config(path: str | None, experiment: str, args) -> ExperimentConfig:
     if path:
         with open(path) as fh:
             raw = json.load(fh)
-        if "experiment" not in raw and "experiments" not in raw:
+        if "experiment" not in raw:
             raw["experiment"] = experiment
         elif raw.get("experiment") not in (None, experiment):
             raise SystemExit(
@@ -51,8 +50,6 @@ def _load_config(path: str | None, experiment: str, args) -> ExperimentConfig:
         raw["out_dir"] = args.out
     elif "out_dir" not in raw and os.environ.get("MAGSCHRO_OUT"):
         raw["out_dir"] = os.environ["MAGSCHRO_OUT"]
-    if args.threads is not None:
-        raw["threads"] = args.threads
     diags = validate(raw)
     if diags:
         for d in diags:

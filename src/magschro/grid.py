@@ -31,6 +31,7 @@ __all__ = [
     "gaussian_wavepacket",
     "l2_norm",
     "slice_l2",
+    "spatial_norm",
 ]
 
 
@@ -143,6 +144,28 @@ def slice_l2(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete L^2 norms over the trailing n spatial axes, one per leading index."""
     axes = tuple(range(-grid.n, 0))
     return np.sqrt(np.sum(np.abs(values) ** 2, axis=axes) * grid.dx**grid.n)
+
+
+def spatial_norm(grid: Grid, values: np.ndarray, p: float, inner: float | None = None) -> np.ndarray:
+    """Discrete L^p norm over the trailing n spatial axes, one per leading index.
+
+    Infinite exponents are maxima and every reduced axis carries the Riemann
+    weight dx.  With ``inner`` the first spatial axis is reduced in L^inner
+    and the remaining n-1 axes in L^p (for n = 1 only L^inner remains).
+    """
+
+    def reduce(a, q, axes):
+        if np.isinf(q):
+            return np.max(a, axis=axes)
+        return (np.sum(a**q, axis=axes) * grid.dx ** len(axes)) ** (1.0 / q)
+
+    a = np.abs(values)
+    n = grid.n
+    if inner is not None:
+        a, n = reduce(a, inner, (-n,)), n - 1
+        if n == 0:
+            return a
+    return reduce(a, p, tuple(range(-n, 0)))
 
 
 def l2_norm(grid: Grid, values: np.ndarray) -> float:

@@ -16,13 +16,12 @@ from math import ceil, floor, log2
 
 import numpy as np
 
-from .grid import Grid, fourier_forward, fourier_inverse
+from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
 
 __all__ = [
     "CutoffPair",
     "BandDecomposition",
     "build_cutoffs",
-    "band_range",
     "representable_bands",
     "project_band",
     "project_leq",
@@ -85,11 +84,6 @@ def build_cutoffs(glue_width: float = _DEFAULT_GLUE) -> CutoffPair:
 
 
 # -- band bookkeeping ---------------------------------------------------------
-
-
-def band_range(grid: Grid) -> tuple[int, int]:
-    """Conservative dyadic window [log2(4/L), log2(Nyquist/4)]."""
-    return ceil(log2(4.0 / grid.L)), floor(log2(grid.nyquist / 4.0))
 
 
 def representable_bands(grid: Grid, cutoffs: CutoffPair | None = None) -> tuple[int, int]:
@@ -179,7 +173,7 @@ class BandDecomposition:
         cutoffs: CutoffPair | None = None,
     ) -> "BandDecomposition":
         c = cutoffs or CutoffPair()
-        k_min, k_max = k_range if k_range is not None else band_range(grid)
+        k_min, k_max = k_range if k_range is not None else representable_bands(grid, c)
         pieces = {k: _apply_mask(grid, values, band_mask(grid, k, c)) for k in range(k_min, k_max + 1)}
         low = project_below(grid, values, k_min, c)
         high = values - project_leq(grid, values, k_max, c)
@@ -232,13 +226,6 @@ def paraproduct_split(
 # -- Bernstein ratios ---------------------------------------------------------
 
 
-def _lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
-    a = np.abs(values)
-    if np.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a**p) * grid.dx**grid.n) ** (1.0 / p))
-
-
 def bernstein_ratio(
     grid: Grid,
     f: np.ndarray,
@@ -265,21 +252,7 @@ def bernstein_ratio(
     vol = float(np.prod([hi - lo for lo, hi in Q]))
     inv_p = 0.0 if np.isinf(p) else 1.0 / p
     inv_q = 0.0 if np.isinf(q) else 1.0 / q
-    return _lp_norm(grid, f, q) / (vol ** (inv_p - inv_q) * _lp_norm(grid, f, p))
-
-
-def _mixed_spatial_norm(grid: Grid, values: np.ndarray, p_outer: float, r_inner: float) -> float:
-    """L^{p_outer}_{x_2..x_n} L^{r_inner}_{x_1} of a spatial array."""
-    a = np.abs(values)
-    if np.isinf(r_inner):
-        inner = np.max(a, axis=0)
-    else:
-        inner = (np.sum(a**r_inner, axis=0) * grid.dx) ** (1.0 / r_inner)
-    if grid.n == 1:
-        return float(inner)
-    if np.isinf(p_outer):
-        return float(np.max(inner))
-    return float((np.sum(inner**p_outer) * grid.dx ** (grid.n - 1)) ** (1.0 / p_outer))
+    return float(spatial_norm(grid, f, q) / (vol ** (inv_p - inv_q) * spatial_norm(grid, f, p)))
 
 
 def mixed_bernstein_ratio(
@@ -309,9 +282,9 @@ def mixed_bernstein_ratio(
     inv1 = 0.0 if np.isinf(p1) else 1.0 / p1
     inv2 = 0.0 if np.isinf(p2) else 1.0 / p2
     weight = 2.0 ** (k * (grid.n - 1) * (inv2 - inv1))
-    num = _mixed_spatial_norm(grid, f, p1, r)
-    den = _mixed_spatial_norm(grid, f, p2, r)
-    return num / (weight * den)
+    num = spatial_norm(grid, f, p1, inner=r)
+    den = spatial_norm(grid, f, p2, inner=r)
+    return float(num / (weight * den))
 
 
 # -- Besov sums ---------------------------------------------------------------

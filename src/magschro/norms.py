@@ -6,25 +6,23 @@ Riemann sums with weight dx per axis.  The supremum over measurable paths
 x(t) factorizes through the monotone outer time norm (sup of the time norm of
 g(t, x(t)) equals the time norm of t -> sup_x g(t, x)); since every z-norm
 here integrates over the full torus it is translation invariant, so the
-per-time sup coincides with the base-point-0 value and both path modes agree.
+per-time sup coincides with the base-point-0 value.  Every spatial reduction
+goes through ``grid.spatial_norm``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField
+from .grid import SpaceTimeField, fourier_inverse, spatial_norm
 from .lp import CutoffPair, band_mask, representable_bands
-from .grid import fourier_forward, fourier_inverse
 from .rotate import RotationSampler, rotate_field, sup_over_rotations
 
 __all__ = [
     "AdmissiblePair",
-    "PathMode",
     "is_admissible",
     "admissible_pairs",
     "lqlr_norm",
@@ -44,11 +42,6 @@ class AdmissiblePair:
     def __post_init__(self):
         if self.q < 2 or self.r < 2:
             raise ValueError("admissible exponents require q, r >= 2")
-
-
-class PathMode(Enum):
-    FIXED_ORIGIN = "fixed_origin"
-    PER_TIME_SUP = "per_time_sup"
 
 
 def is_admissible(q: float, r: float, n: int, tol: float = 1e-12) -> bool:
@@ -83,15 +76,6 @@ def admissible_pairs(n: int, count: int = 6, r_cap: float = 20.0) -> list[Admiss
     return pairs
 
 
-def _spatial_lr(grid: Grid, values: np.ndarray, r: float) -> np.ndarray:
-    """L^r_x of every time slice; returns an array over the leading axes."""
-    axes = tuple(range(-grid.n, 0))
-    a = np.abs(values)
-    if np.isinf(r):
-        return np.max(a, axis=axes)
-    return (np.sum(a**r, axis=axes) * grid.dx**grid.n) ** (1.0 / r)
-
-
 def time_lq(times: np.ndarray, series: np.ndarray, q: float) -> float:
     """L^q over [0, T] by trapezoid; q = inf is the max over samples."""
     if np.isinf(q):
@@ -101,8 +85,7 @@ def time_lq(times: np.ndarray, series: np.ndarray, q: float) -> float:
 
 def lqlr_norm(u: SpaceTimeField, q: float, r: float) -> float:
     """Mixed norm L^q_t L^r_x of a space-time field."""
-    slices = _spatial_lr(u.grid, u.values, r)
-    return time_lq(u.times, slices, q)
+    return time_lq(u.times, spatial_norm(u.grid, u.values, r), q)
 
 
 def path_sup_time_norm(times: np.ndarray, g_tx: np.ndarray, q: float) -> float:
@@ -115,44 +98,24 @@ def path_sup_time_norm(times: np.ndarray, g_tx: np.ndarray, q: float) -> float:
     return time_lq(times, per_t, q)
 
 
-def _mixed_z_norm(grid: Grid, slice_vals: np.ndarray, r_outer: float, p_inner: float) -> float:
-    """L^{r_outer}_{z_2..z_n} L^{p_inner}_{z_1} of one spatial slice."""
-    a = np.abs(slice_vals)
-    if np.isinf(p_inner):
-        inner = np.max(a, axis=0)
-    else:
-        inner = (np.sum(a**p_inner, axis=0) * grid.dx) ** (1.0 / p_inner)
-    if grid.n == 1:
-        return float(inner)
-    if np.isinf(r_outer):
-        return float(np.max(inner))
-    return float((np.sum(inner**r_outer) * grid.dx ** (grid.n - 1)) ** (1.0 / r_outer))
-
-
 def anisotropic_norm(
     u: SpaceTimeField,
     q: float,
     r_outer: float,
     p_inner: float,
     U: np.ndarray,
-    path_mode: PathMode = PathMode.PER_TIME_SUP,
 ) -> float:
     """L^q_t L^{r_outer}_{z_2..z_n} L^{p_inner}_{z_1} of u(t, x + Uz).
 
-    The inner exponent acts along the rotated first axis.  Both path modes
-    return the same value (translation invariance of the full-torus z-norms);
-    PER_TIME_SUP documents that the result realizes the supremum over
-    measurable base paths x(t).
+    The inner exponent acts along the rotated first axis.  By translation
+    invariance of the full-torus z-norms the value at base point 0 is also
+    the supremum over measurable base paths x(t).
     """
     grid = u.grid
     if grid.n == 1:
         raise ValueError("anisotropic norm needs n >= 2 (no outer variables)")
     rotated = rotate_field(grid, u.values, U)
-    per_slice = np.array(
-        [_mixed_z_norm(grid, rotated[i], r_outer, p_inner) for i in range(rotated.shape[0])]
-    )
-    del path_mode  # modes coincide; see module docstring
-    return time_lq(u.times, per_slice, q)
+    return time_lq(u.times, spatial_norm(grid, rotated, r_outer, inner=p_inner), q)
 
 
 def low_dim_anisotropic_exponents(n: int, q_min_3d: float = 2.25) -> list[tuple[float, float]]:

@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse
+from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, spatial_norm
 from .lp import CutoffPair, band_mask, representable_bands
-from .norms import PathMode, time_lq
+from .norms import time_lq
 from .rotate import RotationSampler, rotate_field
 
 __all__ = [
@@ -208,7 +208,6 @@ class YNormParams:
     h: float = 0.125
     p0: float | None = None
     sampler: RotationSampler | None = None
-    path_mode: PathMode = PathMode.PER_TIME_SUP
     hessian_mode: str = "frobenius"
 
     def __post_init__(self):
@@ -386,35 +385,9 @@ def make_potential(
 # -- scalar reductions ---------------------------------------------------------
 
 
-def _linf_x(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-grid.n, 0))
-    return np.max(np.abs(arr), axis=axes)
-
-
-def _l1_x(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-grid.n, 0))
-    return np.sum(np.abs(arr), axis=axes) * grid.dx**grid.n
-
-
-def _lp_x(grid: Grid, arr: np.ndarray, p: float) -> np.ndarray:
-    axes = tuple(range(-grid.n, 0))
-    return (np.sum(np.abs(arr) ** p, axis=axes) * grid.dx**grid.n) ** (1.0 / p)
-
-
 def _vec_mag(arr: np.ndarray) -> np.ndarray:
     """Euclidean magnitude over the component axis (axis 1 of (t, comp, x))."""
     return np.sqrt(np.sum(arr**2, axis=1))
-
-
-def _mixed_zbar_z1(grid: Grid, slices: np.ndarray, p_outer: float) -> np.ndarray:
-    """Per-slice L^{p_outer}_{z_2..z_n} L^1_{z_1} of a (t, spatial) array."""
-    inner = np.sum(np.abs(slices), axis=-grid.n) * grid.dx
-    if grid.n == 1:
-        return inner
-    axes = tuple(range(-(grid.n - 1), 0))
-    if np.isinf(p_outer):
-        return np.max(inner, axis=axes)
-    return (np.sum(inner**p_outer, axis=axes) * grid.dx ** (grid.n - 1)) ** (1.0 / p_outer)
 
 
 def _band_mass_warn(A: VectorPotential, label: str):
@@ -435,15 +408,15 @@ def y0_components(A: VectorPotential, params: YNormParams | None = None) -> dict
     _band_mass_warn(A, "y0_norm")
     jac = A.jacobian()
     grad_mag = np.sqrt(np.sum(jac**2, axis=(1, 2)))
-    grad_term = time_lq(grid.times, _linf_x(grid, grad_mag), 1.0)
-    a_term = time_lq(grid.times, _linf_x(grid, _vec_mag(A.values)), 2.0)
+    grad_term = time_lq(grid.times, spatial_norm(grid, grad_mag, np.inf), 1.0)
+    a_term = time_lq(grid.times, spatial_norm(grid, _vec_mag(A.values), np.inf), 2.0)
     k_min, k_max = A.band_range()
     p = grid.n / params.h
     dyadic_sq = 0.0
     per_band = {}
     for k in range(k_min, k_max + 1):
         piece = _vec_mag(A.band(k))
-        v = time_lq(grid.times, _lp_x(grid, piece, p), 1.0)
+        v = time_lq(grid.times, spatial_norm(grid, piece, p), 1.0)
         per_band[k] = v
         dyadic_sq += 2.0 ** (2 * k * (1 + params.h)) * v**2
     return {
@@ -466,7 +439,7 @@ def y1_norm(A: VectorPotential) -> float:
     total = 0.0
     for k in range(k_min, k_max + 1):
         piece = _vec_mag(A.band(k))
-        total += 2.0 ** (k * (grid.n - 1)) * float(np.max(_l1_x(grid, piece)))
+        total += 2.0 ** (k * (grid.n - 1)) * float(np.max(spatial_norm(grid, piece, 1.0)))
     return total
 
 
@@ -484,7 +457,7 @@ def y1_tilde_norm(A: VectorPotential, params: YNormParams | None = None) -> floa
         for U in sampler.samples():
             rot = rotate_field(grid, comps, U)
             mag = np.sqrt(np.sum(np.abs(rot) ** 2, axis=1))
-            val = float(np.max(_mixed_zbar_z1(grid, mag, p0)))
+            val = float(np.max(spatial_norm(grid, mag, p0, inner=1.0)))
             best = max(best, val)
         total += 2.0 ** (k * (grid.n - 1) / p0) * best
     return total
@@ -518,10 +491,9 @@ def _rotated_stats(A: VectorPotential, k: int, U: np.ndarray, mode: str) -> dict
     band = A.band(k)
     rot = rotate_field(grid, band, U)
     mag = np.sqrt(np.sum(np.abs(rot) ** 2, axis=1))
-    a_series = _mixed_zbar_z1(grid, mag, 2.0)
+    a_series = spatial_norm(grid, mag, 2.0, inner=1.0)
     d_field = _derivative_magnitude(A, k, mode)
-    d_rot = np.abs(rotate_field(grid, d_field, U))
-    d_series = _mixed_zbar_z1(grid, d_rot, 2.0)
+    d_series = spatial_norm(grid, rotate_field(grid, d_field, U), 2.0, inner=1.0)
     return {
         "a_linf_t": float(np.max(a_series)),
         "a_l1_t": time_lq(grid.times, a_series, 1.0),
@@ -586,8 +558,8 @@ def corollary_norm(A: VectorPotential) -> float:
             grid, fourier_forward(grid, dt_A) * band_mask(grid, k, A.cutoffs)
         ).real
         d_mag = _vec_mag(dt_band)
-        a_l1 = _l1_x(grid, a_mag)
-        d_l1 = _l1_x(grid, d_mag)
+        a_l1 = spatial_norm(grid, a_mag, 1.0)
+        d_l1 = spatial_norm(grid, d_mag, 1.0)
         total += (
             2.0 ** (k * (n - 1)) * float(np.max(a_l1))
             + 2.0 ** (k * (n - 3)) * float(np.max(d_l1))

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
+from .grid import (
+    Grid,
+    SpaceTimeField,
+    _nyquist_leak_fraction,
+    fourier_forward,
+    fourier_inverse,
+    l2_norm,
+    slice_l2,
+    spatial_norm,
+)
 from .lp import CutoffPair, band_mask, project_leq
 from .norms import time_lq
 from .potentials import VectorPotential
@@ -150,10 +159,7 @@ class PropagatorHandle:
 
 
 def _check_inputs(grid: Grid, f: np.ndarray, A, config: SolverConfig):
-    spec = fourier_forward(grid, f)
-    total = np.sum(np.abs(spec) ** 2)
-    near = grid.xi_norm >= 0.9 * grid.nyquist
-    if total > 0 and np.sum(np.abs(spec) ** 2 * near) > 1e-6 * total:
+    if _nyquist_leak_fraction(grid, fourier_forward(grid, f)) > 1e-6:
         warnings.warn("solve: initial data carries spectral mass near Nyquist", stacklevel=3)
     config.check_cfl(grid, _a_sup(A))
 
@@ -252,11 +258,9 @@ def energy_bound_check(
     """
     out = {}
     if A is not None:
-        div = np.max(np.abs(A.divergence()), axis=tuple(range(-grid.n, 0)))
-        div_l1linf = time_lq(grid.times, div, 1.0)
-        jac = A.jacobian()
-        grad = np.max(np.sqrt(np.sum(jac**2, axis=(1, 2))), axis=tuple(range(-grid.n, 0)))
-        grad_l1linf = time_lq(grid.times, grad, 1.0)
+        div_l1linf = time_lq(grid.times, spatial_norm(grid, A.divergence(), np.inf), 1.0)
+        grad_mag = np.sqrt(np.sum(A.jacobian() ** 2, axis=(1, 2)))
+        grad_l1linf = time_lq(grid.times, spatial_norm(grid, grad_mag, np.inf), 1.0)
     else:
         div_l1linf = 0.0
         grad_l1linf = 0.0

@@ -42,9 +42,20 @@ class TestValidate:
         diags = validate({"version": 1, "experiment": "nets", "params": {"bogus": 1}})
         assert any("bogus" in d for d in diags)
 
-    def test_duplicate_experiment_ids_rejected(self):
-        diags = validate({"version": 1, "experiments": ["nets", "nets"]})
-        assert any("duplicate" in d for d in diags)
+    def test_ignored_and_mistyped_keys_rejected(self):
+        base = {"version": 1, "experiment": "nets"}
+        bad = [
+            ({"experiments": ["nets"]}, "experiments"),
+            ({"threads": 2}, "threads"),
+            ({"params": {"grid": {"N": 64}}}, "grid"),
+            ({"params": {"presets": ["gauss_bump"]}}, "presets"),
+            ({"params": {"rotation_count": 0}}, "rotation_count"),
+            ({"params": {"eps_list": "abc"}}, "eps_list"),
+            ({"params": {"t_list": [1.0]}}, "t_list"),
+        ]
+        for extra, name in bad:
+            diags = validate({**base, **extra})
+            assert any(name in d for d in diags), (extra, diags)
 
     def test_unknown_check_and_tolerance_ids(self):
         diags = validate({"version": 1, "experiment": "nets", "checks": ["nope"]})

@@ -12,6 +12,7 @@ from magschro.grid import (
     gaussian_wavepacket,
     l2_norm,
     make_grid,
+    spatial_norm,
 )
 
 
@@ -204,3 +205,32 @@ def test_spacetime_field_shape_and_parseval():
         rhs = np.sum(np.abs(spec[i]) ** 2) / g.L**2
         assert abs(lhs - rhs) <= 1e-12 * lhs
     assert np.allclose(u.slice_l2(), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
+@pytest.mark.parametrize("inner", [None, 1.0, 2.0, np.inf])
+def test_spatial_norm_matches_written_out_sums(n, p, inner):
+    g = make_grid(n, 8, 3.0, 0.5, 1.0)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(size=(3,) + g.shape)
+
+    def lp(entries, q, weight):
+        # (sum |v|^q weight)^(1/q) over a flat list; q = inf is the maximum
+        mags = [abs(v) for v in entries]
+        if np.isinf(q):
+            return max(mags)
+        return (sum(m**q for m in mags) * weight) ** (1.0 / q)
+
+    expected = []
+    for piece in values:
+        if inner is None:
+            expected.append(lp(piece.ravel(), p, g.dx**n))
+            continue
+        # one inner norm per fiber along the first spatial axis
+        fibers = piece.reshape(g.N, -1).T
+        inner_norms = [lp(fiber, inner, g.dx) for fiber in fibers]
+        expected.append(inner_norms[0] if n == 1 else lp(inner_norms, p, g.dx ** (n - 1)))
+    got = spatial_norm(g, values, p, inner=inner)
+    assert got.shape == (3,)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
