@@ -72,7 +72,6 @@ from .parametrix import (
     ParametrixOperator,
     PhaseField,
     annulus_data,
-    apply_parametrix,
     build_sigma,
     error_term,
     error_term_besov_ratio,

@@ -11,13 +11,13 @@ derivative bounds from the net geometry.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import floor, isqrt, log2
 
 import numpy as np
 
 from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
-from .lp import CutoffPair, band_mask
+from .lp import CUTOFFS, CutoffPair
 
 __all__ = [
     "AngularNet",
@@ -107,7 +107,6 @@ class CapPartition:
     """Smooth partition {psi_j} subordinate to the balls B(theta_j, 2^{-m})."""
 
     net: AngularNet
-    cutoffs: CutoffPair = field(default_factory=CutoffPair)
 
     def bump_values(self, omega: np.ndarray) -> np.ndarray:
         """Unnormalized bumps: (count, Q) for omega of shape (Q, n)."""
@@ -117,7 +116,7 @@ class CapPartition:
                 np.sum((self.net.thetas[:, None, :] - omega[None, :, :]) ** 2, axis=2), 0.0
             )
         )
-        return self.cutoffs.chi(d * 2.0**self.net.m)
+        return CUTOFFS.chi(d * 2.0**self.net.m)
 
     def values(self, omega: np.ndarray) -> np.ndarray:
         """Partition values psi_j(omega): columns sum to 1."""
@@ -143,8 +142,8 @@ class CapPartition:
         return float(np.max(np.abs(diff)) * 2.0**-self.net.m)
 
 
-def cap_partition(net: AngularNet, cutoffs: CutoffPair | None = None) -> CapPartition:
-    return CapPartition(net, cutoffs or CutoffPair())
+def cap_partition(net: AngularNet) -> CapPartition:
+    return CapPartition(net)
 
 
 def random_caps(n: int, mu: int, seed: int = 0, k_range=(1, 4)) -> list[tuple[np.ndarray, int]]:
@@ -220,8 +219,6 @@ def pointwise_ray_bound_check(
     grid: Grid,
     H_k: np.ndarray,
     k: int,
-    cutoffs: CutoffPair | None = None,
-    l_max: int | None = None,
 ) -> dict:
     """lhs = sup_x sum_{l>-k} sum_j int |H_k(x + z theta_j^{l+k})| phi(2^{-l} z) dz
     against rhs = 2^{k(n-1)} ||H_k||_{L1}.
@@ -236,16 +233,12 @@ def pointwise_ray_bound_check(
     inverse FFT, and the Phi0 table (see ``_PhiKernel``) forms no
     (points, nodes) matrix.
     """
-    c = cutoffs or CutoffPair()
-    hi = 2.0 - c.glue_width
-    cap = floor(log2(grid.L / 2.0 / hi))
-    truncated = l_max if l_max is not None else cap
-    if truncated > cap:
-        raise ValueError("l_max exceeds the box scale")
+    hi = 2.0 - CUTOFFS.glue_width
+    truncated = floor(log2(grid.L / 2.0 / hi))
     mag = np.abs(H_k)
     spec = fourier_forward(grid, mag.astype(complex))
     s_max = float(np.max(np.abs(grid.xi_norm))) * 2.0**truncated * 1.05
-    kern = _PhiKernel(c, s_max)
+    kern = _PhiKernel(CUTOFFS, s_max)
     mult = np.zeros(grid.shape, dtype=complex)
     for l in range(-k + 1, truncated + 1):
         net = angular_net(grid.n, l + k)
@@ -271,7 +264,6 @@ def cap_oscillatory_decay(
     caps: list,
     k_f: int = 0,
     n: int = 2,
-    cutoffs: CutoffPair | None = None,
     fixed_axis: bool = False,
 ) -> dict:
     """sup_x of the cap-localized free oscillatory integral per time.
@@ -290,8 +282,7 @@ def cap_oscillatory_decay(
     """
     from .parametrix import AnnulusCutoff
 
-    c = cutoffs or CutoffPair()
-    om = AnnulusCutoff(k_f, c)
+    om = AnnulusCutoff(k_f)
     t_list = np.asarray(sorted(t_list), dtype=float)
     scale = 2.0**k_f
 
@@ -299,7 +290,7 @@ def cap_oscillatory_decay(
         out = np.ones(len(omega_points))
         for theta, kj in caps:
             d = np.linalg.norm(omega_points - np.asarray(theta)[None, :], axis=1)
-            out *= c.chi(2.0**kj * d)
+            out *= CUTOFFS.chi(2.0**kj * d)
         return out
 
     if n == 2 and not fixed_axis:

@@ -47,9 +47,8 @@ from .grid import (
     make_grid,
 )
 from .lp import (
+    CUTOFFS,
     BandDecomposition,
-    CutoffPair,
-    build_cutoffs,
     paraproduct_split,
     project_band,
     representable_bands,
@@ -158,7 +157,6 @@ CHECK_CATALOG = {
     "dual-path-residual": ("parametrix", 1e-3, "le"),
     "parametrix-taylor-error": ("parametrix", 1e-4, "le"),
     "strichartz-ratio-excess": ("strichartz-sweep", 0.5, "le"),
-    "strichartz-trend": ("strichartz-sweep", np.inf, "le"),
     "dispersive-slope-mu0": ("dispersive", 0.15, "le"),
     "dispersive-slope-mu1": ("dispersive", 0.15, "le"),
     "dispersive-slope-mu2": ("dispersive", 0.15, "le"),
@@ -332,10 +330,9 @@ def _run_norms(col: _Collector, seed: int, params: dict) -> None:
         col.add(cid, err / l2_norm(g, f0), {"N": g.N, "n": g.n})
 
     # dyadic calculus
-    cpair = build_cutoffs()
     ks = np.arange(-30, 31)
     rs = np.concatenate([np.geomspace(2.0**-8, 2.0**8, 400), [1.0, 1.3]])
-    pou = max(abs(np.sum(cpair.phi(r * 2.0**-ks)) - 1.0) for r in rs)
+    pou = max(abs(np.sum(CUTOFFS.phi(r * 2.0**-ks)) - 1.0) for r in rs)
     col.add("lp-partition-unity", float(pou))
     g = make_grid(2, 64, 32, 0.25, 1.0)
     f = gaussian_wavepacket(g, (16, 16), 3.0, (0.2, 0.1))
@@ -453,7 +450,7 @@ def _run_solve(col: _Collector, seed: int, params: dict) -> None:
     )
 
 
-def _parametrix_setup(seed: int, params: dict):
+def _parametrix_setup(seed: int):
     g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
     k_f = -2
     ang = np.linspace(0, 2 * np.pi, 12, endpoint=False)
@@ -466,7 +463,7 @@ def _parametrix_setup(seed: int, params: dict):
 
 
 def _run_parametrix(col: _Collector, seed: int, params: dict) -> None:
-    g, k_f, scale = _parametrix_setup(seed, params)
+    g, k_f, scale = _parametrix_setup(seed)
     budget = float(params.get("max_products", 5e9))
     f = annulus_data(g, k_f, seed=seed + 2)
     eps_list = list(params.get("eps_list", (0.02, 0.05, 0.1, 0.2)))
@@ -565,8 +562,13 @@ def _run_strichartz(col: _Collector, seed: int, params: dict) -> None:
                 if prev is not None and r < prev - 1e-12:
                     trend_flips += 1
                 prev = r
-    col.add("strichartz-ratio-excess", worst_excess, {"baseline": base, "eps": eps_list})
-    col.add("strichartz-trend", float(trend_flips), {"note": "non-monotone steps counted"})
+    # trend_flips counts non-monotone eps steps; reported, not checked, since the
+    # ratio is not monotone in eps at every seed
+    col.add(
+        "strichartz-ratio-excess",
+        worst_excess,
+        {"baseline": base, "eps": eps_list, "trend_flips": trend_flips},
+    )
 
 
 def _run_dispersive(col: _Collector, seed: int, params: dict) -> None:
@@ -628,9 +630,8 @@ def _run_nets(col: _Collector, seed: int, params: dict) -> None:
     ray_ratios = []
     for k in (-2, -1, 0, 1, 2):
         g = make_grid(2, 256, 64.0 * 2.0**-k, 0.5, 1.0)
-        c = CutoffPair()
-        lo = (2.0 - c.glue_width) * 2.0 ** (k - 1)
-        hi = (1.0 + c.glue_width) * 2.0**k
+        lo = (2.0 - CUTOFFS.glue_width) * 2.0 ** (k - 1)
+        hi = (1.0 + CUTOFFS.glue_width) * 2.0**k
         sel = (g.xi_norm > lo) & (g.xi_norm < hi)
         spec = np.zeros(g.shape, dtype=complex)
         spec[sel] = rng.normal(size=int(sel.sum())) + 1j * rng.normal(size=int(sel.sum()))

@@ -5,6 +5,10 @@ The radial profile chi is built from the standard exp(-1/x) glue: identically
 in between (delta = glue width).  phi(r) = chi(r) - chi(2r) is supported in
 [(1+delta)/2, 2-delta] and the dyadic sums telescope exactly, so the partition
 of unity holds to round-off inside the truncation range.
+
+The lab uses one cutoff pair, ``CUTOFFS`` (glue width 1/8), for every band,
+phase and error term; ``build_cutoffs(glue)`` remains only for studying the
+profile family.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
 
 __all__ = [
     "CutoffPair",
+    "CUTOFFS",
     "BandDecomposition",
     "build_cutoffs",
     "representable_bands",
@@ -83,20 +88,22 @@ def build_cutoffs(glue_width: float = _DEFAULT_GLUE) -> CutoffPair:
     return CutoffPair(glue_width=glue_width)
 
 
+CUTOFFS = CutoffPair()  # the one pair behind every band, phase and error term
+
+
 # -- band bookkeeping ---------------------------------------------------------
 
 
-def representable_bands(grid: Grid, cutoffs: CutoffPair | None = None) -> tuple[int, int]:
+def representable_bands(grid: Grid) -> tuple[int, int]:
     """Widest band window whose masks are nonempty and inside Nyquist."""
-    c = cutoffs or CutoffPair()
-    hi = 2.0 - c.glue_width
+    hi = 2.0 - CUTOFFS.glue_width
     k_min = ceil(log2(1.0 / (grid.L * hi)))
     k_max = floor(log2(grid.nyquist / hi))
     return k_min, k_max
 
 
-def _check_band(grid: Grid, k: int, cutoffs: CutoffPair):
-    k_min, k_max = representable_bands(grid, cutoffs)
+def _check_band(grid: Grid, k: int):
+    k_min, k_max = representable_bands(grid)
     if not (k_min <= k <= k_max):
         raise ValueError(
             f"band k={k} outside representable range [{k_min}, {k_max}] "
@@ -105,50 +112,38 @@ def _check_band(grid: Grid, k: int, cutoffs: CutoffPair):
 
 
 @lru_cache(maxsize=256)
-def _band_mask_cached(grid: Grid, k: int, glue_width: float) -> np.ndarray:
-    c = CutoffPair(glue_width)
-    return c.phi(grid.xi_norm * 2.0**-k)
-
-
-def band_mask(grid: Grid, k: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
-    c = cutoffs or CutoffPair()
-    return _band_mask_cached(grid, k, c.glue_width)
+def band_mask(grid: Grid, k: int) -> np.ndarray:
+    return CUTOFFS.phi(grid.xi_norm * 2.0**-k)
 
 
 @lru_cache(maxsize=256)
-def _leq_mask_cached(grid: Grid, k: int, glue_width: float) -> np.ndarray:
-    c = CutoffPair(glue_width)
-    return c.chi(grid.xi_norm * 2.0**-k)
+def _leq_mask(grid: Grid, k: int) -> np.ndarray:
+    return CUTOFFS.chi(grid.xi_norm * 2.0**-k)
 
 
 def _apply_mask(grid: Grid, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return fourier_inverse(grid, fourier_forward(grid, values) * mask)
 
 
-def project_band(grid: Grid, values: np.ndarray, k: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
+def project_band(grid: Grid, values: np.ndarray, k: int) -> np.ndarray:
     """P_k: multiplier phi(2^-k |xi|).  Rejects k outside the representable range."""
-    c = cutoffs or CutoffPair()
-    _check_band(grid, k, c)
-    return _apply_mask(grid, values, band_mask(grid, k, c))
+    _check_band(grid, k)
+    return _apply_mask(grid, values, band_mask(grid, k))
 
 
-def project_leq(grid: Grid, values: np.ndarray, k: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
+def project_leq(grid: Grid, values: np.ndarray, k: int) -> np.ndarray:
     """P_{<=k}: multiplier chi(2^-k |xi|) (includes the mean)."""
-    c = cutoffs or CutoffPair()
-    return _apply_mask(grid, values, _leq_mask_cached(grid, k, c.glue_width))
+    return _apply_mask(grid, values, _leq_mask(grid, k))
 
 
-def project_below(grid: Grid, values: np.ndarray, k: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
+def project_below(grid: Grid, values: np.ndarray, k: int) -> np.ndarray:
     """P_{<k} = P_{<=k-1}."""
-    return project_leq(grid, values, k - 1, cutoffs)
+    return project_leq(grid, values, k - 1)
 
 
-def project_fat(grid: Grid, values: np.ndarray, k: int, cutoffs: CutoffPair | None = None) -> np.ndarray:
+def project_fat(grid: Grid, values: np.ndarray, k: int) -> np.ndarray:
     """P~_k = P_{k-1} + P_k + P_{k+1}; identity on the support of P_k's mask."""
-    c = cutoffs or CutoffPair()
-    mask = (
-        band_mask(grid, k - 1, c) + band_mask(grid, k, c) + band_mask(grid, k + 1, c)
-    )
+    mask = band_mask(grid, k - 1) + band_mask(grid, k) + band_mask(grid, k + 1)
     return _apply_mask(grid, values, mask)
 
 
@@ -170,13 +165,11 @@ class BandDecomposition:
         grid: Grid,
         values: np.ndarray,
         k_range: tuple[int, int] | None = None,
-        cutoffs: CutoffPair | None = None,
     ) -> "BandDecomposition":
-        c = cutoffs or CutoffPair()
-        k_min, k_max = k_range if k_range is not None else representable_bands(grid, c)
-        pieces = {k: _apply_mask(grid, values, band_mask(grid, k, c)) for k in range(k_min, k_max + 1)}
-        low = project_below(grid, values, k_min, c)
-        high = values - project_leq(grid, values, k_max, c)
+        k_min, k_max = k_range if k_range is not None else representable_bands(grid)
+        pieces = {k: _apply_mask(grid, values, band_mask(grid, k)) for k in range(k_min, k_max + 1)}
+        low = project_below(grid, values, k_min)
+        high = values - project_leq(grid, values, k_max)
         return cls(grid, values, k_min, k_max, pieces, low, high)
 
     def reconstruct(self) -> np.ndarray:
@@ -194,7 +187,6 @@ def paraproduct_split(
     f: np.ndarray,
     g: np.ndarray,
     k: int,
-    cutoffs: CutoffPair | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact four-group tiling of P_k(fg) by frequency interaction type.
 
@@ -205,16 +197,15 @@ def paraproduct_split(
 
     The groups sum to P_k(fg) identically (up to FFT round-off).
     """
-    c = cutoffs or CutoffPair()
-    f_low = project_leq(grid, f, k - 4, c)
+    f_low = project_leq(grid, f, k - 4)
     f_high = f - f_low
-    g_low = project_leq(grid, g, k - 4, c)
+    g_low = project_leq(grid, g, k - 4)
     g_high = g - g_low
-    g_k = project_band(grid, g, k, c)
+    g_k = project_band(grid, g, k)
     low_high = f_low * g_k
-    commutator = project_band(grid, f_low * g, k, c) - low_high
-    high_high = project_band(grid, f_high * g_high, k, c)
-    high_low = project_band(grid, f_high * g_low, k, c)
+    commutator = project_band(grid, f_low * g, k) - low_high
+    high_high = project_band(grid, f_high * g_high, k)
+    high_low = project_band(grid, f_high * g_low, k)
     return {
         "low_high": low_high,
         "commutator": commutator,
@@ -270,9 +261,8 @@ def mixed_bernstein_ratio(
     if not (p1 > p2 >= r):
         raise ValueError("need p1 > p2 >= r")
     spec = fourier_forward(grid, f)
-    c = CutoffPair()
-    hi = 2.0 - c.glue_width
-    annulus = (grid.xi_norm >= (1.0 + c.glue_width) * 2.0 ** (k - 1)) & (
+    hi = 2.0 - CUTOFFS.glue_width
+    annulus = (grid.xi_norm >= (1.0 + CUTOFFS.glue_width) * 2.0 ** (k - 1)) & (
         grid.xi_norm <= hi * 2.0**k
     )
     total = np.sum(np.abs(spec) ** 2)
@@ -296,7 +286,6 @@ def besov_l2_norm(
     s: float,
     norm_functional,
     k_range: tuple[int, int] | None = None,
-    cutoffs: CutoffPair | None = None,
     residual_warn: float = 0.01,
 ) -> float:
     """(sum_k 2^{2ks} ||P_k field||^2)^{1/2} for a supplied per-band functional.
@@ -305,14 +294,13 @@ def besov_l2_norm(
     maps a band piece to a nonnegative scalar.  Warns when the below-range
     residual carries more than ``residual_warn`` of the chosen norm.
     """
-    c = cutoffs or CutoffPair()
-    k_min, k_max = k_range if k_range is not None else representable_bands(grid, c)
+    k_min, k_max = k_range if k_range is not None else representable_bands(grid)
     band_values = {}
     for k in range(k_min, k_max + 1):
-        piece = _apply_mask(grid, field, band_mask(grid, k, c))
+        piece = _apply_mask(grid, field, band_mask(grid, k))
         band_values[k] = float(norm_functional(piece))
     total = sum(2.0 ** (2 * k * s) * v**2 for k, v in band_values.items())
-    residual = project_below(grid, field, k_min, c)
+    residual = project_below(grid, field, k_min)
     res_norm = float(norm_functional(residual))
     ref = float(norm_functional(field))
     if ref > 0 and res_norm > residual_warn * ref:

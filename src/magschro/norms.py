@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SpaceTimeField, fourier_inverse, spatial_norm
-from .lp import CutoffPair, band_mask, representable_bands
+from .lp import band_mask, representable_bands
 from .rotate import RotationSampler, rotate_field, sup_over_rotations
 
 __all__ = [
@@ -57,16 +57,16 @@ def is_admissible(q: float, r: float, n: int, tol: float = 1e-12) -> bool:
     return abs(2 * inv_q + n * inv_r - n / 2.0) <= tol
 
 
-def admissible_pairs(n: int, count: int = 6, r_cap: float = 20.0) -> list[AdmissiblePair]:
+def admissible_pairs(n: int, count: int = 6) -> list[AdmissiblePair]:
     """Sample of admissible pairs from (inf, 2) toward the endpoint.
 
-    n >= 3: r spans [2, 2n/(n-2)].  n <= 2: r spans [2, r_cap] (the n=2
+    n >= 3: r spans [2, 2n/(n-2)].  n <= 2: r spans [2, 20] (the n=2
     endpoint (2, inf) is excluded).  Always includes (inf, 2).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     pairs = [AdmissiblePair(np.inf, 2.0)]
-    r_end = 2.0 * n / (n - 2.0) if n >= 3 else r_cap
+    r_end = 2.0 * n / (n - 2.0) if n >= 3 else 20.0
     rs = np.geomspace(2.0, r_end, count)[1:]
     for r in rs:
         inv_q = n / 4.0 - n / (2.0 * r)
@@ -118,16 +118,16 @@ def anisotropic_norm(
     return time_lq(u.times, spatial_norm(grid, rotated, r_outer, inner=p_inner), q)
 
 
-def low_dim_anisotropic_exponents(n: int, q_min_3d: float = 2.25) -> list[tuple[float, float]]:
+def low_dim_anisotropic_exponents(n: int) -> list[tuple[float, float]]:
     """(q, r_outer) pairs for the rotated-frame L^q_t L^r L^2_{z_1} family.
 
     n>=4: the single pair (2, 2(n-1)/(n-3)).  n=3: pairs on 1/q + 1/r = 1/2
-    sampled with q >= q_min_3d (the constant degrades toward q=2).  n=2: (4, inf).
+    sampled with q >= 2.25 (the constant degrades toward q=2).  n=2: (4, inf).
     """
     if n >= 4:
         return [(2.0, 2.0 * (n - 1) / (n - 3.0))]
     if n == 3:
-        qs = [q_min_3d, 3.0, 4.0]
+        qs = [2.25, 3.0, 4.0]
         return [(q, 1.0 / (0.5 - 1.0 / q)) for q in qs]
     if n == 2:
         return [(4.0, np.inf)]
@@ -140,7 +140,6 @@ def xdot_norm(
     pairs: list[AdmissiblePair] | None = None,
     sampler: RotationSampler | None = None,
     k_range: tuple[int, int] | None = None,
-    cutoffs: CutoffPair | None = None,
 ) -> float:
     """Besov-type solution norm: per band, 2^{2 alpha k} times the squared sup
     over admissible pairs of L^q L^r plus the squared rotated-frame component,
@@ -150,19 +149,18 @@ def xdot_norm(
     warning records this.
     """
     grid = u.grid
-    c = cutoffs or CutoffPair()
     pairs = pairs if pairs is not None else admissible_pairs(grid.n)
     warnings.warn(
         f"xdot_norm: suprema sampled over {len(pairs)} admissible pairs and a finite rotation set",
         stacklevel=2,
     )
     sampler = sampler or RotationSampler(grid.n, count=8)
-    k_min, k_max = k_range if k_range is not None else representable_bands(grid, c)
+    k_min, k_max = k_range if k_range is not None else representable_bands(grid)
     aniso_pairs = low_dim_anisotropic_exponents(grid.n) if grid.n >= 2 else []
     spec = u.spectrum()
     total = 0.0
     for k in range(k_min, k_max + 1):
-        mask = band_mask(grid, k, c)
+        mask = band_mask(grid, k)
         u_k = SpaceTimeField(grid, fourier_inverse(grid, spec * mask))
         str_part = max(lqlr_norm(u_k, p.q, p.r) for p in pairs)
         aniso_part = 0.0

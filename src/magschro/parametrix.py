@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
-from .lp import CutoffPair, band_mask, project_leq, representable_bands, spectral_gradient
+from .lp import CUTOFFS, CutoffPair, band_mask, project_leq, representable_bands, spectral_gradient
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -54,7 +54,6 @@ __all__ = [
     "phase_identity_residual",
     "gradient_identity_check",
     "ParametrixOperator",
-    "apply_parametrix",
     "parametrix_residual",
     "error_term",
     "error_term_groups",
@@ -74,11 +73,10 @@ class AnnulusCutoff:
     """Smooth radial bump: 1 on [3/4, 3/2]*2^{k_f}, 0 outside [1/2, 2]*2^{k_f}."""
 
     k_f: int
-    cutoffs: CutoffPair = field(default_factory=CutoffPair)
 
     def profile(self, r) -> np.ndarray:
         s = 2.0**self.k_f
-        return self.cutoffs.plateau_bump(np.asarray(r, float), 0.5 * s, 0.75 * s, 1.5 * s, 2.0 * s)
+        return CUTOFFS.plateau_bump(np.asarray(r, float), 0.5 * s, 0.75 * s, 1.5 * s, 2.0 * s)
 
 
 # -- 1-D chi kernels ------------------------------------------------------------
@@ -174,13 +172,11 @@ class PhaseField:
     field separates as env(t) * static field; the static fields are cached.
     """
 
-    def __init__(self, grid, k_f, directions, bands, cutoffs, a_sup_scale):
+    def __init__(self, grid, k_f, directions, bands):
         self.grid = grid
         self.k_f = k_f
         self.directions = directions
         self.bands = bands
-        self.cutoffs = cutoffs
-        self.a_sup_scale = a_sup_scale
         self.n_points = int(np.prod(grid.shape))
         self._env, self._denv, self._t_ref = _detect_envelope(bands)
         self._static: dict = {}
@@ -356,7 +352,7 @@ def _detect_envelope(bands) -> tuple[np.ndarray | None, np.ndarray | None, int]:
 def _phase_for_directions(phase: PhaseField, dirs: np.ndarray) -> PhaseField:
     """Clone a phase field onto a new direction set (kernels recomputed)."""
     bands = []
-    kern = _ChiKernels(phase.cutoffs, _sigma_max(phase.grid, phase.bands, dirs))
+    kern = _ChiKernels(CUTOFFS, _sigma_max(phase.grid, phase.bands, dirs))
     for b in phase.bands:
         s = dirs @ b.eta.T
         bands.append(
@@ -368,7 +364,7 @@ def _phase_for_directions(phase: PhaseField, dirs: np.ndarray) -> PhaseField:
                 4.0**-b.k * kern.q0(4.0**-b.k * s),
             )
         )
-    return PhaseField(phase.grid, phase.k_f, dirs, bands, phase.cutoffs, phase.a_sup_scale)
+    return PhaseField(phase.grid, phase.k_f, dirs, bands)
 
 
 def _sigma_max(grid: Grid, bands, dirs) -> float:
@@ -383,18 +379,16 @@ def build_sigma(
     A: VectorPotential,
     k_f: int,
     directions: np.ndarray | None = None,
-    cutoffs: CutoffPair | None = None,
 ) -> PhaseField:
     """Assemble the phase data for a potential band-limited to k <= k_f - 4.
 
     ``directions`` is a (D, n) array of unit vectors; every later query must
-    stay inside this set (apply_parametrix passes the primitive directions of
-    the data's annulus modes).  Warns when a band's ray support 2^{1-2k}
+    stay inside this set (ParametrixOperator passes the primitive directions
+    of the data's annulus modes).  Warns when a band's ray support 2^{1-2k}
     exceeds L/2: the integral then wraps around the torus (the phase identity
     is unaffected; sizes acquire a wrap factor, recorded here).
     """
     grid = A.grid
-    c = cutoffs or CutoffPair()
     if directions is None:
         raise ValueError("build_sigma needs an explicit direction set")
     directions = np.asarray(directions, dtype=float)
@@ -403,7 +397,7 @@ def build_sigma(
         raise ValueError("directions must be unit vectors")
 
     spec = fourier_forward(grid, A.values)
-    hi_mask = 1.0 - c.chi(grid.xi_norm * 2.0 ** -(k_f - 4))
+    hi_mask = 1.0 - CUTOFFS.chi(grid.xi_norm * 2.0 ** -(k_f - 4))
     hi_mass = np.sum(np.abs(spec) ** 2 * hi_mask**2)
     total = np.sum(np.abs(spec) ** 2)
     if total > 0 and hi_mass > 1e-10 * total:
@@ -411,7 +405,7 @@ def build_sigma(
             f"potential carries {hi_mass/total:.2e} of spectral mass above band {k_f - 4}"
         )
 
-    k_min, _ = representable_bands(grid, c)
+    k_min, _ = representable_bands(grid)
     k_top = k_f - 4
     spec_dt = fourier_forward(grid, A.time_derivative())
     X = np.stack([m.ravel() for m in grid.spatial_meshes()])  # (n, P)
@@ -419,7 +413,7 @@ def build_sigma(
     bands = []
     sigma_max = 1.0
     for k in range(k_min - 1, k_top + 1):
-        mask = band_mask(grid, k, c)
+        mask = band_mask(grid, k)
         sel = mask > 1e-14
         if not np.any(sel):
             continue
@@ -442,7 +436,7 @@ def build_sigma(
         sigma_max = max(sigma_max, 4.0**-k * float(np.max(np.abs(s))) if s.size else 1.0)
         bands.append((k, eta, plane, coef_full, coef_dt, tilde, s))
 
-    kernels = _ChiKernels(c, sigma_max)
+    kernels = _ChiKernels(CUTOFFS, sigma_max)
     band_objs = []
     for (k, eta, plane, coef, coef_dt, tilde, s) in bands:
         sigma_arg = 4.0**-k * s
@@ -454,15 +448,13 @@ def build_sigma(
                 4.0**-k * kernels.q0(sigma_arg),
             )
         )
-    a_sup = float(np.max(np.sqrt(np.sum(A.values**2, axis=1))))
-    return PhaseField(grid, k_f, directions, band_objs, c, a_sup)
+    return PhaseField(grid, k_f, directions, band_objs)
 
 
 def annulus_data(
     grid: Grid,
     k_f: int,
     seed: int = 0,
-    cutoffs: CutoffPair | None = None,
     rel_width: tuple[float, float] = (0.80, 1.42),
 ) -> np.ndarray:
     """Unit-L2 data whose spectrum sits strictly inside the annulus plateau.
@@ -471,7 +463,6 @@ def annulus_data(
     [rel_width] * 2^{k_f} stays inside [3/4, 3/2] * 2^{k_f} where the annulus
     cutoff is identically 1.
     """
-    c = cutoffs or CutoffPair()
     lo, hi = rel_width[0] * 2.0**k_f, rel_width[1] * 2.0**k_f
     if not (0.75 * 2.0**k_f <= lo < hi <= 1.5 * 2.0**k_f):
         raise ValueError("data ring must sit inside the cutoff plateau")
@@ -557,16 +548,12 @@ class ParametrixOperator:
         f: np.ndarray,
         A: VectorPotential,
         omega: AnnulusCutoff,
-        cutoffs: CutoffPair | None = None,
         product_budget: float = 5e9,
-        mode_tol: float = 1e-13,
     ):
         self.grid = grid
-        self.omega = omega
-        self.cutoffs = cutoffs or CutoffPair()
         fhat = fourier_forward(grid, f)
         mags = np.abs(fhat)
-        sel = mags > mode_tol * max(float(mags.max()), 1e-300)
+        sel = mags > 1e-13 * max(float(mags.max()), 1e-300)
         om = omega.profile(grid.xi_norm[sel])
         if np.min(om) < 1.0 - 1e-12:
             raise ValueError("data spectrum must sit where the annulus cutoff is identically 1")
@@ -580,9 +567,8 @@ class ParametrixOperator:
             raise ValueError(
                 f"direct summation budget exceeded: {n_products:.2e} > {product_budget:.2e}"
             )
-        self.phase = build_sigma(A, omega.k_f, dirs, self.cutoffs)
+        self.phase = build_sigma(A, omega.k_f, dirs)
         self.A = A
-        self.f = f
 
     def _plane(self, sel: slice) -> np.ndarray:
         """(chunk, P) waves e^{2 pi i xi.x} of the modes sel, a product of 1-D factors."""
@@ -693,17 +679,6 @@ class ParametrixOperator:
         return SpaceTimeField(grid, out.reshape((-1,) + grid.shape))
 
 
-def apply_parametrix(
-    grid: Grid,
-    f: np.ndarray,
-    A: VectorPotential,
-    omega: AnnulusCutoff,
-    **kwargs,
-) -> tuple[SpaceTimeField, ParametrixOperator]:
-    op = ParametrixOperator(grid, f, A, omega, **kwargs)
-    return op.apply(), op
-
-
 def parametrix_residual(
     op: ParametrixOperator,
     v: SpaceTimeField,
@@ -742,16 +717,14 @@ def error_term(
     u: SpaceTimeField,
     A: VectorPotential,
     k: int,
-    cutoffs: CutoffPair | None = None,
 ) -> np.ndarray:
     """E^k = P_k(A . grad u) - A_{<=k-4} . grad u_k (exact identity)."""
     grid = u.grid
-    c = cutoffs or CutoffPair()
     grad_u = np.moveaxis(spectral_gradient(grid, u.values), 0, 1)  # (t, n, x)
-    a_vals = np.stack([A.at(t) for t in grid.times])
-    a_low = project_leq(grid, a_vals, k - 4, c).real
+    a_vals = A.values
+    a_low = project_leq(grid, a_vals, k - 4).real
     full = np.sum(a_vals * grad_u, axis=1)
-    mask = band_mask(grid, k, c)
+    mask = band_mask(grid, k)
     pk_full = fourier_inverse(grid, fourier_forward(grid, full) * mask)
     u_k = fourier_inverse(grid, u.spectrum() * mask)
     grad_uk = np.moveaxis(spectral_gradient(grid, u_k), 0, 1)
@@ -762,7 +735,6 @@ def error_term_groups(
     u: SpaceTimeField,
     A: VectorPotential,
     k: int,
-    cutoffs: CutoffPair | None = None,
 ) -> dict[str, np.ndarray]:
     """The four interaction groups of E^k; they sum to error_term exactly.
 
@@ -772,28 +744,27 @@ def error_term_groups(
     high_low:    P_k(A_{>k-4} . grad u_{<=k-4})
     """
     grid = u.grid
-    c = cutoffs or CutoffPair()
-    mask = band_mask(grid, k, c)
+    mask = band_mask(grid, k)
 
     def pk(vals):
         return fourier_inverse(grid, fourier_forward(grid, vals) * mask)
 
     grad_u = np.moveaxis(spectral_gradient(grid, u.values), 0, 1)
-    a_vals = np.stack([A.at(t) for t in grid.times])
-    a_low = project_leq(grid, a_vals, k - 4, c).real
+    a_vals = A.values
+    a_low = project_leq(grid, a_vals, k - 4).real
     a_hi = a_vals - a_low
     u_k = fourier_inverse(grid, u.spectrum() * mask)
     grad_uk = np.moveaxis(spectral_gradient(grid, u_k), 0, 1)
     commutator = pk(np.sum(a_low * grad_u, axis=1)) - np.sum(a_low * grad_uk, axis=1)
 
-    u_low = project_leq(grid, u.values, k - 4, c)
+    u_low = project_leq(grid, u.values, k - 4)
     grad_u_low = np.moveaxis(spectral_gradient(grid, u_low), 0, 1)
     high_low = pk(np.sum(a_hi * grad_u_low, axis=1))
 
-    _, k_max = representable_bands(grid, c)
+    _, k_max = representable_bands(grid)
     ks = list(range(k - 3, k_max + 1))
-    a_cum = {j: project_leq(grid, a_vals, j, c).real - a_low for j in ks}
-    u_cum = {j: project_leq(grid, u.values, j, c) - u_low for j in ks}
+    a_cum = {j: project_leq(grid, a_vals, j).real - a_low for j in ks}
+    u_cum = {j: project_leq(grid, u.values, j) - u_low for j in ks}
     a_piece = {}
     u_piece = {}
     prev_a = np.zeros_like(a_vals)
@@ -834,17 +805,15 @@ def error_term_besov_ratio(
     eps: float,
     s: float,
     k_range: tuple[int, int],
-    cutoffs: CutoffPair | None = None,
 ) -> float:
     """K in sum_k 2^{2ks} ||E^k||^2_{L1L2} <= K eps^2 sum_k 2^{2ks} ||u_k||^2_{LinfL2}."""
     grid = u.grid
-    c = cutoffs or CutoffPair()
     num = 0.0
     den = 0.0
     for k in range(k_range[0], k_range[1] + 1):
-        e_k = error_term(u, A, k, c)
+        e_k = error_term(u, A, k)
         num += 2.0 ** (2 * k * s) * time_lq(grid.times, slice_l2(grid, e_k), 1.0) ** 2
-        u_k = fourier_inverse(grid, u.spectrum() * band_mask(grid, k, c))
+        u_k = fourier_inverse(grid, u.spectrum() * band_mask(grid, k))
         den += 2.0 ** (2 * k * s) * float(np.max(slice_l2(grid, u_k))) ** 2
     return num / (eps**2 * den) if den > 0 else 0.0
 
@@ -859,7 +828,6 @@ def ray_integral_trapezoid(
     theta: np.ndarray,
     kernel: str = "chi",
     dz: float | None = None,
-    cutoffs: CutoffPair | None = None,
 ) -> np.ndarray:
     """Composite-trapezoid evaluation of the band-k ray integral on the grid.
 
@@ -867,7 +835,6 @@ def ray_integral_trapezoid(
     independent of the analytic kernel path.  dz defaults to dx/2.
     """
     grid = A.grid
-    c = cutoffs or CutoffPair()
     theta = np.asarray(theta, dtype=float)
     theta = theta / np.linalg.norm(theta)
     dz = dz if dz is not None else grid.dx / 2.0
@@ -876,13 +843,13 @@ def ray_integral_trapezoid(
     weights = np.full(len(zs), dz)
     weights[0] = weights[-1] = dz / 2.0
     if kernel == "chi":
-        kern = c.chi(zs * 4.0**k)
+        kern = CUTOFFS.chi(zs * 4.0**k)
     elif kernel == "chi_prime":
-        kk = _ChiKernels(c, 1.0)
+        kk = _ChiKernels(CUTOFFS, 1.0)
         kern = kk._chi_prime(zs * 4.0**k)
     else:
         raise ValueError("kernel must be 'chi' or 'chi_prime'")
-    mask = band_mask(grid, k, c)
+    mask = band_mask(grid, k)
     spec = fourier_forward(grid, A.values[t_idx]) * mask
     dot = np.tensordot(theta, spec, axes=(0, 0))
     out = np.zeros(grid.shape, dtype=complex)

@@ -22,9 +22,8 @@ plus the dominating sum
 
 sup over base points and measurable paths is exact at base 0 by translation
 invariance of the full-torus mixed norms (see norms module); sup over
-rotations is sampled and locally refined.  |d2 A_k| defaults to the Frobenius
-norm of the full Hessian tensor ("operator" switches to the spectral norm of
-the per-component Hessian, maximized over components).
+rotations is sampled and locally refined.  |d2 A_k| is the Frobenius norm of
+the full Hessian tensor.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, spatial_norm
-from .lp import CutoffPair, band_mask, representable_bands
+from .lp import CUTOFFS, CutoffPair, band_mask, representable_bands
 from .norms import time_lq
 from .rotate import RotationSampler, rotate_field
 
@@ -68,11 +67,13 @@ class VectorPotential:
     dt_evaluator: object = None
     divergence_free: bool = False
     band_limit: int | None = None  # all spectral mass in bands <= band_limit
-    cutoffs: CutoffPair = field(default_factory=CutoffPair)
+    cutoffs: CutoffPair = CUTOFFS  # accepted only as the lab's one pair
     _bands: dict = field(default_factory=dict, repr=False)
     _dt_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.cutoffs != CUTOFFS:
+            raise ValueError(f"cutoffs must be the lab's pair {CUTOFFS}, got {self.cutoffs}")
         expected = (self.grid.n_steps + 1, self.grid.n) + self.grid.shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
@@ -142,7 +143,7 @@ class VectorPotential:
     def band(self, k: int) -> np.ndarray:
         """P_k A, real part enforced (round-off imaginary checked)."""
         if k not in self._bands:
-            mask = band_mask(self.grid, k, self.cutoffs)
+            mask = band_mask(self.grid, k)
             spec = fourier_forward(self.grid, self.values)
             piece = fourier_inverse(self.grid, spec * mask)
             imag = np.max(np.abs(piece.imag))
@@ -150,6 +151,11 @@ class VectorPotential:
                 raise AssertionError("band projection lost reality")
             self._bands[k] = piece.real
         return self._bands[k]
+
+    def dt_band(self, k: int) -> np.ndarray:
+        """P_k dt A (real part); recomputed on every call, unlike ``band``."""
+        dt_spec = fourier_forward(self.grid, self.time_derivative())
+        return fourier_inverse(self.grid, dt_spec * band_mask(self.grid, k)).real
 
     def divergence(self) -> np.ndarray:
         spec = fourier_forward(self.grid, self.values)
@@ -178,16 +184,16 @@ class VectorPotential:
         return out
 
     def band_range(self) -> tuple[int, int]:
-        k_min, k_max = representable_bands(self.grid, self.cutoffs)
+        k_min, k_max = representable_bands(self.grid)
         if self.band_limit is not None:
             k_max = min(k_max, self.band_limit)
         return k_min, k_max
 
     def out_of_range_mass(self) -> float:
         """Relative spectral L2 mass outside the representable band window."""
-        k_min, k_max = representable_bands(self.grid, self.cutoffs)
+        k_min, k_max = representable_bands(self.grid)
         spec = fourier_forward(self.grid, self.values)
-        covered = sum(band_mask(self.grid, k, self.cutoffs) for k in range(k_min, k_max + 1))
+        covered = sum(band_mask(self.grid, k) for k in range(k_min, k_max + 1))
         total = np.sum(np.abs(spec) ** 2)
         if total == 0:
             return 0.0
@@ -208,13 +214,10 @@ class YNormParams:
     h: float = 0.125
     p0: float | None = None
     sampler: RotationSampler | None = None
-    hessian_mode: str = "frobenius"
 
     def __post_init__(self):
         if not (0 < self.h < 0.25):
             raise ValueError("h must lie in (0, 1/4)")
-        if self.hessian_mode not in ("frobenius", "operator"):
-            raise ValueError("hessian_mode must be 'frobenius' or 'operator'")
 
     def resolve_p0(self, n: int) -> float:
         p0 = self.p0 if self.p0 is not None else (n - 1) / 2.0 - 0.25
@@ -324,16 +327,16 @@ def make_potential(
     elif preset == "low_band":
         if k_cap is None and single_band is None:
             raise ValueError("low_band preset needs k_cap or single_band")
-        cpair = CutoffPair()
+        glue = CUTOFFS.glue_width
         rng = np.random.default_rng(np.random.SeedSequence((seed, 103)))
         if single_band is not None:
             # strictly inside the plateau of phi(2^-k .): the piece IS the band
-            lo = (2.0 - cpair.glue_width) * 2.0 ** (single_band - 1)
-            hi = (1.0 + cpair.glue_width) * 2.0**single_band
+            lo = (2.0 - glue) * 2.0 ** (single_band - 1)
+            hi = (1.0 + glue) * 2.0**single_band
             sel = (grid.xi_norm > lo) & (grid.xi_norm < hi)
             cap = single_band
         else:
-            sel = (grid.xi_norm <= (1.0 + cpair.glue_width) * 2.0**k_cap) & (grid.xi_norm > 0)
+            sel = (grid.xi_norm <= (1.0 + glue) * 2.0**k_cap) & (grid.xi_norm > 0)
             cap = k_cap
         if not np.any(sel):
             raise ValueError("no lattice modes in the requested band window")
@@ -466,33 +469,21 @@ def y1_tilde_norm(A: VectorPotential, params: YNormParams | None = None) -> floa
 # -- Y2 / Y3 -------------------------------------------------------------------
 
 
-def _derivative_magnitude(A: VectorPotential, k: int, mode: str) -> np.ndarray:
+def _derivative_magnitude(A: VectorPotential, k: int) -> np.ndarray:
     """|d2 A_k| + |dt A_k| sampled on (t, x)."""
-    band = A.band(k)
-    hess = A.hessian_of(band)  # (t, i, j, comp, x)
-    if mode == "frobenius":
-        h_mag = np.sqrt(np.sum(hess**2, axis=(1, 2, 3)))
-    else:
-        # spectral norm of the per-component Hessian, max over components
-        t_ax, n = hess.shape[0], A.grid.n
-        mats = np.moveaxis(hess, (1, 2, 3), (-2, -1, 1))  # (t, comp, x..., i, j)
-        sv = np.linalg.svd(mats, compute_uv=False)[..., 0]
-        h_mag = np.max(sv, axis=1)
-        assert h_mag.shape == (t_ax,) + A.grid.shape
-    dt_band = fourier_inverse(
-        A.grid, fourier_forward(A.grid, A.time_derivative()) * band_mask(A.grid, k, A.cutoffs)
-    ).real
-    return h_mag + _vec_mag(dt_band)
+    hess = A.hessian_of(A.band(k))  # (t, i, j, comp, x)
+    h_mag = np.sqrt(np.sum(hess**2, axis=(1, 2, 3)))
+    return h_mag + _vec_mag(A.dt_band(k))
 
 
-def _rotated_stats(A: VectorPotential, k: int, U: np.ndarray, mode: str) -> dict:
+def _rotated_stats(A: VectorPotential, k: int, U: np.ndarray) -> dict:
     """The four mixed-norm statistics of band k under one rotation."""
     grid = A.grid
     band = A.band(k)
     rot = rotate_field(grid, band, U)
     mag = np.sqrt(np.sum(np.abs(rot) ** 2, axis=1))
     a_series = spatial_norm(grid, mag, 2.0, inner=1.0)
-    d_field = _derivative_magnitude(A, k, mode)
+    d_field = _derivative_magnitude(A, k)
     d_series = spatial_norm(grid, rotate_field(grid, d_field, U), 2.0, inner=1.0)
     return {
         "a_linf_t": float(np.max(a_series)),
@@ -516,7 +507,7 @@ def y23_report(A: VectorPotential, params: YNormParams | None = None) -> dict:
     for k in range(k_min, k_max + 1):
         best = None
         for U in sampler.samples():
-            stats = _rotated_stats(A, k, U, params.hessian_mode)
+            stats = _rotated_stats(A, k, U)
             if best is None:
                 best = {key: val for key, val in stats.items()}
             else:
@@ -549,15 +540,11 @@ def corollary_norm(A: VectorPotential) -> float:
     grid = A.grid
     n = grid.n
     _band_mass_warn(A, "corollary_norm")
-    dt_A = A.time_derivative()
     k_min, k_max = A.band_range()
     total = 0.0
     for k in range(k_min, k_max + 1):
         a_mag = _vec_mag(A.band(k))
-        dt_band = fourier_inverse(
-            grid, fourier_forward(grid, dt_A) * band_mask(grid, k, A.cutoffs)
-        ).real
-        d_mag = _vec_mag(dt_band)
+        d_mag = _vec_mag(A.dt_band(k))
         a_l1 = spatial_norm(grid, a_mag, 1.0)
         d_l1 = spatial_norm(grid, d_mag, 1.0)
         total += (
@@ -602,7 +589,6 @@ def rescale_potential(A: VectorPotential, lam: float) -> VectorPotential:
         dt_evaluator=dtev,
         divergence_free=A.divergence_free,
         band_limit=new_limit,
-        cutoffs=A.cutoffs,
     )
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Grid
-from .lp import CutoffPair, band_mask
+from .lp import band_mask
 
 __all__ = [
     "write_field_snapshot",
@@ -56,9 +56,9 @@ def read_field_snapshot(path) -> tuple[dict, np.ndarray]:
     return header, values
 
 
-def write_band_mask_csv(path, grid: Grid, k: int, cutoffs: CutoffPair | None = None) -> None:
+def write_band_mask_csv(path, grid: Grid, k: int) -> None:
     """Rows: (xi_1, ..., xi_n, mask value), physical frequency order."""
-    mask = band_mask(grid, k, cutoffs or CutoffPair())
+    mask = band_mask(grid, k)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"xi_{j+1}" for j in range(grid.n)] + ["mask"])

@@ -24,7 +24,7 @@ from .grid import (
     slice_l2,
     spatial_norm,
 )
-from .lp import CutoffPair, band_mask, project_leq
+from .lp import band_mask, project_leq
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -42,6 +42,7 @@ __all__ = [
 
 _GL3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+CFL_SAFETY = 0.5
 
 
 class CFLError(ValueError):
@@ -50,14 +51,12 @@ class CFLError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters; dt <= safety * dx / max(1, |A|_inf)."""
+    """Time-stepping parameters; dt <= CFL_SAFETY * dx / max(1, |A|_inf)."""
 
     dt: float
-    safety: float = 0.5
-    dealias: bool = True
 
     def check_cfl(self, grid: Grid, a_max: float) -> None:
-        bound = self.safety * grid.dx / max(1.0, a_max)
+        bound = CFL_SAFETY * grid.dx / max(1.0, a_max)
         if self.dt > bound:
             raise CFLError(
                 f"dt={self.dt} violates the advective CFL bound {bound:.3e} "
@@ -91,7 +90,7 @@ class _Stepper:
         self.A = A
         self.F = F
         self.config = config
-        self.mask = _dealias_mask(grid) if config.dealias else None
+        self.mask = _dealias_mask(grid)
 
     def _rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -103,8 +102,7 @@ class _Stepper:
             for j in range(g.n):
                 du = fourier_inverse(g, 2j * np.pi * g.xi[j] * spec)
                 adv_spec += fourier_forward(g, a_t[j] * du)
-            if self.mask is not None:
-                adv_spec *= self.mask
+            adv_spec *= self.mask
             out = out - fourier_inverse(g, adv_spec)
         if self.F is not None:
             out = out + self.F(t)
@@ -313,8 +311,7 @@ def equation_residual(u: SpaceTimeField, A, F) -> tuple[np.ndarray, float]:
     lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * spec)
     res = ut - 1j * lap
     if A is not None:
-        for i, t in enumerate(grid.times):
-            a_t = A.at(t)
+        for i, a_t in enumerate(A.values):
             for j in range(grid.n):
                 du = fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spec[i])
                 res[i] += a_t[j] * du
@@ -329,7 +326,6 @@ def lp_reduced_equation_check(
     A: VectorPotential | None,
     F,
     k: int,
-    cutoffs: CutoffPair | None = None,
 ) -> float:
     """L1 L2 of d_t u_k - i Lap u_k + A_{<=k-4}.grad u_k - F_k - E^k.
 
@@ -339,8 +335,7 @@ def lp_reduced_equation_check(
     from .parametrix import error_term
 
     grid = u.grid
-    c = cutoffs or CutoffPair()
-    mask = band_mask(grid, k, c)
+    mask = band_mask(grid, k)
     u_k = SpaceTimeField(grid, fourier_inverse(grid, u.spectrum() * mask))
     ut = _time_derivative_4th(u_k.values, grid.dt)
     lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * u_k.spectrum())
@@ -348,8 +343,8 @@ def lp_reduced_equation_check(
     if A is not None:
         # with E^k = P_k(A.grad u) - A_low.grad u_k the band equation reads
         # d_t u_k - i Lap u_k + A_low.grad u_k + E^k = F_k
-        e_k = error_term(u, A, k, cutoffs=c)
-        a_low = project_leq(grid, A.values, k - 4, c)
+        e_k = error_term(u, A, k)
+        a_low = project_leq(grid, A.values, k - 4)
         grad_uk = np.stack(
             [fourier_inverse(grid, 2j * np.pi * grid.xi[j] * u_k.spectrum()) for j in range(grid.n)],
             axis=1,

@@ -198,7 +198,7 @@ class TestOscillatoryDecay:
     def test_fixed_axis_sups_match_dense_sum(self):
         ts = [1.0, 2.0]
         tab = cap_oscillatory_decay(ts, [], k_f=0, n=2, fixed_axis=True)
-        om = AnnulusCutoff(0, CutoffPair())
+        om = AnnulusCutoff(0)
         xi1 = tab["xi1"]
         for t, sup in zip(ts, tab["sup"]):
             # reference: the dense (x2, xi2) phase matrix, a few hundred rows at

@@ -196,3 +196,11 @@ def test_reality_enforced(grid2):
     vals += 1j * 0.5
     with pytest.raises(ValueError, match="real"):
         VectorPotential(grid2, vals)
+
+
+def test_cutoff_pair_other_than_the_lab_pair_rejected(grid2):
+    from magschro.lp import CutoffPair
+
+    vals = np.zeros((grid2.n_steps + 1, 2) + grid2.shape)
+    with pytest.raises(ValueError, match="cutoffs"):
+        VectorPotential(grid2, vals, cutoffs=CutoffPair(0.2))
