@@ -10,14 +10,13 @@ derivative bounds from the net geometry.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import floor, isqrt, log2
 
 import numpy as np
 
 from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
-from .lp import CUTOFFS, CutoffPair
+from .lp import CUTOFFS
 
 __all__ = [
     "AngularNet",
@@ -191,13 +190,13 @@ class _PhiKernel:
     at s_max = 6), and no (points, nodes) phase matrix forms.
     """
 
-    def __init__(self, cutoffs: CutoffPair, sigma_max: float):
+    def __init__(self, sigma_max: float):
         n_nodes = max(128, int(np.ceil(12.0 * max(sigma_max, 1.0) * 1.5)))
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         a, b = 0.25, 2.0
         self.nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
         self.weights = 0.5 * (b - a) * w
-        self.phi = cutoffs.phi(self.nodes)
+        self.phi = CUTOFFS.phi(self.nodes)
         hi, count = sigma_max * 1.05 + 1.0, 240001
         self.sig = np.linspace(-hi, hi, count)
         self.step = 2.0 * hi / (count - 1)
@@ -238,7 +237,7 @@ def pointwise_ray_bound_check(
     mag = np.abs(H_k)
     spec = fourier_forward(grid, mag.astype(complex))
     s_max = float(np.max(np.abs(grid.xi_norm))) * 2.0**truncated * 1.05
-    kern = _PhiKernel(CUTOFFS, s_max)
+    kern = _PhiKernel(s_max)
     mult = np.zeros(grid.shape, dtype=complex)
     for l in range(-k + 1, truncated + 1):
         net = angular_net(grid.n, l + k)

@@ -51,7 +51,6 @@ from .lp import (
     BandDecomposition,
     paraproduct_split,
     project_band,
-    representable_bands,
     sequence_bound_check,
 )
 from .norms import admissible_pairs, lqlr_norm, time_lq

@@ -117,9 +117,6 @@ class Grid:
     def spatial_meshes(self) -> list[np.ndarray]:
         return np.meshgrid(*([self.x1d] * self.n), indexing="ij")
 
-    def compatible(self, other: "Grid") -> bool:
-        return (self.n, self.N) == (other.n, other.N) and np.isclose(self.L, other.L)
-
 
 def make_grid(n: int, N: int, L: float, dt: float, T: float) -> Grid:
     """Build a grid; rejects non-power-of-two N and dt > T."""

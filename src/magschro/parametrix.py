@@ -29,6 +29,11 @@ the exact integration-by-parts relations), so the phase identity holds to
 round-off.  A composite-trapezoid ray quadrature along wrapped rays is kept
 as an independent cross-check (`ray_integral_trapezoid`).
 
+Every ray field is one entry of the table `RAY_FIELDS`, a triple (band
+coefficient, chi kernel, Fourier multiplier) summed over the bands by
+`PhaseField.ray`: S and T themselves, their time derivatives, Laplacians,
+gradients and derivatives along theta, and the chi'' form of <grad T, theta>.
+
 The operator's sums over the M data modes run through one kernel, chunked
 over modes; for a potential rank-1 in time, time enters it only through
 scalars (see `ParametrixOperator`).
@@ -38,12 +43,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
-from .lp import CUTOFFS, CutoffPair, band_mask, project_leq, representable_bands, spectral_gradient
+from .lp import CUTOFFS, band_mask, project_leq, representable_bands, spectral_gradient
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -82,6 +87,19 @@ class AnnulusCutoff:
 # -- 1-D chi kernels ------------------------------------------------------------
 
 
+def _chi_prime(u: np.ndarray) -> np.ndarray:
+    """chi' of the lab's cutoff pair, supported on [1 + d, 2 - d] (d the glue width)."""
+    d = CUTOFFS.glue_width
+    x = (u - 1.0 - d) / (1.0 - 2.0 * d)
+    g = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+    gb = np.where(1 - x > 0, np.exp(-1.0 / np.maximum(1 - x, 1e-300)), 0.0)
+    dg = np.where(x > 0, g / np.maximum(x, 1e-300) ** 2, 0.0)
+    dgb = np.where(1 - x > 0, gb / np.maximum(1 - x, 1e-300) ** 2, 0.0)
+    denom = (g + gb) ** 2
+    step_prime = np.where(denom > 0, (dg * gb + g * dgb) / np.maximum(denom, 1e-300), 0.0)
+    return -step_prime / (1.0 - 2.0 * d)
+
+
 class _ChiKernels:
     """V0(s) = int chi'(u) e^{2 pi i s u} du by Gauss-Legendre, plus the exact
     integration-by-parts partners
@@ -90,48 +108,27 @@ class _ChiKernels:
         Q0(s) = -2 pi i s V0(s)              (chi'' kernel; chi'(0)=chi'(2)=0)
     """
 
-    def __init__(self, cutoffs: CutoffPair, sigma_max: float):
-        self.cutoffs = cutoffs
-        d = cutoffs.glue_width
+    def __init__(self, sigma_max: float):
+        d = CUTOFFS.glue_width
         a, b = 1.0 + d, 2.0 - d
         n_nodes = max(96, int(np.ceil(10.0 * max(sigma_max, 1.0) * (b - a))))
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         self.nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
         self.weights = 0.5 * (b - a) * w
-        self.dchi = self._chi_prime(self.nodes)
+        self.dchi = _chi_prime(self.nodes)
         # int_0^2 chi du for the s = 0 limit of W0
         x2, w2 = np.polynomial.legendre.leggauss(256)
         u2 = x2 + 1.0
-        self.chi_area = float(np.sum(w2 * cutoffs.chi(u2)))
+        self.chi_area = float(np.sum(w2 * CUTOFFS.chi(u2)))
 
-    def _chi_prime(self, u: np.ndarray) -> np.ndarray:
-        d = self.cutoffs.glue_width
-        x = (u - 1.0 - d) / (1.0 - 2.0 * d)
-        g = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        gb = np.where(1 - x > 0, np.exp(-1.0 / np.maximum(1 - x, 1e-300)), 0.0)
-        dg = np.where(x > 0, g / np.maximum(x, 1e-300) ** 2, 0.0)
-        dgb = np.where(1 - x > 0, gb / np.maximum(1 - x, 1e-300) ** 2, 0.0)
-        denom = (g + gb) ** 2
-        step_prime = np.where(denom > 0, (dg * gb + g * dgb) / np.maximum(denom, 1e-300), 0.0)
-        return -step_prime / (1.0 - 2.0 * d)
-
-    def v0(self, s: np.ndarray) -> np.ndarray:
+    def __call__(self, s: np.ndarray) -> dict[str, np.ndarray]:
+        """{"chi": W0(s), "chi_prime": V0(s), "chi_dprime": Q0(s)} from one V0 sum."""
         s = np.asarray(s, dtype=float)
-        phase = np.exp(2j * np.pi * np.multiply.outer(s, self.nodes))
-        return phase @ (self.weights * self.dchi)
-
-    def w0(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        v = self.v0(s)
-        out = np.empty(s.shape, dtype=complex)
-        small = np.abs(s) < 1e-9
+        v = np.exp(2j * np.pi * np.multiply.outer(s, self.nodes)) @ (self.weights * self.dchi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = -(1.0 + v) / (2j * np.pi * s)
-        out = np.where(small, self.chi_area, out)
-        return out
-
-    def q0(self, s: np.ndarray) -> np.ndarray:
-        return -2j * np.pi * np.asarray(s, float) * self.v0(s)
+            w = -(1.0 + v) / (2j * np.pi * s)
+        w = np.where(np.abs(s) < 1e-9, self.chi_area, w)
+        return {"chi": w, "chi_prime": v, "chi_dprime": -2j * np.pi * s * v}
 
 
 # -- phase field -----------------------------------------------------------------
@@ -152,17 +149,76 @@ class _BandData:
     k: int
     eta: np.ndarray  # (m, n) frequencies
     plane: np.ndarray  # (m, P) mode waves e^{2 pi i eta.x}
-    coef: np.ndarray  # (n_t, n_comp, m) band spectrum of A (mask included)
-    coef_dt: np.ndarray  # same for dt A
-    coef_tilde: np.ndarray  # 2^{2k} Lap^{-1} scaling of coef
-    s: np.ndarray  # (D, m) projections eta.theta
-    W: np.ndarray  # (D, m) chi kernel at s
-    V: np.ndarray  # (D, m) chi' kernel
-    Q: np.ndarray  # (D, m) chi'' kernel
+    coef: dict  # "a", "dt", "tilde", "tilde_dt" -> (n_t, n_comp, m) band spectra, mask included
+    kernel: dict | None = None  # "chi", "chi_prime", "chi_dprime" -> (D, m) kernels at eta.theta
+
+
+def _with_kernels(bands: list[_BandData], directions: np.ndarray) -> list[_BandData]:
+    """The bands with their 2^{-2k} W0/V0/Q0(2^{-2k} eta.theta) kernels for
+    ``directions``; the quadrature resolves the largest 2^{-2k} |eta.theta|."""
+    proj = [directions @ b.eta.T for b in bands]  # (D, m) per band
+    sigma_max = max([1.0] + [4.0**-b.k * float(np.max(np.abs(s))) for b, s in zip(bands, proj)])
+    kernels = _ChiKernels(sigma_max)
+    return [
+        replace(b, kernel={key: 4.0**-b.k * val for key, val in kernels(4.0**-b.k * s).items()})
+        for b, s in zip(bands, proj)
+    ]
+
+
+def _lap(directions, b):
+    return -4.0 * np.pi**2 * np.sum(b.eta**2, axis=1)[None, :]
+
+
+def _along(directions, b):
+    return 2j * np.pi * np.einsum("dj,mj->dm", directions, b.eta)
+
+
+def _grad(directions, b):
+    return 2j * np.pi * b.eta.T[:, None, :]  # (n, 1, m): one row per component
+
+
+def _weighted(directions, b):
+    return np.full((1, len(b.eta)), 4.0**b.k)
+
+
+# name -> (band coefficient, chi kernel, multiplier of the kernel or None); the
+# field is sum_k (theta . coef_k[t]) kernel_k multiplier_k @ plane_k, a Fourier
+# sum over each band's modes eta.  Gradient fields stack their n components.
+RAY_FIELDS = {
+    "S": ("a", "chi", None),
+    "T": ("tilde", "chi_prime", None),
+    "dt_S": ("dt", "chi", None),
+    "dt_T": ("tilde_dt", "chi_prime", None),
+    "lap_S": ("a", "chi", _lap),
+    "lap_T": ("tilde", "chi_prime", _lap),
+    "theta_grad_S": ("a", "chi", _along),
+    "theta_grad_T": ("tilde", "chi_prime", _along),
+    "grad_S": ("a", "chi", _grad),
+    "grad_T": ("tilde", "chi_prime", _grad),
+    "T_dprime": ("tilde", "chi_dprime", _weighted),
+}
 
 
 class PhaseField:
     """Per-direction ray fields of the phase correction, sampled in time.
+
+    ``ray(name, t_idx)`` evaluates one entry of `RAY_FIELDS` as a (D,) + shape
+    array, (n, D) + shape for ``grad_S`` and ``grad_T``.  The band
+    coefficients are A_k ("a"), dt A_k ("dt"), At_k = 2^{2k} Lap^{-1} A_k
+    ("tilde") and dt At_k ("tilde_dt"); the kernels are the chi, chi' and
+    chi'' ray kernels; the multipliers are the Fourier symbols of Lap,
+    theta . grad and grad, or the weight 2^{2k}:
+
+        S, T            the displayed ray integral and the chi' ray of At_k
+        dt_S, dt_T      their time derivatives
+        lap_S, lap_T    their Laplacians
+        theta_grad_S/T  their derivatives along theta
+        grad_S, grad_T  their gradients
+        T_dprime        sum_k 2^{2k} chi''-ray of At_k.theta
+
+    The constructor builds the bands' kernels for ``directions``, so
+    `sigma_at` and the identity checks reuse the band data on their own
+    directions through a new PhaseField.
 
     Invariants: S and T are real; sigma0 depends on xi only through the
     direction; sigma1 is 1-homogeneous in |xi| and purely imaginary.
@@ -176,53 +232,42 @@ class PhaseField:
         self.grid = grid
         self.k_f = k_f
         self.directions = directions
-        self.bands = bands
+        self.bands = _with_kernels(bands, directions)
         self.n_points = int(np.prod(grid.shape))
-        self._env, self._denv, self._t_ref = _detect_envelope(bands)
+        self._env, self._denv, self._t_ref = _detect_envelope(self.bands)
         self._static: dict = {}
 
-    def _coef(self, b: _BandData, which: str) -> np.ndarray:
-        if which == "a":
-            return b.coef
-        if which == "dt":
-            return b.coef_dt
-        if which == "tilde":
-            return b.coef_tilde
-        if which == "tilde_dt":
-            return b.coef_dt * _tilde_scale(self.grid, b)
-        raise KeyError(which)
-
-    def _assemble(self, t_idx: int, which: str, kernel: str, mult_key, mult_fn) -> np.ndarray:
-        D = len(self.directions)
-        out = np.zeros((D, self.n_points), dtype=complex)
+    def _assemble(self, name: str, t_idx: int) -> np.ndarray:
+        coef, kernel, mult = RAY_FIELDS[name]
+        lead = (self.grid.n,) if mult is _grad else ()
+        out = np.zeros(lead + (len(self.directions), self.n_points), dtype=complex)
         for b in self.bands:
-            coef = self._coef(b, which)
-            kern = {"chi": b.W, "chi_prime": b.V, "chi_dprime": b.Q}[kernel]
-            theta_dot = np.einsum("dj,jm->dm", self.directions, coef[t_idx])
-            if mult_fn is not None:
-                kern = kern * mult_fn(b)
+            theta_dot = np.einsum("dj,jm->dm", self.directions, b.coef[coef][t_idx])
+            kern = b.kernel[kernel]
+            if mult is not None:
+                kern = kern * mult(self.directions, b)
             out += (theta_dot * kern) @ b.plane
-        res = out.reshape((D,) + self.grid.shape)
-        imag = np.max(np.abs(res.imag))
-        if imag > 1e-10 * max(np.max(np.abs(res.real)), 1e-30):
-            raise AssertionError(f"ray field lost reality: imag {imag:.2e}")
-        return res.real
+        flat = out.reshape(lead + (-1,))  # one row per field component
+        imag = np.max(np.abs(flat.imag), axis=-1)
+        real = np.max(np.abs(flat.real), axis=-1)
+        if np.any(imag > 1e-10 * np.maximum(real, 1e-30)):
+            raise AssertionError(f"ray field {name} lost reality: imag {np.max(imag):.2e}")
+        return out.real.reshape(out.shape[:-1] + self.grid.shape)
 
-    def _ray(self, t_idx, which: str, kernel: str, mult_key=None, mult_fn=None) -> np.ndarray:
-        """The ray field at slice t_idx; t_idx None gives the static factor of a
-        rank-1 field (see `time_groups`)."""
+    def ray(self, name: str, t_idx: int | None) -> np.ndarray:
+        """The ray field ``name`` of `RAY_FIELDS` at slice t_idx; t_idx None gives
+        the static factor of a rank-1 field (see `time_groups`)."""
         if self._env is None:
-            return self._assemble(t_idx, which, kernel, mult_key, mult_fn)
-        env = self._denv if which in ("dt", "tilde_dt") else self._env
-        key = (which, kernel, mult_key)
-        if key not in self._static:
+            return self._assemble(name, t_idx)
+        env = self._denv if RAY_FIELDS[name][0].endswith("dt") else self._env
+        if name not in self._static:
             ref = self._t_ref
             scale = env[ref]
             if abs(scale) < 1e-300:
                 ref = int(np.argmax(np.abs(env)))
                 scale = env[ref]
-            self._static[key] = self._assemble(ref, which, kernel, mult_key, mult_fn) / scale
-        return self._static[key] if t_idx is None else env[t_idx] * self._static[key]
+            self._static[name] = self._assemble(name, ref) / scale
+        return self._static[name] if t_idx is None else env[t_idx] * self._static[name]
 
     def time_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int | None]]:
         """(slices, env, denv, t_field) groups: at slices[j] every ray field is
@@ -234,77 +279,14 @@ class PhaseField:
             return [(np.array([i]), one, one, i) for i in range(n_t)]
         return [(np.arange(n_t), self._env, self._denv, None)]
 
-    def ray_S(self, t_idx: int) -> np.ndarray:
-        """Displayed ray integral of A_k.theta with the chi kernel; (D,) + shape."""
-        return self._ray(t_idx, "a", "chi")
-
-    def ray_T(self, t_idx: int) -> np.ndarray:
-        """chi' ray integral of At_k.theta; (D,) + shape."""
-        return self._ray(t_idx, "tilde", "chi_prime")
-
-    def ray_S_dt(self, t_idx: int) -> np.ndarray:
-        return self._ray(t_idx, "dt", "chi")
-
-    def ray_T_dt(self, t_idx: int) -> np.ndarray:
-        return self._ray(t_idx, "tilde_dt", "chi_prime")
-
-    def lap_T(self, t_idx: int) -> np.ndarray:
-        return self._ray(
-            t_idx, "tilde", "chi_prime", "lap",
-            lambda b: -4.0 * np.pi**2 * np.sum(b.eta**2, axis=1)[None, :],
-        )
-
-    def lap_S(self, t_idx: int) -> np.ndarray:
-        return self._ray(
-            t_idx, "a", "chi", "lap",
-            lambda b: -4.0 * np.pi**2 * np.sum(b.eta**2, axis=1)[None, :],
-        )
-
-    def grad_S_dot_theta(self, t_idx: int) -> np.ndarray:
-        return self._ray(
-            t_idx, "a", "chi", "grad_theta",
-            lambda b: 2j * np.pi * np.einsum("dj,mj->dm", self.directions, b.eta),
-        )
-
-    def grad_T_dot_theta(self, t_idx: int) -> np.ndarray:
-        return self._ray(
-            t_idx, "tilde", "chi_prime", "grad_theta",
-            lambda b: 2j * np.pi * np.einsum("dj,mj->dm", self.directions, b.eta),
-        )
-
-    def grad_S(self, t_idx: int) -> np.ndarray:
-        """(n, D) + shape gradient of the displayed ray field."""
-        comps = [
-            self._ray(t_idx, "a", "chi", ("grad", j), lambda b, j=j: 2j * np.pi * b.eta[None, :, j])
-            for j in range(self.grid.n)
-        ]
-        return np.stack(comps)
-
-    def grad_T(self, t_idx: int) -> np.ndarray:
-        comps = [
-            self._ray(
-                t_idx, "tilde", "chi_prime", ("grad", j),
-                lambda b, j=j: 2j * np.pi * b.eta[None, :, j],
-            )
-            for j in range(self.grid.n)
-        ]
-        return np.stack(comps)
-
-    def chi_dprime_ray(self, t_idx: int) -> np.ndarray:
-        """sum_k 2^{2k} chi''-ray of At_k.theta (weights folded in)."""
-        return self._ray(
-            t_idx, "tilde", "chi_dprime", "weighted",
-            lambda b: np.full((1, len(b.eta)), 4.0**b.k),
-        )
-
     def sigma_at(self, t_idx: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sigma0, sigma1) fields for one frequency vector (appends a direction)."""
         xi = np.asarray(xi, dtype=float)
         r = float(np.linalg.norm(xi))
         theta = xi / r
-        sub = _phase_for_directions(self, theta[None])
-        s0 = SIGMA0_FACTOR * sub.ray_S(t_idx)[0]
-        s1 = 2j * np.pi * r * sub.ray_T(t_idx)[0]
+        sub = PhaseField(self.grid, self.k_f, theta[None], self.bands)
+        s0 = SIGMA0_FACTOR * sub.ray("S", t_idx)[0]
+        s1 = 2j * np.pi * r * sub.ray("T", t_idx)[0]
         return s0, s1
 
     def max_sigma(self, t_indices=None) -> float:
@@ -314,24 +296,19 @@ class PhaseField:
         r = 2.0**self.k_f
         worst = 0.0
         for i in idx:
-            s0 = SIGMA0_FACTOR * self.ray_S(i)
-            s1 = 2.0 * np.pi * r * self.ray_T(i)
+            s0 = SIGMA0_FACTOR * self.ray("S", i)
+            s1 = 2.0 * np.pi * r * self.ray("T", i)
             worst = max(worst, float(np.max(np.abs(s0) + np.abs(s1))))
         return worst
-
-
-def _tilde_scale(grid: Grid, b: _BandData) -> np.ndarray:
-    eta2 = np.sum(b.eta**2, axis=1)
-    return (-(4.0**b.k) / (4.0 * np.pi**2 * eta2))[None, :]
 
 
 def _detect_envelope(bands) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     """Rank-1-in-time detection: coef[t] = env[t] * coef[t_ref] across bands."""
     if not bands:
         return None, None, 0
-    nt = bands[0].coef.shape[0]
-    flat = np.concatenate([b.coef.reshape(nt, -1) for b in bands], axis=1)
-    flat_dt = np.concatenate([b.coef_dt.reshape(nt, -1) for b in bands], axis=1)
+    nt = bands[0].coef["a"].shape[0]
+    flat = np.concatenate([b.coef["a"].reshape(nt, -1) for b in bands], axis=1)
+    flat_dt = np.concatenate([b.coef["dt"].reshape(nt, -1) for b in bands], axis=1)
     norms = np.linalg.norm(flat, axis=1)
     t_ref = int(np.argmax(norms))
     ref = flat[t_ref]
@@ -347,32 +324,6 @@ def _detect_envelope(bands) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     if np.max(np.abs(resid_dt)) > 1e-12 * max(float(np.max(np.abs(flat_dt))), 1e-300):
         return None, None, 0
     return env, denv, t_ref
-
-
-def _phase_for_directions(phase: PhaseField, dirs: np.ndarray) -> PhaseField:
-    """Clone a phase field onto a new direction set (kernels recomputed)."""
-    bands = []
-    kern = _ChiKernels(CUTOFFS, _sigma_max(phase.grid, phase.bands, dirs))
-    for b in phase.bands:
-        s = dirs @ b.eta.T
-        bands.append(
-            _BandData(
-                b.k, b.eta, b.plane, b.coef, b.coef_dt, b.coef_tilde,
-                s,
-                4.0**-b.k * kern.w0(4.0**-b.k * s),
-                4.0**-b.k * kern.v0(4.0**-b.k * s),
-                4.0**-b.k * kern.q0(4.0**-b.k * s),
-            )
-        )
-    return PhaseField(phase.grid, phase.k_f, dirs, bands)
-
-
-def _sigma_max(grid: Grid, bands, dirs) -> float:
-    worst = 1.0
-    for b in bands:
-        s_abs = float(np.max(np.abs(dirs @ b.eta.T))) if len(b.eta) else 0.0
-        worst = max(worst, 4.0**-b.k * s_abs)
-    return worst
 
 
 def build_sigma(
@@ -411,20 +362,18 @@ def build_sigma(
     X = np.stack([m.ravel() for m in grid.spatial_meshes()])  # (n, P)
 
     bands = []
-    sigma_max = 1.0
     for k in range(k_min - 1, k_top + 1):
         mask = band_mask(grid, k)
         sel = mask > 1e-14
         if not np.any(sel):
             continue
-        coef_full = spec[..., sel] * mask[sel]  # (n_t, n, m)
-        if np.max(np.abs(coef_full)) == 0.0:
+        coef = spec[..., sel] * mask[sel]  # (n_t, n, m)
+        if np.max(np.abs(coef)) == 0.0:
             continue
         eta = np.stack([grid.xi[j][sel] for j in range(grid.n)], axis=1)  # (m, n)
         plane = np.exp(2j * np.pi * (eta @ X)) / grid.L**grid.n  # (m, P)
         coef_dt = spec_dt[..., sel] * mask[sel]
-        eta2 = np.sum(eta**2, axis=1)
-        tilde = coef_full * (-(4.0**k) / (4.0 * np.pi**2 * eta2))
+        inv_lap = -(4.0**k) / (4.0 * np.pi**2 * np.sum(eta**2, axis=1))  # 2^{2k} Lap^{-1}
         z_support = 2.0 ** (1 - 2 * k)
         if z_support > grid.L / 2.0:
             warnings.warn(
@@ -432,23 +381,9 @@ def build_sigma(
                 f"wrap depth {z_support/(grid.L/2):.1f} recorded",
                 stacklevel=2,
             )
-        s = directions @ eta.T  # (D, m)
-        sigma_max = max(sigma_max, 4.0**-k * float(np.max(np.abs(s))) if s.size else 1.0)
-        bands.append((k, eta, plane, coef_full, coef_dt, tilde, s))
-
-    kernels = _ChiKernels(CUTOFFS, sigma_max)
-    band_objs = []
-    for (k, eta, plane, coef, coef_dt, tilde, s) in bands:
-        sigma_arg = 4.0**-k * s
-        band_objs.append(
-            _BandData(
-                k, eta, plane, coef, coef_dt, tilde, s,
-                4.0**-k * kernels.w0(sigma_arg),
-                4.0**-k * kernels.v0(sigma_arg),
-                4.0**-k * kernels.q0(sigma_arg),
-            )
-        )
-    return PhaseField(grid, k_f, directions, band_objs)
+        coefs = {"a": coef, "dt": coef_dt, "tilde": coef * inv_lap, "tilde_dt": coef_dt * inv_lap}
+        bands.append(_BandData(k, eta, plane, coefs))
+    return PhaseField(grid, k_f, directions, bands)
 
 
 def annulus_data(
@@ -495,12 +430,12 @@ def phase_identity_residual(
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     radii = np.linalg.norm(xi_samples, axis=1)
     dirs = xi_samples / radii[:, None]
-    sub = _phase_for_directions(phase, dirs)
+    sub = PhaseField(phase.grid, phase.k_f, dirs, phase.bands)
     worst = 0.0
     scale = 1.0
     for i in t_indices:
-        lapT = sub.lap_T(i)
-        gradS_theta = sub.grad_S_dot_theta(i)
+        lapT = sub.ray("lap_T", i)
+        gradS_theta = sub.ray("theta_grad_S", i)
         a_t = A.values[i]
         a_theta = np.einsum("dj,j...->d...", dirs, a_t)
         # residual_d = 2 pi |xi| * (lap T + grad S . theta + A . theta)
@@ -516,9 +451,9 @@ def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray, t_idx: in
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     radii = np.linalg.norm(xi_samples, axis=1)
     dirs = xi_samples / radii[:, None]
-    sub = _phase_for_directions(phase, dirs)
-    lhs = sub.grad_T_dot_theta(t_idx)
-    rhs = -sub.chi_dprime_ray(t_idx)
+    sub = PhaseField(phase.grid, phase.k_f, dirs, phase.bands)
+    lhs = sub.ray("theta_grad_T", t_idx)
+    rhs = -sub.ray("T_dprime", t_idx)
     scale = max(float(np.max(np.abs(rhs))), 1e-30)
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -533,8 +468,10 @@ class ParametrixOperator:
     `_mode_sum`.  It walks the data modes in chunks sized so that one
     (chunk, P) complex temporary takes `_CHUNK_BYTES`, and builds each chunk's
     plane waves as it goes.  Within a time group of the phase (one group for
-    a rank-1 potential, see `PhaseField.time_groups`) the per-mode fields are
-    gathered once per chunk, and time enters only through the scalars env(t),
+    a rank-1 potential, see `PhaseField.time_groups`) the `RAY_FIELDS`
+    entries an integrand reads (S and T; also dt_S, dt_T, lap_S,
+    theta_grad_T, grad_S and grad_T for the residual) are gathered onto the
+    modes once per chunk, and time enters only through the scalars env(t),
     denv(t) and the potential A(t, x).  A slice of ``apply`` then costs one
     exponential exp(env(t) E), E = i sigma0 - 2 pi |xi| T, and one
     matrix-vector product; the order-a Taylor term is
@@ -582,7 +519,7 @@ class ParametrixOperator:
         """out[k, t] = sum_m amp_m(t) w Z_m(x) e^{2 pi i xi_m.x}, amp_m(t) =
         coef_m e^{-4 pi^2 i t |xi_m|^2}, as (n_out, n_t, P).
 
-        ``fields`` names the PhaseField ray fields the integrand reads.  For
+        ``fields`` names the `RAY_FIELDS` entries the integrand reads.  For
         every time group (slices, env, denv) and chunk of modes the kernel
         iterates integrand(ray, r, slices, env, denv): ray(name) gathers a
         field onto the chunk's modes ((chunk, P) or (n, chunk, P)) and r is
@@ -598,7 +535,7 @@ class ParametrixOperator:
         for slices, env, denv, t_field in self.phase.time_groups():
             rays = {}
             for name in fields:
-                values = getattr(self.phase, name)(t_field)
+                values = self.phase.ray(name, t_field)
                 rays[name] = values.reshape(values.shape[: -grid.n] + (P,))
             for lo in range(0, len(self.xi), chunk):
                 sel = slice(lo, lo + chunk)
@@ -617,11 +554,11 @@ class ParametrixOperator:
         """v = Lambda f sampled on the grid's time grid."""
 
         def integrand(ray, r, slices, env, denv):
-            E = 1j * SIGMA0_FACTOR * ray("ray_S") - 2.0 * np.pi * r * ray("ray_T")
+            E = 1j * SIGMA0_FACTOR * ray("S") - 2.0 * np.pi * r * ray("T")
             for j, e in enumerate(env):
                 yield 0, slice(j, j + 1), 1.0, np.exp(e * E)
 
-        out = self._mode_sum(("ray_S", "ray_T"), integrand)[0]
+        out = self._mode_sum(("S", "T"), integrand)[0]
         return SpaceTimeField(self.grid, out.reshape((-1,) + self.grid.shape))
 
     def taylor_study(self, max_order: int) -> tuple[dict[int, SpaceTimeField], dict[int, float]]:
@@ -630,13 +567,13 @@ class ParametrixOperator:
         grid = self.grid
 
         def integrand(ray, r, slices, env, denv):
-            sigma = SIGMA0_FACTOR * ray("ray_S") + 2j * np.pi * r * ray("ray_T")
+            sigma = SIGMA0_FACTOR * ray("S") + 2j * np.pi * r * ray("T")
             power = np.ones_like(sigma)
             for a in range(max_order + 1):
                 yield a, slice(None), (1j) ** a / math.factorial(a) * env[:, None] ** a, power
                 power = power * sigma
 
-        terms = self._mode_sum(("ray_S", "ray_T"), integrand, max_order + 1)
+        terms = self._mode_sum(("S", "T"), integrand, max_order + 1)
         terms = terms.reshape((max_order + 1, -1) + grid.shape)
         sums = np.cumsum(terms, axis=0)
         fields = {a: SpaceTimeField(grid, sums[a]) for a in range(max_order + 1)}
@@ -657,10 +594,10 @@ class ParametrixOperator:
         n = grid.n
 
         def integrand(ray, r, slices, env, denv):
-            E = 1j * SIGMA0_FACTOR * ray("ray_S") - 2.0 * np.pi * r * ray("ray_T")
-            dt_term = 1j * (SIGMA0_FACTOR * ray("ray_S_dt") + 2j * np.pi * r * ray("ray_T_dt"))
+            E = 1j * SIGMA0_FACTOR * ray("S") - 2.0 * np.pi * r * ray("T")
+            dt_term = 1j * (SIGMA0_FACTOR * ray("dt_S") + 2j * np.pi * r * ray("dt_T"))
             lap_term = SIGMA0_FACTOR * ray("lap_S") + 4j * np.pi * (
-                2j * np.pi * r**2 * ray("grad_T_dot_theta")
+                2j * np.pi * r**2 * ray("theta_grad_T")
             )
             g = SIGMA0_FACTOR * ray("grad_S") + 2j * np.pi * r * ray("grad_T")  # (n, chunk, P)
             static = np.stack([dt_term, lap_term, 1j * np.sum(g * g, axis=0)])
@@ -671,10 +608,7 @@ class ParametrixOperator:
                     Z += (1j * env[j] * a_t[c]) * g[c]
                 yield 0, slice(j, j + 1), 1.0, Z * np.exp(env[j] * E)
 
-        fields = (
-            "ray_S", "ray_T", "ray_S_dt", "ray_T_dt", "lap_S", "grad_S", "grad_T",
-            "grad_T_dot_theta",
-        )
+        fields = ("S", "T", "dt_S", "dt_T", "lap_S", "grad_S", "grad_T", "theta_grad_T")
         out = self._mode_sum(fields, integrand)[0]
         return SpaceTimeField(grid, out.reshape((-1,) + grid.shape))
 
@@ -845,8 +779,7 @@ def ray_integral_trapezoid(
     if kernel == "chi":
         kern = CUTOFFS.chi(zs * 4.0**k)
     elif kernel == "chi_prime":
-        kk = _ChiKernels(CUTOFFS, 1.0)
-        kern = kk._chi_prime(zs * 4.0**k)
+        kern = _chi_prime(zs * 4.0**k)
     else:
         raise ValueError("kernel must be 'chi' or 'chi_prime'")
     mask = band_mask(grid, k)

@@ -77,6 +77,8 @@ class VectorPotential:
         expected = (self.grid.n_steps + 1, self.grid.n) + self.grid.shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("potential samples must be finite")
         if np.iscomplexobj(self.values):
             if np.max(np.abs(self.values.imag)) > _REALITY_TOL * max(
                 np.max(np.abs(self.values.real)), 1.0
@@ -94,12 +96,6 @@ class VectorPotential:
         if self.evaluator is not None:
             return self.evaluator(t)
         return self._interp_samples(self.values, t)
-
-    def dt_at(self, t: float) -> np.ndarray:
-        if self.dt_evaluator is not None:
-            return self.dt_evaluator(t)
-        dt = self.grid.dt
-        return (self.at(t + dt / 2) - self.at(t - dt / 2)) / dt
 
     def _interp_samples(self, samples: np.ndarray, t: float) -> np.ndarray:
         """4-point Lagrange interpolation on the uniform time grid."""

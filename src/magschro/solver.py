@@ -157,6 +157,13 @@ class PropagatorHandle:
 
 
 def _check_inputs(grid: Grid, f: np.ndarray, A, config: SolverConfig):
+    """Reject what ``solve`` and ``duhamel_solve`` cannot march; warn on Nyquist mass."""
+    if not np.isclose(config.dt, grid.dt):
+        raise ValueError("solver dt must match the grid time step")
+    if A is not None and A.grid != grid:
+        raise ValueError(f"potential grid {A.grid} differs from the solver grid {grid}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("initial data must be finite")
     if _nyquist_leak_fraction(grid, fourier_forward(grid, f)) > 1e-6:
         warnings.warn("solve: initial data carries spectral mass near Nyquist", stacklevel=3)
     config.check_cfl(grid, _a_sup(A))
@@ -174,8 +181,6 @@ def solve(
     ``F`` is None or a callable t -> complex spatial array.
     """
     config = config or SolverConfig(dt=grid.dt)
-    if not np.isclose(config.dt, grid.dt):
-        raise ValueError("solver dt must match the grid time step")
     _check_inputs(grid, f, A, config)
     stepper = _Stepper(grid, A, F, config)
     out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)

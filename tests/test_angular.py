@@ -72,7 +72,7 @@ class TestPartition:
 
 class TestPhiKernel:
     def test_table_matches_dense_formula(self):
-        kern = _PhiKernel(CutoffPair(), 5.94)
+        kern = _PhiKernel(5.94)
         w = kern.weights * kern.phi
         dense = np.concatenate([
             np.exp(2j * np.pi * np.multiply.outer(chunk, kern.nodes)) @ w
@@ -82,7 +82,7 @@ class TestPhiKernel:
         assert err <= 1e-12
 
     def test_lookup_matches_interp(self):
-        kern = _PhiKernel(CutoffPair(), 5.94)
+        kern = _PhiKernel(5.94)
         rng = np.random.default_rng(11)
         lo, hi = kern.sig[0], kern.sig[-1]
         s = np.concatenate([
@@ -133,7 +133,7 @@ class TestPointwiseRayBound:
         # reference: one inverse FFT per direction, summed in space
         spec = fourier_forward(g, np.abs(H).astype(complex))
         s_max = float(np.max(np.abs(g.xi_norm))) * 2.0 ** out["l_truncated_at"] * 1.05
-        kern = _PhiKernel(CutoffPair(), s_max)
+        kern = _PhiKernel(s_max)
         total = np.zeros(g.shape)
         for l in range(out["l_start"], out["l_truncated_at"] + 1):
             for theta in angular_net(2, l + k).thetas:

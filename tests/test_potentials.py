@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magschro.grid import make_grid
 from magschro.potentials import (
@@ -148,7 +150,8 @@ class TestScaling:
         twice = rescale_potential(rescale_potential(A, 2.0), 2.0)
         four = rescale_potential(A, 4.0)
         assert np.allclose(twice.values, four.values)
-        assert twice.grid.compatible(four.grid) and np.isclose(twice.grid.L, four.grid.L)
+        assert (twice.grid.n, twice.grid.N) == (four.grid.n, four.grid.N)
+        assert np.isclose(twice.grid.L, four.grid.L)
 
     def test_rejects_non_power_of_two(self, grid2):
         A = make_potential("gauss_bump", 0.2, grid2, width=5.0)
@@ -204,3 +207,18 @@ def test_cutoff_pair_other_than_the_lab_pair_rejected(grid2):
     vals = np.zeros((grid2.n_steps + 1, 2) + grid2.shape)
     with pytest.raises(ValueError, match="cutoffs"):
         VectorPotential(grid2, vals, cutoffs=CutoffPair(0.2))
+
+
+@given(
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+@settings(max_examples=40, deadline=None)
+def test_non_finite_sample_rejected(t, comp, x, bad):
+    g = make_grid(2, 8, 1.0, 0.25, 0.5)  # 3 slices of 8 x 8
+    vals = np.zeros((g.n_steps + 1, 2) + g.shape)
+    vals[(t, comp) + x] = bad
+    with pytest.raises(ValueError, match="finite"):
+        VectorPotential(g, vals)

@@ -108,6 +108,30 @@ class TestSolveOracles:
             solve(grid2, packet2, A, None)
 
 
+class TestInputChecks:
+    """solve and duhamel_solve reject the same inputs before stepping."""
+
+    @pytest.mark.parametrize("march", [solve, duhamel_solve])
+    def test_dt_other_than_the_grid_step_rejected(self, grid2, packet2, march):
+        with pytest.raises(ValueError, match="dt must match"):
+            march(grid2, packet2, None, None, SolverConfig(dt=grid2.dt / 2))
+
+    @pytest.mark.parametrize("march", [solve, duhamel_solve])
+    def test_potential_on_another_grid_rejected(self, grid2, packet2, march):
+        other = make_grid(2, 64, 32, grid2.dt / 2, 1.0)
+        A = constant_potential(other, (0.1, 0.0))
+        with pytest.raises(ValueError, match="grid"):
+            march(grid2, packet2, A, None)
+
+    @pytest.mark.parametrize("march", [solve, duhamel_solve])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, grid2, packet2, march, bad):
+        f = packet2.copy()
+        f[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            march(grid2, f, None, None)
+
+
 class TestDuhamel:
     def test_reduces_to_homogeneous(self, grid2, packet2):
         A = make_potential("gauss_bump", 0.1, grid2, width=2.5)
