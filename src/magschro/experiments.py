@@ -507,7 +507,7 @@ def _run_parametrix(col: _Collector, seed: int, params: dict) -> None:
                     worst_factor = max(worst_factor, factor, 1.0 / factor)
             if eps == 0.1:
                 taylor_err = taylor_error(op, v)
-            del op, v  # each operator caches its ray fields
+            del op, v
         eps_arr = np.array(eps_list)
         slope_v0, r2_v0 = _fit_through_origin(eps_arr, np.array(v0_err))
         slope_res, r2_res = _fit_through_origin(eps_arr, np.array(res_norm))

@@ -33,10 +33,19 @@ Every ray field is one entry of the table `RAY_FIELDS`, a triple (band
 coefficient, chi kernel, Fourier multiplier) summed over the bands by
 `PhaseField.ray`: S and T themselves, their time derivatives, Laplacians,
 gradients and derivatives along theta, and the chi'' form of <grad T, theta>.
+Fields are assembled on demand, for any subset of the directions, and never
+cached.
 
 The operator's sums over the M data modes run through one kernel, chunked
-over modes; for a potential rank-1 in time, time enters it only through
-scalars (see `ParametrixOperator`).
+over modes, which assembles each chunk's ray fields for that chunk's
+directions only.  Under the smallness hypothesis the phase is small, and for
+a potential rank-1 in time it is env(t) times a static phase sigma, so
+e^{i env(t) sigma} is a short power series in env(t) - c about the centre c
+of each group of slices with nearby envelope values (`_envelope_groups`).
+Each order is one matrix product over the modes for all of the group's
+slices, with one exponential e^{i c sigma} per group and chunk; a potential
+that is not rank-1 gives one slice per group and the series stops at order 0
+(see `ParametrixOperator`).
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ __all__ = [
 
 SIGMA0_FACTOR = 0.5  # cancellation-correct weight of the displayed ray integral
 _CHUNK_BYTES = 2 * 2**20  # one (mode chunk, P) complex temporary of the direct sum
+_TAYLOR_TAIL = 1e-16  # bound on the dropped tail of each phase series in the direct sum
 
 
 # -- annulus cutoff -------------------------------------------------------------
@@ -225,7 +235,10 @@ class PhaseField:
 
     When the potential's band spectrum is a rank-1 function of time
     (coef[t] = env[t] * coef_ref, the case for all analytic presets) every ray
-    field separates as env(t) * static field; the static fields are cached.
+    field separates as env(t) * static field (see `time_groups`).  Nothing is
+    cached: every call assembles its field from the band data, and the
+    ``d_idx`` argument of `ray` restricts that work to a subset of the
+    directions, which is how the operator walks its mode chunks.
     """
 
     def __init__(self, grid, k_f, directions, bands):
@@ -235,17 +248,17 @@ class PhaseField:
         self.bands = _with_kernels(bands, directions)
         self.n_points = int(np.prod(grid.shape))
         self._env, self._denv, self._t_ref = _detect_envelope(self.bands)
-        self._static: dict = {}
 
-    def _assemble(self, name: str, t_idx: int) -> np.ndarray:
+    def _assemble(self, name: str, t_idx: int, d_idx) -> np.ndarray:
         coef, kernel, mult = RAY_FIELDS[name]
+        directions = self.directions[d_idx]
         lead = (self.grid.n,) if mult is _grad else ()
-        out = np.zeros(lead + (len(self.directions), self.n_points), dtype=complex)
+        out = np.zeros(lead + (len(directions), self.n_points), dtype=complex)
         for b in self.bands:
-            theta_dot = np.einsum("dj,jm->dm", self.directions, b.coef[coef][t_idx])
-            kern = b.kernel[kernel]
+            theta_dot = np.einsum("dj,jm->dm", directions, b.coef[coef][t_idx])
+            kern = b.kernel[kernel][d_idx]
             if mult is not None:
-                kern = kern * mult(self.directions, b)
+                kern = kern * mult(directions, b)
             out += (theta_dot * kern) @ b.plane
         flat = out.reshape(lead + (-1,))  # one row per field component
         imag = np.max(np.abs(flat.imag), axis=-1)
@@ -254,30 +267,35 @@ class PhaseField:
             raise AssertionError(f"ray field {name} lost reality: imag {np.max(imag):.2e}")
         return out.real.reshape(out.shape[:-1] + self.grid.shape)
 
-    def ray(self, name: str, t_idx: int | None) -> np.ndarray:
-        """The ray field ``name`` of `RAY_FIELDS` at slice t_idx; t_idx None gives
-        the static factor of a rank-1 field (see `time_groups`)."""
+    def ray(self, name: str, t_idx: int | None, d_idx=slice(None)) -> np.ndarray:
+        """The ray field ``name`` of `RAY_FIELDS` at slice t_idx for the
+        directions d_idx (an index into ``directions``, all by default); t_idx
+        None gives the static factor of a rank-1 field (see `time_groups`)."""
         if self._env is None:
-            return self._assemble(name, t_idx)
+            return self._assemble(name, t_idx, d_idx)
         env = self._denv if RAY_FIELDS[name][0].endswith("dt") else self._env
-        if name not in self._static:
-            ref = self._t_ref
-            scale = env[ref]
-            if abs(scale) < 1e-300:
-                ref = int(np.argmax(np.abs(env)))
-                scale = env[ref]
-            self._static[name] = self._assemble(name, ref) / scale
-        return self._static[name] if t_idx is None else env[t_idx] * self._static[name]
+        ref = self._t_ref
+        if abs(env[ref]) < 1e-300:
+            ref = int(np.argmax(np.abs(env)))
+        static = self._assemble(name, ref, d_idx) / env[ref]
+        return static if t_idx is None else env[t_idx] * static
 
-    def time_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int | None]]:
-        """(slices, env, denv, t_field) groups: at slices[j] every ray field is
-        env[j] (denv[j] for dt fields) times the field read at t_field.  One
-        group, t_field None, when rank-1; else one per slice with env = 1."""
-        n_t = self.grid.n_steps + 1
+    def envelope(self) -> tuple[np.ndarray, np.ndarray]:
+        """(env, denv) per slice, the scalars of `time_groups`; ones when the
+        potential is not rank-1 in time."""
         if self._env is None:
-            one = np.ones(1)
-            return [(np.array([i]), one, one, i) for i in range(n_t)]
-        return [(np.arange(n_t), self._env, self._denv, None)]
+            one = np.ones(self.grid.n_steps + 1)
+            return one, one
+        return self._env, self._denv
+
+    def time_groups(self) -> list[tuple[np.ndarray, int | None]]:
+        """(slices, t_field) groups: at slice t of slices every ray field is
+        env[t] (denv[t] for dt fields, see `envelope`) times the field read at
+        t_field.  One group, t_field None, when rank-1 or without bands (a zero
+        phase); else one per slice."""
+        if self._env is None and self.bands:
+            return [(np.array([i]), i) for i in range(self.grid.n_steps + 1)]
+        return [(np.arange(self.grid.n_steps + 1), None)]
 
     def sigma_at(self, t_idx: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sigma0, sigma1) fields for one frequency vector (appends a direction)."""
@@ -461,22 +479,50 @@ def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray, t_idx: in
 # -- the operator ------------------------------------------------------------------
 
 
+def _taylor_order(x: float) -> int:
+    """Least K whose tail bound x^{K+1}/(K+1)! e^x for the exponential series
+    at |z| <= x is below `_TAYLOR_TAIL`."""
+    order, tail = 0, x
+    while tail * math.exp(x) > _TAYLOR_TAIL:
+        order += 1
+        tail *= x / (order + 1)
+    return order
+
+
+def _envelope_groups(env: np.ndarray, sigma_sup: float) -> list[tuple[np.ndarray, float, int]]:
+    """Split the slices into (rows, c, K) groups of nearby envelope values: the
+    rows with |env - c| sigma_sup <= 1, and the order K at which the series of
+    e^{i (env - c) sigma} meets `_TAYLOR_TAIL` there."""
+    order = np.argsort(env, kind="stable")
+    ends = env[order]
+    width = 2.0 / sigma_sup if sigma_sup > 0 else np.inf
+    groups = []
+    lo = 0
+    while lo < len(order):
+        hi = int(np.searchsorted(ends, ends[lo] + width, side="right"))
+        c = 0.5 * (ends[lo] + ends[hi - 1])
+        x = float(np.max(np.abs(ends[lo:hi] - c))) * sigma_sup
+        groups.append((np.sort(order[lo:hi]), c, _taylor_order(x)))
+        lo = hi
+    return groups
+
+
 class ParametrixOperator:
     """Direct-summation application of the phase-corrected oscillatory integral.
 
-    ``apply``, ``residual_analytic`` and ``taylor_study`` share one kernel,
-    `_mode_sum`.  It walks the data modes in chunks sized so that one
-    (chunk, P) complex temporary takes `_CHUNK_BYTES`, and builds each chunk's
-    plane waves as it goes.  Within a time group of the phase (one group for
-    a rank-1 potential, see `PhaseField.time_groups`) the `RAY_FIELDS`
-    entries an integrand reads (S and T; also dt_S, dt_T, lap_S,
-    theta_grad_T, grad_S and grad_T for the residual) are gathered onto the
-    modes once per chunk, and time enters only through the scalars env(t),
-    denv(t) and the potential A(t, x).  A slice of ``apply`` then costs one
-    exponential exp(env(t) E), E = i sigma0 - 2 pi |xi| T, and one
-    matrix-vector product; the order-a Taylor term is
-    env(t)^a (i^a / a!) AMP @ (sigma^a plane) for all slices at once, AMP the
-    (n_t, M) amplitude matrix.
+    ``apply``, ``residual_analytic`` and ``taylor_study`` are thin callers of
+    one kernel, `_mode_sum`.  It walks the data modes in chunks sized so that
+    one (chunk, P) complex temporary takes `_CHUNK_BYTES`, and assembles each
+    chunk's plane waves and ray fields (for the chunk's own directions only)
+    as it goes.  For a potential rank-1 in time (see
+    `PhaseField.time_groups`) the phase is sigma(t) = env(t) sigma with sigma
+    static, so e^{i env(t) sigma} is a short power series in env(t) - c about
+    the centre c of a group of slices with nearby envelope values: every
+    order is one matrix product AMP @ (Z sigma^a plane), AMP the (slices,
+    chunk) amplitude matrix, with a single exponential Z = e^{i c sigma} per
+    group and chunk.  A potential that is not rank-1 gives one slice per
+    group, where the series stops at order 0.  The residual moves A(t, x)
+    outside the mode sum, so all of its integrand factors are static too.
     """
 
     def __init__(
@@ -487,6 +533,10 @@ class ParametrixOperator:
         omega: AnnulusCutoff,
         product_budget: float = 5e9,
     ):
+        if A.grid != grid:
+            raise ValueError(f"potential grid {A.grid} differs from the operator grid {grid}")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("data must be finite")
         self.grid = grid
         fhat = fourier_forward(grid, f)
         mags = np.abs(fhat)
@@ -515,65 +565,70 @@ class ParametrixOperator:
             out = (out[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
         return out
 
-    def _mode_sum(self, fields, integrand, n_out: int = 1) -> np.ndarray:
-        """out[k, t] = sum_m amp_m(t) w Z_m(x) e^{2 pi i xi_m.x}, amp_m(t) =
-        coef_m e^{-4 pi^2 i t |xi_m|^2}, as (n_out, n_t, P).
+    def _mode_sum(self, integrand=None, n_out: int = 1, orders: int | None = None) -> np.ndarray:
+        """out[k, t] = sum_m amp_m(t) F_km(x) e^{i env(t) sigma_m(x)} e^{2 pi i xi_m.x},
+        amp_m(t) = coef_m e^{-4 pi^2 i t |xi_m|^2}, as (n_out, n_t, P).
 
-        ``fields`` names the `RAY_FIELDS` entries the integrand reads.  For
-        every time group (slices, env, denv) and chunk of modes the kernel
-        iterates integrand(ray, r, slices, env, denv): ray(name) gathers a
-        field onto the chunk's modes ((chunk, P) or (n, chunk, P)) and r is
-        the chunk's |xi| as a column.  Each (k, rows, w, Z) it yields adds
-        (w amp) @ (Z plane) to out[k, slices[rows]]; w is a scalar or a
-        (rows, 1) column.
+        sigma = sigma0 + sigma1 is the static phase of each time group (see
+        `PhaseField.time_groups`).  integrand(ray, r) returns the n_out static
+        factors F_k as a list of (chunk, P) arrays, None meaning F = 1:
+        ray(name) gathers a `RAY_FIELDS` entry onto the chunk's modes
+        ((chunk, P) or (n, chunk, P)) and r is the chunk's |xi| as a column.
+
+        Per chunk, the group's slices split into `_envelope_groups` of centre
+        c, and each adds sum_{a<=K} ((i (env - c))^a / a!) amp @ (F e^{i c
+        sigma} sigma^a), its series tail below `_TAYLOR_TAIL`.  With ``orders``
+        (F = 1) every slice takes c = 0 and K = orders, and out[a] is the
+        order-a term alone.
         """
         grid = self.grid
         n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
-        out = np.zeros((n_out, n_t, P), dtype=complex)
+        out = np.zeros((n_t, n_out, P), dtype=complex)  # one contiguous row per slice
         amp = self.coef * np.exp(-4j * np.pi**2 * np.multiply.outer(grid.times, self.radii**2))
+        env = self.phase.envelope()[0]
         chunk = max(1, _CHUNK_BYTES // (16 * P))
-        for slices, env, denv, t_field in self.phase.time_groups():
-            rays = {}
-            for name in fields:
-                values = self.phase.ray(name, t_field)
-                rays[name] = values.reshape(values.shape[: -grid.n] + (P,))
-            for lo in range(0, len(self.xi), chunk):
-                sel = slice(lo, lo + chunk)
-                dmap = self.dir_of_mode[sel]
-                plane = self._plane(sel)
-                r = self.radii[sel, None]
+        for lo in range(0, len(self.xi), chunk):
+            sel = slice(lo, lo + chunk)
+            used, dmap = np.unique(self.dir_of_mode[sel], return_inverse=True)
+            plane = self._plane(sel)
+            r = self.radii[sel, None]
+            for slices, t_field in self.phase.time_groups():
 
-                def ray(name, dmap=dmap):
-                    return rays[name][..., dmap, :]
+                def ray(name, t_field=t_field):
+                    values = self.phase.ray(name, t_field, used)
+                    return values.reshape(values.shape[: -grid.n] + (P,))[..., dmap, :]
 
-                for k, rows, w, Z in integrand(ray, r, slices, env, denv):
-                    out[k, slices[rows]] += (w * amp[slices[rows], sel]) @ (Z * plane)
-        return out
+                sigma = SIGMA0_FACTOR * ray("S") + 2j * np.pi * r * ray("T")
+                F = plane[:, None, :]  # (chunk, factors, P)
+                if integrand is not None:
+                    F = np.stack(integrand(ray, r), axis=1) * F
+                if orders is None:
+                    groups = _envelope_groups(env[slices], float(np.max(np.abs(sigma))))
+                else:
+                    groups = [(np.arange(len(slices)), 0.0, orders)]
+                for rows, c, K in groups:
+                    t = slices[rows]  # ascending, so a run of slices is a view of out
+                    dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
+                    Z = F * np.exp(1j * c * sigma)[:, None, :] if c else F.copy()  # e^0 = 1
+                    shift = 1j * (env[t] - c)
+                    for a in range(K + 1):
+                        w = (shift**a / math.factorial(a))[:, None] * amp[t, sel]
+                        k = slice(a, a + 1) if orders is not None else slice(None)
+                        out[dest, k] += (w @ Z.reshape(len(Z), -1)).reshape(len(t), -1, P)
+                        if a < K:
+                            Z *= sigma[:, None, :]
+        return np.moveaxis(out, 1, 0)
 
     def apply(self) -> SpaceTimeField:
         """v = Lambda f sampled on the grid's time grid."""
-
-        def integrand(ray, r, slices, env, denv):
-            E = 1j * SIGMA0_FACTOR * ray("S") - 2.0 * np.pi * r * ray("T")
-            for j, e in enumerate(env):
-                yield 0, slice(j, j + 1), 1.0, np.exp(e * E)
-
-        out = self._mode_sum(("S", "T"), integrand)[0]
+        out = self._mode_sum()[0]
         return SpaceTimeField(self.grid, out.reshape((-1,) + self.grid.shape))
 
     def taylor_study(self, max_order: int) -> tuple[dict[int, SpaceTimeField], dict[int, float]]:
         """All truncations sum_{a<=order} (i sigma)^a / a! inside the integral for
         orders 0..max_order, and the L^inf_t L^2_x norm of each order's term."""
         grid = self.grid
-
-        def integrand(ray, r, slices, env, denv):
-            sigma = SIGMA0_FACTOR * ray("S") + 2j * np.pi * r * ray("T")
-            power = np.ones_like(sigma)
-            for a in range(max_order + 1):
-                yield a, slice(None), (1j) ** a / math.factorial(a) * env[:, None] ** a, power
-                power = power * sigma
-
-        terms = self._mode_sum(("S", "T"), integrand, max_order + 1)
+        terms = self._mode_sum(n_out=max_order + 1, orders=max_order)
         terms = terms.reshape((max_order + 1, -1) + grid.shape)
         sums = np.cumsum(terms, axis=0)
         fields = {a: SpaceTimeField(grid, sums[a]) for a in range(max_order + 1)}
@@ -588,28 +643,27 @@ class ParametrixOperator:
 
         With g_j = d_j sigma at env = 1, the slice integrand is
         denv (i dt sigma) + env (Lap sigma0 + 4 pi i <grad sigma1, xi>)
-        + i env^2 sum_j g_j^2 + i env sum_j A_j(t, x) g_j.
+        + i env^2 sum_j g_j^2 + i env sum_j A_j(t, x) g_j; A_j(t, x) does not
+        depend on the mode, so it multiplies the mode sum of g_j.
         """
         grid = self.grid
         n = grid.n
 
-        def integrand(ray, r, slices, env, denv):
-            E = 1j * SIGMA0_FACTOR * ray("S") - 2.0 * np.pi * r * ray("T")
+        def integrand(ray, r):
             dt_term = 1j * (SIGMA0_FACTOR * ray("dt_S") + 2j * np.pi * r * ray("dt_T"))
             lap_term = SIGMA0_FACTOR * ray("lap_S") + 4j * np.pi * (
                 2j * np.pi * r**2 * ray("theta_grad_T")
             )
             g = SIGMA0_FACTOR * ray("grad_S") + 2j * np.pi * r * ray("grad_T")  # (n, chunk, P)
-            static = np.stack([dt_term, lap_term, 1j * np.sum(g * g, axis=0)])
-            for j, t in enumerate(slices):
-                Z = np.tensordot(np.array([denv[j], env[j], env[j] ** 2]), static, 1)
-                a_t = self.A.values[t].reshape(n, 1, -1)
-                for c in range(n):
-                    Z += (1j * env[j] * a_t[c]) * g[c]
-                yield 0, slice(j, j + 1), 1.0, Z * np.exp(env[j] * E)
+            return [dt_term, lap_term, 1j * np.sum(g * g, axis=0), *g]
 
-        fields = ("S", "T", "dt_S", "dt_T", "lap_S", "grad_S", "grad_T", "theta_grad_T")
-        out = self._mode_sum(fields, integrand)[0]
+        sums = self._mode_sum(integrand, 3 + n)
+        env, denv = (e[:, None] for e in self.phase.envelope())
+        a = np.moveaxis(self.A.values.reshape(len(env), n, -1), 1, 0)  # (n, n_t, P)
+        out = (
+            denv * sums[0] + env * sums[1] + env**2 * sums[2]
+            + 1j * env * np.sum(a * sums[3:], axis=0)
+        )
         return SpaceTimeField(grid, out.reshape((-1,) + grid.shape))
 
 

@@ -139,6 +139,7 @@ class PropagatorHandle:
 
     def apply(self, f: np.ndarray, t: float, s: float = 0.0) -> np.ndarray:
         """Evolve data given at time s to time t (backwards when t < s)."""
+        _check_step(self.grid, f, self.A, self.config)
         if np.isclose(t, s):
             return f.copy()
         stepper = _Stepper(self.grid, self.A, None, self.config)
@@ -156,17 +157,23 @@ class PropagatorHandle:
         return u
 
 
-def _check_inputs(grid: Grid, f: np.ndarray, A, config: SolverConfig):
-    """Reject what ``solve`` and ``duhamel_solve`` cannot march; warn on Nyquist mass."""
-    if not np.isclose(config.dt, grid.dt):
-        raise ValueError("solver dt must match the grid time step")
+def _check_step(grid: Grid, f: np.ndarray, A, config: SolverConfig):
+    """Reject a potential on another grid, non-finite data and a step over the
+    CFL bound; no transforms, so it costs one pass over f and A."""
     if A is not None and A.grid != grid:
         raise ValueError(f"potential grid {A.grid} differs from the solver grid {grid}")
     if not np.all(np.isfinite(f)):
         raise ValueError("initial data must be finite")
+    config.check_cfl(grid, _a_sup(A))
+
+
+def _check_inputs(grid: Grid, f: np.ndarray, A, config: SolverConfig):
+    """Reject what ``solve`` and ``duhamel_solve`` cannot march; warn on Nyquist mass."""
+    if not np.isclose(config.dt, grid.dt):
+        raise ValueError("solver dt must match the grid time step")
+    _check_step(grid, f, A, config)
     if _nyquist_leak_fraction(grid, fourier_forward(grid, f)) > 1e-6:
         warnings.warn("solve: initial data carries spectral mass near Nyquist", stacklevel=3)
-    config.check_cfl(grid, _a_sup(A))
 
 
 def solve(

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magschro.grid import (
     SpaceTimeField,
@@ -15,6 +17,7 @@ from magschro.grid import (
     l2_norm,
     make_grid,
 )
+from magschro import parametrix
 from magschro.lp import CutoffPair
 from magschro.potentials import VectorPotential, make_potential
 from magschro.parametrix import (
@@ -184,6 +187,28 @@ class TestOperator:
         with pytest.raises(ValueError, match="identically 1"):
             ParametrixOperator(g, f, zero, AnnulusCutoff(k_f))
 
+    @given(
+        st.tuples(st.integers(0, 63), st.integers(0, 63)),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_data_rejected(self, setup2d, x, bad):
+        g, k_f, _ = setup2d
+        zero = VectorPotential(g, np.zeros((g.n_steps + 1, 2) + g.shape))
+        f = annulus_data(g, k_f, seed=5)
+        f[x] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ParametrixOperator(g, f, zero, AnnulusCutoff(k_f))
+
+    def test_potential_on_another_grid_rejected(self):
+        # 5 slices at dt 1/32 against the operator's 9 slices at dt 1/64
+        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.125)
+        other = make_grid(2, 64, 64, 1.0 / 32.0, 0.125)
+        A = make_potential("low_band", 0.02, other, seed=1, single_band=-6)
+        f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
+        with pytest.raises(ValueError, match="grid"):
+            ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+
     def test_budget_guard(self, setup2d):
         g, k_f, scale = setup2d
         A = calibrated_potential(g, k_f, scale, 0.05)
@@ -342,6 +367,22 @@ class TestModeSumKernel:
         assert _detect_envelope(build_sigma(A, -2, circle_directions(4)).bands)[0] is not None
         self.check_against_oracle(g, f, A)
 
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_calibrated_rank1_potential(self, setup2d, short_grid, monkeypatch, eps):
+        # small phase: one envelope group per chunk, whose series needs K > 0
+        g, f = short_grid
+        A = calibrated_potential(g, -2, setup2d[2], eps)
+        groups, split_slices = [], parametrix._envelope_groups
+
+        def spy(env, sigma_sup):
+            groups.append(split_slices(env, sigma_sup))
+            return groups[-1]
+
+        monkeypatch.setattr(parametrix, "_envelope_groups", spy)
+        self.check_against_oracle(g, f, A)
+        assert groups and all(len(split) == 1 for split in groups)
+        assert max(K for split in groups for _, _, K in split) > 0
+
     def test_potential_not_rank1_in_time(self, short_grid):
         g, f = short_grid
         a1 = make_potential("low_band", 0.02, g, seed=1, single_band=-6).values
@@ -365,3 +406,18 @@ class TestModeSumKernel:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
+
+    def test_operator_holds_no_ray_fields(self):
+        # the benchmark's size; the fields of all 120 directions would take 39 MB
+        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
+        f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
+        A = make_potential("low_band", 0.02, g, seed=1, single_band=-6)
+        op = ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+        tracemalloc.start()
+        try:
+            op.apply()
+            op.residual_analytic()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20

@@ -108,28 +108,41 @@ class TestSolveOracles:
             solve(grid2, packet2, A, None)
 
 
+def handle_march(grid, f, A, F, config=None):
+    """PropagatorHandle.apply from 0 to T, called like solve (F unused)."""
+    return PropagatorHandle(grid, A, config or SolverConfig(dt=grid.dt)).apply(f, grid.T)
+
+
 class TestInputChecks:
-    """solve and duhamel_solve reject the same inputs before stepping."""
+    """solve, duhamel_solve and PropagatorHandle.apply reject the same inputs
+    before stepping; only the handle may step at a dt other than the grid's."""
 
     @pytest.mark.parametrize("march", [solve, duhamel_solve])
     def test_dt_other_than_the_grid_step_rejected(self, grid2, packet2, march):
         with pytest.raises(ValueError, match="dt must match"):
             march(grid2, packet2, None, None, SolverConfig(dt=grid2.dt / 2))
 
-    @pytest.mark.parametrize("march", [solve, duhamel_solve])
+    @pytest.mark.parametrize("march", [solve, duhamel_solve, handle_march])
     def test_potential_on_another_grid_rejected(self, grid2, packet2, march):
         other = make_grid(2, 64, 32, grid2.dt / 2, 1.0)
         A = constant_potential(other, (0.1, 0.0))
         with pytest.raises(ValueError, match="grid"):
             march(grid2, packet2, A, None)
 
-    @pytest.mark.parametrize("march", [solve, duhamel_solve])
+    @pytest.mark.parametrize("march", [solve, duhamel_solve, handle_march])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, grid2, packet2, march, bad):
         f = packet2.copy()
         f[3, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             march(grid2, f, None, None)
+
+    @pytest.mark.parametrize("speed, dt", [(80.0, 1.0 / 64.0), (0.5, 0.5)])
+    def test_handle_step_over_cfl_bound_rejected(self, grid2, packet2, speed, dt):
+        # the bound is 0.5 dx / max(1, |A|) = 0.25 / max(1, |A|) on this grid
+        A = constant_potential(grid2, (speed, 0.0))
+        with pytest.raises(CFLError):
+            handle_march(grid2, packet2, A, None, SolverConfig(dt=dt))
 
 
 class TestDuhamel:
