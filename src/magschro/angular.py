@@ -42,11 +42,16 @@ def _fibonacci_sphere(M: int) -> np.ndarray:
 
 def _covering_radius(points: np.ndarray, dense: np.ndarray) -> float:
     # max over the dense sample of the chordal distance to the nearest net point,
-    # 512 sample rows at a time so no (dense, M, n) difference array forms
+    # 512 sample rows at a time; all points are unit vectors, so the nearest one
+    # has the largest inner product.  The distance to it is computed from the
+    # difference, so the value is the minimum over all points to the last bit,
+    # and no (dense, M, n) difference array forms
     worst = 0.0
     for i in range(0, len(dense), 512):
-        d2 = np.sum((dense[i : i + 512, None, :] - points[None, :, :]) ** 2, axis=2)
-        worst = max(worst, float(np.max(np.min(d2, axis=1))))
+        chunk = dense[i : i + 512]
+        nearest = points[np.argmax(chunk @ points.T, axis=1)]
+        d2 = np.sum((chunk - nearest) ** 2, axis=1)
+        worst = max(worst, float(np.max(d2)))
     return float(np.sqrt(worst))
 
 
@@ -110,12 +115,17 @@ class CapPartition:
     def bump_values(self, omega: np.ndarray) -> np.ndarray:
         """Unnormalized bumps: (count, Q) for omega of shape (Q, n)."""
         omega = np.atleast_2d(omega)
-        d = np.sqrt(
-            np.maximum(
-                np.sum((self.net.thetas[:, None, :] - omega[None, :, :]) ** 2, axis=2), 0.0
-            )
-        )
-        return CUTOFFS.chi(d * 2.0**self.net.m)
+        thetas, scale = self.net.thetas, 2.0**self.net.m
+        # chi vanishes from 2 - glue width on, so only pairs nearer than that
+        # (plus a round-off margin) are evaluated; the thetas are unit vectors,
+        # so |theta - omega|^2 = 1 + |omega|^2 - 2 theta.omega picks them out
+        reach = (2.0 - CUTOFFS.glue_width) / scale
+        d2_est = 1.0 + np.sum(omega**2, axis=1) - 2.0 * (thetas @ omega.T)
+        j, q = np.nonzero(d2_est < reach**2 + 1e-9)
+        d = np.sqrt(np.maximum(np.sum((thetas[j] - omega[q]) ** 2, axis=1), 0.0))
+        out = np.zeros((len(thetas), len(omega)))
+        out[j, q] = CUTOFFS.chi(d * scale)
+        return out
 
     def values(self, omega: np.ndarray) -> np.ndarray:
         """Partition values psi_j(omega): columns sum to 1."""
@@ -258,6 +268,55 @@ def pointwise_ray_bound_check(
 # -- cap-localized dispersive decay -------------------------------------------------
 
 
+_BLOCK_POINTS = 1 << 17  # lattice points per row or column block in _lattice_sup
+
+
+def _lattice_sup(t, N: int, dxi, om, cap_weight) -> float:
+    """max_x |I(t, x)| over the N x N lattice x = j / (N dxi), both signs via FFT order.
+
+    g = profile * cap weight * e^{-4 pi^2 i t |xi|^2} dxi^2 on the xi-lattice
+    m dxi (m the integer modes in FFT order) is built into one complex64 N^2
+    buffer one xi1 row block at a time.  Only rows and columns with
+    |xi_j| < 2 scale can meet the annulus, and the profile is evaluated only
+    where 0.5 scale < |xi| < 2 scale (it is exactly 0 elsewhere).  Each
+    finished row block is transformed along axis 1 before it is stored; the
+    axis-0 transform then runs over column blocks with a running max of |.|.
+    These are the two 1-D passes np.fft.fft2 makes (last axis first), so the
+    sup is bit-identical to fft2 of the whole buffer, and untouched rows stay
+    zero pages.
+    """
+    scale = 2.0**om.k_f
+    m = np.fft.fftfreq(N, d=1.0 / N)  # integer modes, FFT order
+    xi_ax = (m * dxi).astype(np.float32)
+    inside = np.flatnonzero(np.abs(xi_ax) < 2.0 * scale)
+    xi_in = xi_ax[inside]
+    step = max(1, _BLOCK_POINTS // N)
+    g = np.zeros((N, N), dtype=np.complex64)
+    for i in range(0, len(inside), step):
+        rows = inside[i : i + step]
+        x1 = xi_ax[rows]
+        r2 = x1[:, None] ** 2 + xi_in[None, :] ** 2
+        r = np.sqrt(r2)
+        ri, ci = np.nonzero((r > 0.5 * scale) & (r < 2.0 * scale))
+        prof = om.profile(r[ri, ci]).astype(np.float32)
+        keep = prof > 0
+        ri, ci, prof = ri[keep], ci[keep], prof[keep]
+        r2_sel = r2[ri, ci].astype(np.float64)
+        omega_pts = np.stack([x1[ri].astype(np.float64), xi_in[ci].astype(np.float64)], axis=1)
+        omega_pts /= np.sqrt(r2_sel)[:, None]
+        block = np.zeros((len(rows), N), dtype=np.complex64)
+        block[ri, inside[ci]] = (
+            prof * cap_weight(omega_pts) * np.exp(-4j * np.pi**2 * t * r2_sel) * dxi**2
+        ).astype(np.complex64)
+        g[rows] = np.fft.fft(block, axis=1, out=block)
+    sup = 0.0
+    for j in range(0, N, step):
+        # the axis-0 transform of columns j..j+step, taken along a contiguous copy
+        cols = np.fft.fft(g[:, j : j + step].T.copy(), axis=1)
+        sup = max(sup, float(np.max(np.abs(cols))))
+    return sup
+
+
 def cap_oscillatory_decay(
     t_list,
     caps: list,
@@ -270,7 +329,12 @@ def cap_oscillatory_decay(
     I(t,x) = int e^{-4 pi^2 i t |xi|^2 + 2 pi i xi.x} prod_j psi(2^{k_j}(xi/|xi| -
     theta_j)) Omega(xi) dxi over the annulus at 2^{k_f} (a continuum
     quadrature, not the lattice), with the xi step tied to the stationary
-    radius 4 pi t rho so the oscillation stays resolved at every t.  With
+    radius 4 pi t rho so the oscillation stays resolved at every t.  The full
+    path samples I on an N x N x-lattice (N a power of two, N dxi >= 4.6
+    scale): the integrand is built into one complex64 N^2 buffer one xi1 row
+    block at a time, each block transformed along xi2 as it is stored, and the
+    xi1 transform runs over column blocks keeping a running max of |I| (see
+    ``_lattice_sup``); the peak is the buffer plus a few small blocks.  With
     ``fixed_axis`` the first frequency coordinate is frozen and only the
     remaining n-1 integrate, giving the (n-1)/2 decay rate: per time the sum
     J(x2) = sum_j w_j e^{-4 pi^2 i t xi2_j^2} e^{2 pi i x2 xi2_j} over
@@ -283,6 +347,11 @@ def cap_oscillatory_decay(
 
     om = AnnulusCutoff(k_f)
     t_list = np.asarray(sorted(t_list), dtype=float)
+    if not np.all(np.isfinite(t_list) & (t_list >= 0)):
+        raise ValueError(f"t_list must hold finite times >= 0, got {t_list.tolist()}")
+    for theta, _ in caps:
+        if not np.all(np.isfinite(theta)):
+            raise ValueError(f"cap centre {np.asarray(theta).tolist()} is not finite")
     scale = 2.0**k_f
 
     def cap_weight(omega_points: np.ndarray) -> np.ndarray:
@@ -293,9 +362,9 @@ def cap_oscillatory_decay(
         return out
 
     if n == 2 and not fixed_axis:
-        # Cartesian quadrature + one big FFT: I on a full x-lattice whose
-        # window 1/dxi exceeds the stationary radius 4 pi t rho_max, so the
-        # periodization images stay in the rapidly decaying region.
+        # Cartesian quadrature on a full x-lattice whose window 1/dxi exceeds
+        # the stationary radius 4 pi t rho_max, so the periodization images stay
+        # in the rapidly decaying region; the sup comes from _lattice_sup.
         sups = []
         rho_hi = 2.05 * scale
         for t in t_list:
@@ -303,30 +372,7 @@ def cap_oscillatory_decay(
             dxi = 1.0 / (2.2 * r_max)
             half = 2.3 * scale
             N = int(2 ** np.ceil(np.log2(2 * half / dxi)))
-            m = np.fft.fftfreq(N, d=1.0 / N)  # integer modes, FFT order
-            xi_ax = (m * dxi).astype(np.float32)
-            x1 = xi_ax[:, None]
-            x2 = xi_ax[None, :]
-            r2 = x1**2 + x2**2
-            prof = om.profile(np.sqrt(r2)).astype(np.float32)
-            sel = prof > 0
-            xi1_sel = np.broadcast_to(x1, (N, N))[sel].astype(np.float64)
-            xi2_sel = np.broadcast_to(x2, (N, N))[sel].astype(np.float64)
-            r2_sel = r2[sel].astype(np.float64)
-            omega_pts = np.stack([xi1_sel, xi2_sel], axis=1)
-            omega_pts /= np.sqrt(r2_sel)[:, None]
-            g = np.zeros((N, N), dtype=np.complex64)
-            g[sel] = (
-                prof[sel]
-                * cap_weight(omega_pts)
-                * np.exp(-4j * np.pi**2 * t * r2_sel)
-                * dxi**2
-            ).astype(np.complex64)
-            del r2, prof
-            vals = np.fft.fft2(g)  # I at x = j / (N dxi), both signs via FFT order
-            del g
-            sups.append(float(np.max(np.abs(vals))))
-            del vals, sel
+            sups.append(_lattice_sup(t, N, dxi, om, cap_weight))
         # zero-time sanity: I(0,0) = int a Omega rho drho dphi
         n_phi_s = 2048
         phi = np.linspace(0, 2 * np.pi, n_phi_s, endpoint=False)

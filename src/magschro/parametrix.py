@@ -362,8 +362,8 @@ def build_sigma(
         raise ValueError("build_sigma needs an explicit direction set")
     directions = np.asarray(directions, dtype=float)
     norms = np.linalg.norm(directions, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-12:
-        raise ValueError("directions must be unit vectors")
+    if not np.max(np.abs(norms - 1.0)) <= 1e-12:  # a NaN or Inf entry fails this too
+        raise ValueError("directions must be finite unit vectors")
 
     spec = fourier_forward(grid, A.values)
     hi_mask = 1.0 - CUTOFFS.chi(grid.xi_norm * 2.0 ** -(k_f - 4))

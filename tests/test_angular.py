@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from magschro.angular import (
+    _covering_radius,
     angular_net,
     cap_oscillatory_decay,
     cap_partition,
@@ -16,7 +17,7 @@ from magschro.angular import (
     _PhiKernel,
 )
 from magschro.grid import fourier_forward, fourier_inverse, make_grid
-from magschro.lp import CutoffPair
+from magschro.lp import CUTOFFS, CutoffPair
 from magschro.parametrix import AnnulusCutoff
 
 
@@ -38,6 +39,19 @@ class TestNets:
             assert net.separation >= 0.1 * 2.0**-m
             assert net.max_overlap <= 80
 
+    def test_sphere_net_counts(self):
+        assert [angular_net(3, m).count for m in (1, 2, 3)] == [36, 144, 576]
+
+    @pytest.mark.parametrize("n,m", [(2, 4), (3, 2), (3, 3)])
+    def test_covering_radius_matches_broadcast(self, n, m):
+        # reference: the full (dense, M, n) difference array, min over the net
+        net = angular_net(n, m)
+        dense = _dense_sphere_sample(n, 4000 + 2000 * m, seed=m)
+        d2 = np.sum((dense[:, None, :] - net.thetas[None, :, :]) ** 2, axis=2)
+        ref = float(np.sqrt(np.max(np.min(d2, axis=1))))
+        assert _covering_radius(net.thetas, dense) == ref
+        assert net.covering == ref
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             angular_net(2, -1)
@@ -53,6 +67,16 @@ class TestPartition:
         pts = _dense_sphere_sample(n, 1000, seed=3)
         sums = part.values(pts).sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("n,m", [(2, 0), (2, 4), (3, 3)])
+    def test_bump_values_match_broadcast(self, n, m):
+        # reference: chi of every (theta, omega) distance, off the sphere too
+        net = angular_net(n, m)
+        rng = np.random.default_rng(8)
+        omega = np.concatenate([_dense_sphere_sample(n, 500, seed=9), rng.normal(size=(200, n))])
+        d2 = np.sum((net.thetas[:, None, :] - omega[None, :, :]) ** 2, axis=2)
+        ref = CUTOFFS.chi(np.sqrt(d2) * 2.0**m)
+        assert np.array_equal(cap_partition(net).bump_values(omega), ref)
 
     def test_uniform_derivative_bounds(self):
         bounds = [cap_partition(angular_net(2, m)).derivative_bound() for m in (1, 2, 3)]
@@ -169,7 +193,73 @@ class TestPointwiseRayBound:
         assert vals.max() <= 2.0 * vals.min()
 
 
+def one_shot_sups(t_list, caps, k_f=0):
+    """The full-path sups from one N^2 build and one np.fft.fft2 per time."""
+    om = AnnulusCutoff(k_f)
+    scale = 2.0**k_f
+
+    def cap_weight(omega_points):
+        out = np.ones(len(omega_points))
+        for theta, kj in caps:
+            d = np.linalg.norm(omega_points - np.asarray(theta)[None, :], axis=1)
+            out *= CUTOFFS.chi(2.0**kj * d)
+        return out
+
+    sups = []
+    for t in np.asarray(sorted(t_list), dtype=float):
+        r_max = 4 * np.pi * t * 2.05 * scale * 1.12 + 8.0 / scale
+        dxi = 1.0 / (2.2 * r_max)
+        N = int(2 ** np.ceil(np.log2(2 * 2.3 * scale / dxi)))
+        xi_ax = (np.fft.fftfreq(N, d=1.0 / N) * dxi).astype(np.float32)
+        x1, x2 = xi_ax[:, None], xi_ax[None, :]
+        r2 = x1**2 + x2**2
+        prof = om.profile(np.sqrt(r2)).astype(np.float32)
+        sel = prof > 0
+        r2_sel = r2[sel].astype(np.float64)
+        omega_pts = np.stack(
+            [np.broadcast_to(x1, (N, N))[sel], np.broadcast_to(x2, (N, N))[sel]], axis=1
+        ).astype(np.float64)
+        omega_pts /= np.sqrt(r2_sel)[:, None]
+        g = np.zeros((N, N), dtype=np.complex64)
+        g[sel] = (
+            prof[sel] * cap_weight(omega_pts) * np.exp(-4j * np.pi**2 * t * r2_sel) * dxi**2
+        ).astype(np.complex64)
+        sups.append(float(np.max(np.abs(np.fft.fft2(g)))))
+    return sups
+
+
 class TestOscillatoryDecay:
+    @pytest.mark.parametrize("mu", [0, 2])
+    def test_full_path_sups_match_one_shot_fft2(self, mu):
+        caps = random_caps(2, mu, seed=mu + 1)
+        ts = [1.0, 2.83]
+        tab = cap_oscillatory_decay(ts, caps, k_f=0, n=2)
+        assert tab["sup"].tolist() == one_shot_sups(ts, caps)
+
+    def test_full_path_peak_memory_bounded(self):
+        # t = 8 runs on a 4096^2 lattice whose complex64 buffer alone is 128 MB;
+        # float64 copies of all annulus points would put the peak near 1 GB
+        caps = random_caps(2, 2, seed=3)
+        tracemalloc.start()
+        try:
+            cap_oscillatory_decay([8.0], caps, k_f=0, n=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+
+    @pytest.mark.parametrize("fixed_axis", [False, True])
+    @pytest.mark.parametrize("ts", [[1.0, np.nan], [np.inf], [-1.0, 2.0]])
+    def test_rejects_bad_times(self, fixed_axis, ts):
+        with pytest.raises(ValueError, match="t_list"):
+            cap_oscillatory_decay(ts, [], k_f=0, n=2, fixed_axis=fixed_axis)
+
+    @pytest.mark.parametrize("fixed_axis", [False, True])
+    def test_rejects_non_finite_cap_centre(self, fixed_axis):
+        caps = [(np.array([1.0, 0.0]), 1), (np.array([np.nan, 1.0]), 2)]
+        with pytest.raises(ValueError, match="cap centre"):
+            cap_oscillatory_decay([1.0], caps, k_f=0, n=2, fixed_axis=fixed_axis)
+
     def test_zero_time_sanity(self):
         tab = cap_oscillatory_decay([1.0], [], k_f=0, n=2)
         assert tab["zero_time_value"] > 0

@@ -103,6 +103,15 @@ class TestPhase:
         with pytest.raises(ValueError, match="above band"):
             build_sigma(A, k_f, circle_directions(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    def test_rejects_bad_directions(self, setup2d, bad):
+        g, k_f, _ = setup2d
+        zero = VectorPotential(g, np.zeros((g.n_steps + 1, 2) + g.shape))
+        dirs = circle_directions(4)
+        dirs[2, 1] = bad
+        with pytest.raises(ValueError, match="finite unit vectors"):
+            build_sigma(zero, k_f, dirs)
+
     def test_wrap_depth_warning(self, setup2d):
         g, k_f, scale = setup2d
         A = calibrated_potential(g, k_f, scale, 0.1)
