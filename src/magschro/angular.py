@@ -55,6 +55,25 @@ def _covering_radius(points: np.ndarray, dense: np.ndarray) -> float:
     return float(np.sqrt(worst))
 
 
+def _pair_audit(points: np.ndarray, radius: float) -> tuple[float, int]:
+    # least distance between two of the unit vectors, and the most of them any
+    # one has within `radius` (itself included), 512 rows at a time.  Only pairs
+    # the Gram estimate 2 - 2 p.q puts within a round-off margin of the block's
+    # least distance or of the radius get their distance from the difference,
+    # so both are exact to the last bit and no (M, M, n) array forms
+    sep2, overlap = np.inf, 0
+    for i in range(0, len(points), 512):
+        rows = np.arange(i, min(i + 512, len(points)))
+        est = 2.0 - 2.0 * (points[rows] @ points.T)
+        est[np.arange(len(rows)), rows] = np.inf
+        r, c = np.nonzero((est <= est.min() + 1e-9) | (est < radius**2 + 1e-9))
+        d2 = np.sum((points[rows[r]] - points[c]) ** 2, axis=1)
+        sep2 = min(sep2, float(d2.min()))
+        close = np.bincount(r[np.sqrt(d2) < radius], minlength=len(rows))
+        overlap = max(overlap, int(close.max()) + 1)
+    return float(np.sqrt(sep2)), overlap
+
+
 def _dense_sphere_sample(n: int, count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 31)))
     v = rng.normal(size=(count, n))
@@ -98,11 +117,8 @@ def angular_net(n: int, m: int) -> AngularNet:
         raise ValueError("angular nets implemented for n in {2, 3}")
     dense = _dense_sphere_sample(n, 4000 + 2000 * m, seed=m)
     covering = _covering_radius(thetas, dense)
-    d2 = np.sum((thetas[:, None, :] - thetas[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    separation = float(np.sqrt(d2.min()))
     support = 2.0 * 2.0**-m  # chordal support radius of the cap bump
-    overlap = int(np.max(np.sum(np.sqrt(d2) < 2.0 * support, axis=1)) + 1)
+    separation, overlap = _pair_audit(thetas, 2.0 * support)
     return AngularNet(n, m, thetas, covering, separation, overlap)
 
 
@@ -404,8 +420,12 @@ def cap_oscillatory_decay(
 
 
 def decay_slope(table: dict) -> float:
-    """Least-squares slope of log sup|I| against log t."""
-    t = np.log(table["t"])
+    """Least-squares slope of log sup|I| against log t; every t must be finite and > 0."""
+    t = np.asarray(table["t"], dtype=float)
+    bad = t[~(np.isfinite(t) & (t > 0))]
+    if bad.size:
+        raise ValueError(f"decay_slope needs finite times t > 0, got t = {bad[0]}")
+    t = np.log(t)
     y = np.log(np.maximum(table["sup"], 1e-300))
     A = np.stack([t, np.ones_like(t)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)

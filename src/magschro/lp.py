@@ -342,10 +342,12 @@ def sequence_bound_check(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float,
 # -- spectral derivatives -----------------------------------------------------
 
 
+def _gradient(grid: Grid, spectrum: np.ndarray):
+    """Yield d_1 f, ..., d_n f from the spectrum of f, one inverse transform each."""
+    for j in range(grid.n):
+        yield fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spectrum)
+
+
 def spectral_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Gradient via multipliers 2*pi*i*xi_j; output gains a leading axis of size n."""
-    spec = fourier_forward(grid, values)
-    out = np.empty((grid.n,) + values.shape, dtype=complex)
-    for j in range(grid.n):
-        out[j] = fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spec)
-    return out
+    return np.stack(list(_gradient(grid, fourier_forward(grid, values))))

@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
-from .lp import CUTOFFS, band_mask, project_leq, representable_bands, spectral_gradient
+from .lp import CUTOFFS, _apply_mask, _gradient, _leq_mask, band_mask, representable_bands
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -701,6 +701,11 @@ def parametrix_residual(
 # -- frequency-localized error terms ----------------------------------------------
 
 
+def _advect(grid: Grid, a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """a . grad f for a (t, n, x) field a, from the spectrum of f."""
+    return sum(a[:, j] * d for j, d in enumerate(_gradient(grid, spectrum)))
+
+
 def error_term(
     u: SpaceTimeField,
     A: VectorPotential,
@@ -708,15 +713,11 @@ def error_term(
 ) -> np.ndarray:
     """E^k = P_k(A . grad u) - A_{<=k-4} . grad u_k (exact identity)."""
     grid = u.grid
-    grad_u = np.moveaxis(spectral_gradient(grid, u.values), 0, 1)  # (t, n, x)
-    a_vals = A.values
-    a_low = project_leq(grid, a_vals, k - 4).real
-    full = np.sum(a_vals * grad_u, axis=1)
+    spec = u.spectrum()
     mask = band_mask(grid, k)
-    pk_full = fourier_inverse(grid, fourier_forward(grid, full) * mask)
-    u_k = fourier_inverse(grid, u.spectrum() * mask)
-    grad_uk = np.moveaxis(spectral_gradient(grid, u_k), 0, 1)
-    return pk_full - np.sum(a_low * grad_uk, axis=1)
+    a_low = fourier_inverse(grid, fourier_forward(grid, A.values) * _leq_mask(grid, k - 4)).real
+    full = _apply_mask(grid, _advect(grid, A.values, spec), mask)
+    return full - _advect(grid, a_low, spec * mask)
 
 
 def error_term_groups(
@@ -724,65 +725,43 @@ def error_term_groups(
     A: VectorPotential,
     k: int,
 ) -> dict[str, np.ndarray]:
-    """The four interaction groups of E^k; they sum to error_term exactly.
+    """The four interaction groups of E^k; they sum to error_term to round-off.
 
     commutator: [P_k, A_{<=k-4}] . grad u
     high_high_a: high-band pairs with A carrying the strictly higher band
     high_high_u: high-band pairs with u carrying the weakly higher band
     high_low:    P_k(A_{>k-4} . grad u_{<=k-4})
+
+    Each piece of u or A is one mask on its spectrum, taken once: low
+    chi(2^{-(k-4)}.), bands phi(2^{-j}.) for j = k-3 .. k_max, top 1 - chi(2^{-k_max}.).
+    One pass over the high pieces sums A_j . grad U_{<j} and A_{<=j} . grad u_j,
+    and P_k is applied once to each sum.
     """
     grid = u.grid
     mask = band_mask(grid, k)
-
-    def pk(vals):
-        return fourier_inverse(grid, fourier_forward(grid, vals) * mask)
-
-    grad_u = np.moveaxis(spectral_gradient(grid, u.values), 0, 1)
-    a_vals = A.values
-    a_low = project_leq(grid, a_vals, k - 4).real
-    a_hi = a_vals - a_low
-    u_k = fourier_inverse(grid, u.spectrum() * mask)
-    grad_uk = np.moveaxis(spectral_gradient(grid, u_k), 0, 1)
-    commutator = pk(np.sum(a_low * grad_u, axis=1)) - np.sum(a_low * grad_uk, axis=1)
-
-    u_low = project_leq(grid, u.values, k - 4)
-    grad_u_low = np.moveaxis(spectral_gradient(grid, u_low), 0, 1)
-    high_low = pk(np.sum(a_hi * grad_u_low, axis=1))
+    u_hat = u.spectrum()
+    a_hat = fourier_forward(grid, A.values)
+    low = _leq_mask(grid, k - 4)
+    a_low = fourier_inverse(grid, a_hat * low).real
+    commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
+    commutator -= _advect(grid, a_low, u_hat * mask)
+    high_low = _apply_mask(grid, _advect(grid, A.values - a_low, u_hat * low), mask)
 
     _, k_max = representable_bands(grid)
-    ks = list(range(k - 3, k_max + 1))
-    a_cum = {j: project_leq(grid, a_vals, j).real - a_low for j in ks}
-    u_cum = {j: project_leq(grid, u.values, j) - u_low for j in ks}
-    a_piece = {}
-    u_piece = {}
-    prev_a = np.zeros_like(a_vals)
-    prev_u = np.zeros_like(u.values)
-    for j in ks:
-        a_piece[j] = a_cum[j] - prev_a
-        u_piece[j] = u_cum[j] - prev_u
-        prev_a, prev_u = a_cum[j], u_cum[j]
-    # top residuals above the representable window
-    a_piece["top"] = a_hi - a_cum[ks[-1]]
-    u_piece["top"] = (u.values - u_low) - u_cum[ks[-1]]
-    order = ks + ["top"]
-
-    hh_a = np.zeros_like(u.values)
-    hh_u = np.zeros_like(u.values)
-    cum_u_prev = np.zeros_like(u.values)
-    cum_a_incl = np.zeros_like(a_vals)
-    for j in order:
-        hh_a += pk(
-            np.sum(a_piece[j] * np.moveaxis(spectral_gradient(grid, cum_u_prev), 0, 1), axis=1)
-        )
-        cum_a_incl = cum_a_incl + a_piece[j]
-        hh_u += pk(
-            np.sum(cum_a_incl * np.moveaxis(spectral_gradient(grid, u_piece[j]), 0, 1), axis=1)
-        )
-        cum_u_prev = cum_u_prev + u_piece[j]
+    pieces = [band_mask(grid, j) for j in range(k - 3, k_max + 1)]
+    pieces.append(1.0 - _leq_mask(grid, k_max))
+    hh_a = hh_u = a_upto = grad_below = 0.0
+    for piece in pieces:
+        a_j = fourier_inverse(grid, a_hat * piece).real
+        grad_j = np.stack(list(_gradient(grid, u_hat * piece)), axis=1)  # (t, n, x)
+        a_upto = a_upto + a_j
+        hh_a = hh_a + np.sum(a_j * grad_below, axis=1)
+        hh_u = hh_u + np.sum(a_upto * grad_j, axis=1)
+        grad_below = grad_below + grad_j
     return {
         "commutator": commutator,
-        "high_high_a": hh_a,
-        "high_high_u": hh_u,
+        "high_high_a": _apply_mask(grid, hh_a, mask),
+        "high_high_u": _apply_mask(grid, hh_u, mask),
         "high_low": high_low,
     }
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, spatial_norm
-from .lp import CUTOFFS, CutoffPair, band_mask, representable_bands
+from .lp import CUTOFFS, CutoffPair, _gradient, band_mask, representable_bands
 from .norms import time_lq
 from .rotate import RotationSampler, rotate_field
 
@@ -163,8 +163,7 @@ class VectorPotential:
         spec = fourier_forward(self.grid, self.values)
         n = self.grid.n
         out = np.empty((self.values.shape[0], n, n) + self.grid.shape)
-        for i in range(n):
-            d = fourier_inverse(self.grid, 2j * np.pi * self.grid.xi[i] * spec)
+        for i, d in enumerate(_gradient(self.grid, spec)):
             out[:, i] = d.real
         return out
 
@@ -203,8 +202,8 @@ class VectorPotential:
 class YNormParams:
     """Exponents and sampling for the smallness functionals.
 
-    h in (0, 1/4); p0 < (n-1)/2 (below n=4 the theorem does not cover Y1~,
-    evaluated as a flagged diagnostic).
+    h in (0, 1/4); p0 finite with 0 < p0 < (n-1)/2 (below n=4 the theorem
+    does not cover Y1~, evaluated as a flagged diagnostic).
     """
 
     h: float = 0.125
@@ -214,6 +213,8 @@ class YNormParams:
     def __post_init__(self):
         if not (0 < self.h < 0.25):
             raise ValueError("h must lie in (0, 1/4)")
+        if self.p0 is not None and not (np.isfinite(self.p0) and self.p0 > 0):
+            raise ValueError(f"p0 must be finite and > 0, got {self.p0}")
 
     def resolve_p0(self, n: int) -> float:
         p0 = self.p0 if self.p0 is not None else (n - 1) / 2.0 - 0.25

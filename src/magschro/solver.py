@@ -24,7 +24,7 @@ from .grid import (
     slice_l2,
     spatial_norm,
 )
-from .lp import band_mask, project_leq
+from .lp import _gradient, band_mask, project_leq
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -99,9 +99,8 @@ class _Stepper:
         if self.A is not None:
             a_t = self.A.at(t)
             adv_spec = np.zeros(g.shape, dtype=complex)
-            for j in range(g.n):
-                du = fourier_inverse(g, 2j * np.pi * g.xi[j] * spec)
-                adv_spec += fourier_forward(g, a_t[j] * du)
+            for a_j, du in zip(a_t, _gradient(g, spec)):
+                adv_spec += fourier_forward(g, a_j * du)
             adv_spec *= self.mask
             out = out - fourier_inverse(g, adv_spec)
         if self.F is not None:
@@ -324,9 +323,8 @@ def equation_residual(u: SpaceTimeField, A, F) -> tuple[np.ndarray, float]:
     res = ut - 1j * lap
     if A is not None:
         for i, a_t in enumerate(A.values):
-            for j in range(grid.n):
-                du = fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spec[i])
-                res[i] += a_t[j] * du
+            for a_j, du in zip(a_t, _gradient(grid, spec[i])):
+                res[i] += a_j * du
     if F is not None:
         for i, t in enumerate(grid.times):
             res[i] -= F(t)
@@ -339,7 +337,7 @@ def lp_reduced_equation_check(
     F,
     k: int,
 ) -> float:
-    """L1 L2 of d_t u_k - i Lap u_k + A_{<=k-4}.grad u_k - F_k - E^k.
+    """L1 L2 of d_t u_k - i Lap u_k + A_{<=k-4}.grad u_k + E^k - F_k.
 
     E^k comes from the frequency-localized commutator identity, so this
     reduces to the band-k part of the solver residual.
@@ -357,10 +355,7 @@ def lp_reduced_equation_check(
         # d_t u_k - i Lap u_k + A_low.grad u_k + E^k = F_k
         e_k = error_term(u, A, k)
         a_low = project_leq(grid, A.values, k - 4)
-        grad_uk = np.stack(
-            [fourier_inverse(grid, 2j * np.pi * grid.xi[j] * u_k.spectrum()) for j in range(grid.n)],
-            axis=1,
-        )
+        grad_uk = np.stack(list(_gradient(grid, u_k.spectrum())), axis=1)
         res = res + np.sum(a_low * grad_uk, axis=1) + e_k
     if F is not None:
         for i, t in enumerate(grid.times):

@@ -52,6 +52,26 @@ class TestNets:
         assert _covering_radius(net.thetas, dense) == ref
         assert net.covering == ref
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4)])
+    def test_audit_matches_broadcast(self, n, m):
+        # reference: the full (M, M, n) difference array
+        net = angular_net(n, m)
+        d2 = np.sum((net.thetas[:, None, :] - net.thetas[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d2, np.inf)
+        assert net.separation == float(np.sqrt(d2.min()))
+        radius = 4.0 * 2.0**-m
+        assert net.max_overlap == int(np.max(np.sum(np.sqrt(d2) < radius, axis=1)) + 1)
+
+    def test_audit_peak_memory_bounded(self):
+        # the (M, M, n) difference array alone is 127 MB at M = 2304
+        tracemalloc.start()
+        try:
+            angular_net(3, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             angular_net(2, -1)
@@ -259,6 +279,12 @@ class TestOscillatoryDecay:
         caps = [(np.array([1.0, 0.0]), 1), (np.array([np.nan, 1.0]), 2)]
         with pytest.raises(ValueError, match="cap centre"):
             cap_oscillatory_decay([1.0], caps, k_f=0, n=2, fixed_axis=fixed_axis)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_decay_slope_rejects_bad_times(self, t):
+        tab = {"t": np.array([t, 1.0, 2.0]), "sup": np.ones(3)}
+        with pytest.raises(ValueError, match=f"t = {t}"):
+            decay_slope(tab)
 
     def test_zero_time_sanity(self):
         tab = cap_oscillatory_decay([1.0], [], k_f=0, n=2)

@@ -18,7 +18,13 @@ from magschro.grid import (
     make_grid,
 )
 from magschro import parametrix
-from magschro.lp import CutoffPair
+from magschro.lp import (
+    CutoffPair,
+    project_band,
+    project_leq,
+    representable_bands,
+    spectral_gradient,
+)
 from magschro.potentials import VectorPotential, make_potential
 from magschro.parametrix import (
     SIGMA0_FACTOR,
@@ -292,6 +298,43 @@ class TestErrorTerm:
             scale = max(np.max(np.abs(e)), 1e-30)
             assert np.max(np.abs(total - e)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("k", [-4, -3, -2])
+    def test_groups_match_pairwise_oracle(self, k):
+        # 3 slices of 64 x 64.  The low pieces hold more than the mean only at
+        # k = -2; at k = -4, -3 the commutator and high-low groups vanish, so
+        # every group is measured against the size of E^k
+        g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
+        u, A = random_pair(g, seed=k + 10)
+        groups = error_term_groups(u, A, k)
+        oracle, e = error_term_groups_oracle(u, A, k)
+        scale = np.max(np.abs(e))
+        for name, ref in oracle.items():
+            assert np.max(np.abs(groups[name] - ref)) <= 1e-12 * scale, name
+        assert np.max(np.abs(error_term(u, A, k) - e)) <= 1e-12 * scale
+
+    def test_transform_counts(self, monkeypatch):
+        # a fresh u, so its spectrum is taken once inside each call
+        g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)  # 3 slices of 64 x 64
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
+
+            def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
+                calls.append(np.size(a))
+                return _transform(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+
+        u, A = random_pair(g, seed=1)
+        error_term_groups(u, A, -4)
+        # u 1, A 1, A_{<=k-4} 1, commutator 2n + 2, high-low n + 2,
+        # the 7 high pieces (bands -7 .. -2 and the top) 1 + n each, two P_k 2 each
+        assert (len(calls), sum(calls)) == (38, 577536)
+        calls.clear()
+        u, A = random_pair(g, seed=2)
+        error_term(u, A, -4)
+        # u 1, A 1, A_{<=k-4} 1, A . grad u n, P_k 2, A_{<=k-4} . grad u_k n
+        assert (len(calls), sum(calls)) == (9, 135168)
+
     def test_besov_ratio_stability(self, solved):
         g, _, _ = solved
         from magschro.solver import solve
@@ -306,6 +349,40 @@ class TestErrorTerm:
         for s, vals in ratios.items():
             vals = np.array(vals)
             assert vals.max() <= 2.0 * vals.min()
+
+
+def random_pair(g, seed):
+    """Complex u and real A, white noise on every slice: every band pair is populated."""
+    rng = np.random.default_rng(seed)
+    shape = (g.n_steps + 1,) + g.shape
+    u = SpaceTimeField(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return u, VectorPotential(g, rng.normal(size=(g.n_steps + 1, g.n) + g.shape))
+
+
+def error_term_groups_oracle(u, A, k):
+    """The four groups and E^k from cumulative P_{<=j} projections in physical
+    space, with P_k applied to each high pair (A_i, u_j) on its own."""
+    g = u.grid
+    _, k_max = representable_bands(g)
+
+    def pk_dot(a, v):
+        return project_band(g, np.sum(a * np.moveaxis(spectral_gradient(g, v), 0, 1), axis=1), k)
+
+    cum_a = [project_leq(g, A.values, j).real for j in range(k - 4, k_max + 1)] + [A.values]
+    cum_u = [project_leq(g, u.values, j) for j in range(k - 4, k_max + 1)] + [u.values]
+    a_hi = [hi - lo for lo, hi in zip(cum_a, cum_a[1:])]
+    u_hi = [hi - lo for lo, hi in zip(cum_u, cum_u[1:])]
+    pairs = [(i, j) for i in range(len(a_hi)) for j in range(len(u_hi))]
+    a_low = cum_a[0]
+    u_k = project_band(g, u.values, k)
+    low_grad_uk = np.sum(a_low * np.moveaxis(spectral_gradient(g, u_k), 0, 1), axis=1)
+    groups = {
+        "commutator": pk_dot(a_low, u.values) - low_grad_uk,
+        "high_high_a": sum(pk_dot(a_hi[i], u_hi[j]) for i, j in pairs if i > j),
+        "high_high_u": sum(pk_dot(a_hi[i], u_hi[j]) for i, j in pairs if i <= j),
+        "high_low": pk_dot(A.values - a_low, cum_u[0]),
+    }
+    return groups, pk_dot(A.values, u.values) - low_grad_uk
 
 
 def dense_oracle(op, max_order):

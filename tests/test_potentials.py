@@ -194,6 +194,12 @@ def test_y23_report_structure(grid2):
         assert all(v >= 0 for v in stats.values())
 
 
+@pytest.mark.parametrize("p0", [np.nan, np.inf, 0.0, -1.0])
+def test_p0_must_be_finite_and_positive(p0):
+    with pytest.raises(ValueError, match="p0"):
+        YNormParams(p0=p0)
+
+
 def test_reality_enforced(grid2):
     vals = np.zeros((grid2.n_steps + 1, 2) + grid2.shape, dtype=complex)
     vals += 1j * 0.5
