@@ -29,6 +29,7 @@ import json
 import platform
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -201,6 +202,7 @@ class RunReport:
     rows: list
     environment: dict
     wall_seconds: float
+    diagnostics: list  # sorted (message, category, count) of the warnings the run raised
 
     @property
     def passed(self) -> bool:
@@ -215,6 +217,7 @@ class RunReport:
             "n_failed": sum(not r["pass"] for r in self.rows),
             "wall_seconds": self.wall_seconds,
             "environment": self.environment,
+            "diagnostics": self.diagnostics,
             "rows": self.rows,
         }
 
@@ -357,20 +360,18 @@ def _run_norms(col: _Collector, seed: int, params: dict) -> None:
         ("low_band", {"seed": 4, "k_cap": -3}),
     ]
     worst = {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, kw in presets:
-            A = make_potential(name, 0.1, g, **kw)
-            B = rescale_potential(A, 2.0)
-            fns = {
-                0: lambda a: y0_norm(a, yp),
-                1: y1_norm,
-                2: lambda a: y2_norm(a, yp),
-                3: lambda a: y3_norm(a, yp),
-            }
-            for j, fn in fns.items():
-                r = fn(B) / fn(A)
-                worst[j] = max(worst[j], abs(r - 1.0))
+    for name, kw in presets:
+        A = make_potential(name, 0.1, g, **kw)
+        B = rescale_potential(A, 2.0)
+        fns = {
+            0: lambda a: y0_norm(a, yp),
+            1: y1_norm,
+            2: lambda a: y2_norm(a, yp),
+            3: lambda a: y3_norm(a, yp),
+        }
+        for j, fn in fns.items():
+            r = fn(B) / fn(A)
+            worst[j] = max(worst[j], abs(r - 1.0))
     for j in range(4):
         col.add(f"y-scale-invariance-y{j}", worst[j], {"presets": len(presets)})
 
@@ -454,10 +455,8 @@ def _parametrix_setup(seed: int):
     k_f = -2
     ang = np.linspace(0, 2 * np.pi, 12, endpoint=False)
     dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        unit = make_potential("low_band", 1.0, g, seed=seed, single_band=-6)
-        scale = build_sigma(unit, k_f, dirs).max_sigma()
+    unit = make_potential("low_band", 1.0, g, seed=seed, single_band=-6)
+    scale = build_sigma(unit, k_f, dirs).max_sigma()
     return g, k_f, scale
 
 
@@ -467,59 +466,57 @@ def _run_parametrix(col: _Collector, seed: int, params: dict) -> None:
     f = annulus_data(g, k_f, seed=seed + 2)
     eps_list = list(params.get("eps_list", (0.02, 0.05, 0.1, 0.2)))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        A_ref = make_potential("low_band", 0.1 / scale, g, seed=seed, single_band=-6)
-        ang = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        dirs16 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        ph = build_sigma(A_ref, k_f, dirs16)
-        res = phase_identity_residual(
-            ph, A_ref, 2.0**k_f * dirs16, t_indices=(0, g.n_steps // 2, g.n_steps)
+    A_ref = make_potential("low_band", 0.1 / scale, g, seed=seed, single_band=-6)
+    ang = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    dirs16 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    ph = build_sigma(A_ref, k_f, dirs16)
+    res = phase_identity_residual(
+        ph, A_ref, 2.0**k_f * dirs16, t_indices=(0, g.n_steps // 2, g.n_steps)
+    )
+    col.add("phase-identity", res, {"directions": 16, "time_slices": 3})
+
+    def operator(eps):
+        A = make_potential("low_band", eps / scale, g, seed=seed, single_band=-6)
+        return ParametrixOperator(g, f, A, AnnulusCutoff(k_f), product_budget=budget)
+
+    def taylor_error(op, v):
+        fields, _ = op.taylor_study(4)
+        return max(
+            l2_norm(g, fields[4].values[i] - v.values[i]) for i in range(0, g.n_steps + 1, 8)
         )
-        col.add("phase-identity", res, {"directions": 16, "time_slices": 3})
 
-        def operator(eps):
-            A = make_potential("low_band", eps / scale, g, seed=seed, single_band=-6)
-            return ParametrixOperator(g, f, A, AnnulusCutoff(k_f), product_budget=budget)
+    v0_err, res_norm, dual = [], [], []
+    pairs = admissible_pairs(2, 6)
+    free = free_evolution(g, f)
+    free_norms = {(p.q, p.r): lqlr_norm(free, p.q, p.r) for p in pairs}
+    worst_factor = 0.0
+    taylor_err = None
+    for eps in eps_list:
+        op = operator(eps)
+        v = op.apply()
+        v0_err.append(l2_norm(g, v.values[0] - f))
+        out = parametrix_residual(op, v)
+        res_norm.append(out["l1l2_analytic"])
+        dual.append(out["dual_gap"])
+        if eps <= 0.1:
+            for p in pairs:
+                factor = lqlr_norm(v, p.q, p.r) / free_norms[(p.q, p.r)]
+                worst_factor = max(worst_factor, factor, 1.0 / factor)
+        if eps == 0.1:
+            taylor_err = taylor_error(op, v)
+        del op, v
+    eps_arr = np.array(eps_list)
+    slope_v0, r2_v0 = _fit_through_origin(eps_arr, np.array(v0_err))
+    slope_res, r2_res = _fit_through_origin(eps_arr, np.array(res_norm))
+    col.add("parametrix-v0-linearity", r2_v0, {"slope": slope_v0, "eps": eps_list})
+    col.add("parametrix-residual-linearity", r2_res, {"slope": slope_res, "eps": eps_list})
+    col.add("dual-path-residual", float(np.max(dual)))
+    col.add("parametrix-lqlr-factor", worst_factor, {"pairs": len(pairs)})
 
-        def taylor_error(op, v):
-            fields, _ = op.taylor_study(4)
-            return max(
-                l2_norm(g, fields[4].values[i] - v.values[i]) for i in range(0, g.n_steps + 1, 8)
-            )
-
-        v0_err, res_norm, dual = [], [], []
-        pairs = admissible_pairs(2, 6)
-        free = free_evolution(g, f)
-        free_norms = {(p.q, p.r): lqlr_norm(free, p.q, p.r) for p in pairs}
-        worst_factor = 0.0
-        taylor_err = None
-        for eps in eps_list:
-            op = operator(eps)
-            v = op.apply()
-            v0_err.append(l2_norm(g, v.values[0] - f))
-            out = parametrix_residual(op, v)
-            res_norm.append(out["l1l2_analytic"])
-            dual.append(out["dual_gap"])
-            if eps <= 0.1:
-                for p in pairs:
-                    factor = lqlr_norm(v, p.q, p.r) / free_norms[(p.q, p.r)]
-                    worst_factor = max(worst_factor, factor, 1.0 / factor)
-            if eps == 0.1:
-                taylor_err = taylor_error(op, v)
-            del op, v
-        eps_arr = np.array(eps_list)
-        slope_v0, r2_v0 = _fit_through_origin(eps_arr, np.array(v0_err))
-        slope_res, r2_res = _fit_through_origin(eps_arr, np.array(res_norm))
-        col.add("parametrix-v0-linearity", r2_v0, {"slope": slope_v0, "eps": eps_list})
-        col.add("parametrix-residual-linearity", r2_res, {"slope": slope_res, "eps": eps_list})
-        col.add("dual-path-residual", float(np.max(dual)))
-        col.add("parametrix-lqlr-factor", worst_factor, {"pairs": len(pairs)})
-
-        if taylor_err is None:
-            op = operator(0.1)
-            taylor_err = taylor_error(op, op.apply())
-        col.add("parametrix-taylor-error", taylor_err, {"order": 4, "eps": 0.1})
+    if taylor_err is None:
+        op = operator(0.1)
+        taylor_err = taylor_error(op, op.apply())
+    col.add("parametrix-taylor-error", taylor_err, {"order": 4, "eps": 0.1})
 
 
 def _run_strichartz(col: _Collector, seed: int, params: dict) -> None:
@@ -550,17 +547,15 @@ def _run_strichartz(col: _Collector, seed: int, params: dict) -> None:
     ]
     worst_excess = 0.0
     trend_flips = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, kw in presets:
-            prev = None
-            for eps in eps_list:
-                A = make_potential(name, eps, g, **kw)
-                r = ratio(solve(g, f, A, F))
-                worst_excess = max(worst_excess, r / base - 1.0)
-                if prev is not None and r < prev - 1e-12:
-                    trend_flips += 1
-                prev = r
+    for name, kw in presets:
+        prev = None
+        for eps in eps_list:
+            A = make_potential(name, eps, g, **kw)
+            r = ratio(solve(g, f, A, F))
+            worst_excess = max(worst_excess, r / base - 1.0)
+            if prev is not None and r < prev - 1e-12:
+                trend_flips += 1
+            prev = r
     # trend_flips counts non-monotone eps steps; reported, not checked, since the
     # ratio is not monotone in eps at every seed
     col.add(
@@ -593,18 +588,16 @@ def _run_error_terms(col: _Collector, seed: int, params: dict) -> None:
     f = annulus_data(g, -3, seed=seed + 3)
     worst_identity = 0.0
     ratios = {0.0: [], 1.0: []}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for eps in (0.05, 0.1, 0.2):
-            A = make_potential("low_band", eps, g, seed=seed, k_cap=-6)
-            u = solve(g, f, A, None)
-            for k in (-4, -3, -2):
-                e = error_term(u, A, k)
-                total = sum(error_term_groups(u, A, k).values())
-                scale = max(float(np.max(np.abs(e))), 1e-30)
-                worst_identity = max(worst_identity, float(np.max(np.abs(total - e))) / scale)
-            for s in (0.0, 1.0):
-                ratios[s].append(error_term_besov_ratio(u, A, eps, s, (-4, -2)))
+    for eps in (0.05, 0.1, 0.2):
+        A = make_potential("low_band", eps, g, seed=seed, k_cap=-6)
+        u = solve(g, f, A, None)
+        for k in (-4, -3, -2):
+            e = error_term(u, A, k)
+            total = sum(error_term_groups(u, A, k).values())
+            scale = max(float(np.max(np.abs(e))), 1e-30)
+            worst_identity = max(worst_identity, float(np.max(np.abs(total - e))) / scale)
+        for s in (0.0, 1.0):
+            ratios[s].append(error_term_besov_ratio(u, A, eps, s, (-4, -2)))
     col.add("error-term-identity", worst_identity)
     for s, tag in ((0.0, "s0"), (1.0, "s1")):
         vals = np.array(ratios[s])
@@ -678,15 +671,19 @@ def run(config: ExperimentConfig) -> RunReport:
         raise ValueError(f"unknown experiment '{config.experiment}'")
     col = _Collector(config)
     start = time.monotonic()
-    _RUNNERS[config.experiment](col, config.seed, config.params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _RUNNERS[config.experiment](col, config.seed, config.params)
     wall = time.monotonic() - start
+    counts = Counter((str(w.message), w.category.__name__) for w in caught)
+    diagnostics = sorted((msg, cat, n) for (msg, cat), n in counts.items())
     env = {
         "package_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
     }
-    report = RunReport(config.experiment, config.seed, col.rows, env, wall)
+    report = RunReport(config.experiment, config.seed, col.rows, env, wall, diagnostics)
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -167,9 +167,10 @@ class BandDecomposition:
         k_range: tuple[int, int] | None = None,
     ) -> "BandDecomposition":
         k_min, k_max = k_range if k_range is not None else representable_bands(grid)
-        pieces = {k: _apply_mask(grid, values, band_mask(grid, k)) for k in range(k_min, k_max + 1)}
-        low = project_below(grid, values, k_min)
-        high = values - project_leq(grid, values, k_max)
+        spec = fourier_forward(grid, values)
+        pieces = {k: fourier_inverse(grid, spec * band_mask(grid, k)) for k in range(k_min, k_max + 1)}
+        low = fourier_inverse(grid, spec * _leq_mask(grid, k_min - 1))
+        high = values - fourier_inverse(grid, spec * _leq_mask(grid, k_max))
         return cls(grid, values, k_min, k_max, pieces, low, high)
 
     def reconstruct(self) -> np.ndarray:
@@ -294,18 +295,14 @@ def besov_l2_norm(
     maps a band piece to a nonnegative scalar.  Warns when the below-range
     residual carries more than ``residual_warn`` of the chosen norm.
     """
-    k_min, k_max = k_range if k_range is not None else representable_bands(grid)
-    band_values = {}
-    for k in range(k_min, k_max + 1):
-        piece = _apply_mask(grid, field, band_mask(grid, k))
-        band_values[k] = float(norm_functional(piece))
+    dec = BandDecomposition.compute(grid, field, k_range)
+    band_values = {k: float(norm_functional(piece)) for k, piece in dec.pieces.items()}
     total = sum(2.0 ** (2 * k * s) * v**2 for k, v in band_values.items())
-    residual = project_below(grid, field, k_min)
-    res_norm = float(norm_functional(residual))
+    res_norm = float(norm_functional(dec.low_residual))
     ref = float(norm_functional(field))
     if ref > 0 and res_norm > residual_warn * ref:
         warnings.warn(
-            f"besov_l2_norm: residual band P_<{k_min} carries {res_norm:.3e} "
+            f"besov_l2_norm: residual band P_<{dec.k_min} carries {res_norm:.3e} "
             f"of the field norm {ref:.3e}",
             stacklevel=2,
         )
@@ -346,6 +343,11 @@ def _gradient(grid: Grid, spectrum: np.ndarray):
     """Yield d_1 f, ..., d_n f from the spectrum of f, one inverse transform each."""
     for j in range(grid.n):
         yield fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spectrum)
+
+
+def _advect(grid: Grid, a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """a . grad f for a (t, n, x) field a, from the spectrum of f."""
+    return sum(a[:, j] * d for j, d in enumerate(_gradient(grid, spectrum)))
 
 
 def spectral_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:

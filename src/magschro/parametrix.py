@@ -46,6 +46,13 @@ Each order is one matrix product over the modes for all of the group's
 slices, with one exponential e^{i c sigma} per group and chunk; a potential
 that is not rank-1 gives one slice per group and the series stops at order 0
 (see `ParametrixOperator`).
+
+The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
+equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
+call: `error_term`, `error_term_besov_ratio` and
+`solver.lp_reduced_equation_check` transform A and A.grad u once and then mask
+per band; `error_term_groups` masks the spectra of u and A once per piece.
+Nothing is cached beyond the call.
 """
 
 from __future__ import annotations
@@ -57,7 +64,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
-from .lp import CUTOFFS, _apply_mask, _gradient, _leq_mask, band_mask, representable_bands
+from .lp import (
+    CUTOFFS,
+    _advect,
+    _apply_mask,
+    _check_band,
+    _gradient,
+    _leq_mask,
+    band_mask,
+    representable_bands,
+)
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -701,9 +717,28 @@ def parametrix_residual(
 # -- frequency-localized error terms ----------------------------------------------
 
 
-def _advect(grid: Grid, a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """a . grad f for a (t, n, x) field a, from the spectrum of f."""
-    return sum(a[:, j] * d for j, d in enumerate(_gradient(grid, spectrum)))
+def _check_error_inputs(u: SpaceTimeField, A: VectorPotential | None, ks) -> None:
+    """Reject a potential on another grid than u, non-finite u and bands outside
+    ``representable_bands``; one pass over u, no transforms."""
+    if A is not None and A.grid != u.grid:
+        raise ValueError(f"potential grid {A.grid} differs from the field grid {u.grid}")
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("u must be finite")
+    for k in ks:
+        _check_band(u.grid, k)
+
+
+def _band_error_terms(u: SpaceTimeField, A: VectorPotential, ks):
+    """(E^k, u_hat phi_k, A_{<=k-4}) per band k in ks, from one transform of A and A . grad u."""
+    grid = u.grid
+    u_hat = u.spectrum()
+    a_hat = fourier_forward(grid, A.values)
+    adv_hat = fourier_forward(grid, _advect(grid, A.values, u_hat))
+    for k in ks:
+        mask = band_mask(grid, k)
+        a_low = fourier_inverse(grid, a_hat * _leq_mask(grid, k - 4)).real
+        uk_hat = u_hat * mask
+        yield fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat), uk_hat, a_low
 
 
 def error_term(
@@ -712,12 +747,8 @@ def error_term(
     k: int,
 ) -> np.ndarray:
     """E^k = P_k(A . grad u) - A_{<=k-4} . grad u_k (exact identity)."""
-    grid = u.grid
-    spec = u.spectrum()
-    mask = band_mask(grid, k)
-    a_low = fourier_inverse(grid, fourier_forward(grid, A.values) * _leq_mask(grid, k - 4)).real
-    full = _apply_mask(grid, _advect(grid, A.values, spec), mask)
-    return full - _advect(grid, a_low, spec * mask)
+    _check_error_inputs(u, A, [k])
+    return next(_band_error_terms(u, A, [k]))[0]
 
 
 def error_term_groups(
@@ -737,6 +768,7 @@ def error_term_groups(
     One pass over the high pieces sums A_j . grad U_{<j} and A_{<=j} . grad u_j,
     and P_k is applied once to each sum.
     """
+    _check_error_inputs(u, A, [k])
     grid = u.grid
     mask = band_mask(grid, k)
     u_hat = u.spectrum()
@@ -773,14 +805,22 @@ def error_term_besov_ratio(
     s: float,
     k_range: tuple[int, int],
 ) -> float:
-    """K in sum_k 2^{2ks} ||E^k||^2_{L1L2} <= K eps^2 sum_k 2^{2ks} ||u_k||^2_{LinfL2}."""
+    """K in sum_k 2^{2ks} ||E^k||^2_{L1L2} <= K eps^2 sum_k 2^{2ks} ||u_k||^2_{LinfL2}.
+
+    Rejects eps that is not finite and > 0 and an empty ``k_range``.
+    """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    ks = range(k_range[0], k_range[1] + 1)
+    if not ks:
+        raise ValueError(f"empty band range {k_range}")
+    _check_error_inputs(u, A, ks)
     grid = u.grid
     num = 0.0
     den = 0.0
-    for k in range(k_range[0], k_range[1] + 1):
-        e_k = error_term(u, A, k)
+    for k, (e_k, uk_hat, _) in zip(ks, _band_error_terms(u, A, ks)):
         num += 2.0 ** (2 * k * s) * time_lq(grid.times, slice_l2(grid, e_k), 1.0) ** 2
-        u_k = fourier_inverse(grid, u.spectrum() * band_mask(grid, k))
+        u_k = fourier_inverse(grid, uk_hat)
         den += 2.0 ** (2 * k * s) * float(np.max(slice_l2(grid, u_k))) ** 2
     return num / (eps**2 * den) if den > 0 else 0.0
 

@@ -24,7 +24,7 @@ from .grid import (
     slice_l2,
     spatial_norm,
 )
-from .lp import _gradient, band_mask, project_leq
+from .lp import _advect, _gradient, band_mask
 from .norms import time_lq
 from .potentials import VectorPotential
 
@@ -322,12 +322,9 @@ def equation_residual(u: SpaceTimeField, A, F) -> tuple[np.ndarray, float]:
     lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * spec)
     res = ut - 1j * lap
     if A is not None:
-        for i, a_t in enumerate(A.values):
-            for a_j, du in zip(a_t, _gradient(grid, spec[i])):
-                res[i] += a_j * du
+        res += _advect(grid, A.values, spec)
     if F is not None:
-        for i, t in enumerate(grid.times):
-            res[i] -= F(t)
+        res -= np.stack([F(t) for t in grid.times])
     return res, time_lq(grid.times, slice_l2(grid, res), 1.0)
 
 
@@ -342,22 +339,21 @@ def lp_reduced_equation_check(
     E^k comes from the frequency-localized commutator identity, so this
     reduces to the band-k part of the solver residual.
     """
-    from .parametrix import error_term
+    from .parametrix import _band_error_terms, _check_error_inputs
 
     grid = u.grid
+    _check_error_inputs(u, A, [k])
     mask = band_mask(grid, k)
-    u_k = SpaceTimeField(grid, fourier_inverse(grid, u.spectrum() * mask))
-    ut = _time_derivative_4th(u_k.values, grid.dt)
-    lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * u_k.spectrum())
+    uk_hat = u.spectrum() * mask
+    ut = _time_derivative_4th(fourier_inverse(grid, uk_hat), grid.dt)
+    lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * uk_hat)
     res = ut - 1j * lap
     if A is not None:
         # with E^k = P_k(A.grad u) - A_low.grad u_k the band equation reads
         # d_t u_k - i Lap u_k + A_low.grad u_k + E^k = F_k
-        e_k = error_term(u, A, k)
-        a_low = project_leq(grid, A.values, k - 4)
-        grad_uk = np.stack(list(_gradient(grid, u_k.spectrum())), axis=1)
-        res = res + np.sum(a_low * grad_uk, axis=1) + e_k
+        e_k, _, a_low = next(_band_error_terms(u, A, [k]))
+        res = res + _advect(grid, a_low, uk_hat) + e_k
     if F is not None:
-        for i, t in enumerate(grid.times):
-            res[i] -= fourier_inverse(grid, fourier_forward(grid, F(t)) * mask)
+        f_k = fourier_forward(grid, np.stack([F(t) for t in grid.times])) * mask
+        res -= fourier_inverse(grid, f_k)
     return time_lq(grid.times, slice_l2(grid, res), 1.0)

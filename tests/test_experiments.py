@@ -124,6 +124,28 @@ class TestRun:
         with pytest.raises(ValueError):
             run(ExperimentConfig(experiment="bogus"))
 
+    def test_warnings_become_diagnostics(self, monkeypatch, tmp_path):
+        import warnings
+
+        from magschro import experiments
+
+        def runner(col, seed, params):
+            for _ in range(2):
+                warnings.warn("wrap depth 256 at band -6")
+            warnings.warn("mass near Nyquist", RuntimeWarning)
+            col.add("cap-partition-sum", 0.0)
+
+        monkeypatch.setitem(experiments._RUNNERS, "nets", runner)
+        report = run(ExperimentConfig(experiment="nets", out_dir=str(tmp_path)))
+        expected = [
+            ("mass near Nyquist", "RuntimeWarning", 1),
+            ("wrap depth 256 at band -6", "UserWarning", 2),
+        ]
+        assert report.diagnostics == expected
+        summary = json.loads((tmp_path / "nets-summary.json").read_text())
+        assert summary["diagnostics"] == [list(d) for d in expected]
+        assert [r["check_id"] for r in summary["rows"]] == ["cap-partition-sum"]
+
 
 class TestCli:
     def _run(self, *args):

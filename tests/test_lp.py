@@ -112,6 +112,12 @@ class TestProjections:
         rec = dec.reconstruct()
         assert l2_norm(g, rec - f) <= 1e-10 * l2_norm(g, f)
 
+    def test_band_decomposition_transform_count(self, fft_calls):
+        # one forward transform, then one inverse per band and per residual
+        f = gaussian_wavepacket(self.grid, (16, 16), 3.0, (0.2, 0.1))
+        dec = BandDecomposition.compute(self.grid, f, (-4, -1))
+        assert len(dec.pieces) == 4 and len(fft_calls) == 4 + 3
+
     def test_mean_zero_band_limited_sum(self):
         g = self.grid
         f = spectral_bump_field(g, -2, self.rng) + spectral_bump_field(g, -3, self.rng)

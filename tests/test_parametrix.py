@@ -16,6 +16,7 @@ from magschro.grid import (
     gaussian_wavepacket,
     l2_norm,
     make_grid,
+    slice_l2,
 )
 from magschro import parametrix
 from magschro.lp import (
@@ -25,6 +26,7 @@ from magschro.lp import (
     representable_bands,
     spectral_gradient,
 )
+from magschro.norms import time_lq
 from magschro.potentials import VectorPotential, make_potential
 from magschro.parametrix import (
     SIGMA0_FACTOR,
@@ -41,6 +43,7 @@ from magschro.parametrix import (
     phase_identity_residual,
     ray_integral_trapezoid,
 )
+from magschro.solver import lp_reduced_equation_check
 
 
 def circle_directions(count):
@@ -312,28 +315,67 @@ class TestErrorTerm:
             assert np.max(np.abs(groups[name] - ref)) <= 1e-12 * scale, name
         assert np.max(np.abs(error_term(u, A, k) - e)) <= 1e-12 * scale
 
-    def test_transform_counts(self, monkeypatch):
-        # a fresh u, so its spectrum is taken once inside each call
+    def test_transform_counts(self, fft_calls):
+        # fresh fields, so u's spectrum is taken once inside each call
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)  # 3 slices of 64 x 64
-        calls = []
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
-
-            def counted(a, *args, _transform=getattr(np.fft, name), **kwargs):
-                calls.append(np.size(a))
-                return _transform(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-
         u, A = random_pair(g, seed=1)
         error_term_groups(u, A, -4)
         # u 1, A 1, A_{<=k-4} 1, commutator 2n + 2, high-low n + 2,
         # the 7 high pieces (bands -7 .. -2 and the top) 1 + n each, two P_k 2 each
-        assert (len(calls), sum(calls)) == (38, 577536)
-        calls.clear()
+        assert (len(fft_calls), sum(fft_calls)) == (38, 577536)
+        fft_calls.clear()
         u, A = random_pair(g, seed=2)
         error_term(u, A, -4)
-        # u 1, A 1, A_{<=k-4} 1, A . grad u n, P_k 2, A_{<=k-4} . grad u_k n
-        assert (len(calls), sum(calls)) == (9, 135168)
+        # u 1, A 1, A . grad u n + 1, A_{<=k-4} 1, P_k 1, A_{<=k-4} . grad u_k n
+        assert (len(fft_calls), sum(fft_calls)) == (9, 135168)
+        fft_calls.clear()
+        u, A = random_pair(g, seed=3)
+        error_term_besov_ratio(u, A, 0.1, 1.0, (-4, -2))
+        # u 1, A 1, A . grad u n + 1 once; per band A_{<=k-4} 1, P_k 1,
+        # A_{<=k-4} . grad u_k n and u_k 1
+        assert (len(fft_calls), sum(fft_calls)) == (20, 294912)
+        fft_calls.clear()
+        g = make_grid(2, 64, 64, 1.0 / 32.0, 0.25)  # 9 slices
+        u, A = random_pair(g, seed=4)
+        lp_reduced_equation_check(u, A, None, -3)
+        # error_term's 9, then u_k 1, Lap u_k 1 and A_{<=k-4} . grad u_k n
+        assert (len(fft_calls), sum(fft_calls)) == (13, 552960)
+
+    def test_besov_ratio_matches_public_oracle(self):
+        g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
+        u, A = random_pair(g, seed=5)
+        eps, s = 0.1, 1.0
+        num = den = 0.0
+        for k in (-4, -3, -2):
+            e_k = error_term(u, A, k)
+            num += 4.0 ** (k * s) * time_lq(g.times, slice_l2(g, e_k), 1.0) ** 2
+            den += 4.0 ** (k * s) * np.max(slice_l2(g, project_band(g, u.values, k))) ** 2
+        ratio = error_term_besov_ratio(u, A, eps, s, (-4, -2))
+        assert abs(ratio - num / (eps**2 * den)) <= 1e-12 * ratio
+
+    def test_error_terms_reject_bad_inputs(self):
+        g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
+        u, A = random_pair(g, seed=6)
+        other = make_grid(2, 64, 32, 1.0 / 32.0, 1.0 / 16.0)
+        _, A_other = random_pair(other, seed=6)
+        k_min, k_max = representable_bands(g)
+        calls = [
+            lambda A, k: error_term(u, A, k),
+            lambda A, k: error_term_groups(u, A, k),
+            lambda A, k: error_term_besov_ratio(u, A, 0.1, 0.0, (k, k)),
+            lambda A, k: lp_reduced_equation_check(u, A, None, k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="grid"):
+                call(A_other, -3)
+            for k in (k_min - 1, k_max + 1, 20, -40):
+                with pytest.raises(ValueError, match="representable"):
+                    call(A, k)
+        for eps in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps"):
+                error_term_besov_ratio(u, A, eps, 0.0, (-4, -2))
+        with pytest.raises(ValueError, match="empty"):
+            error_term_besov_ratio(u, A, 0.1, 0.0, (-2, -4))
 
     def test_besov_ratio_stability(self, solved):
         g, _, _ = solved
