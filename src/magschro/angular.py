@@ -151,9 +151,11 @@ class CapPartition:
             raise AssertionError("cap bumps fail to cover the sphere")
         return p / total
 
-    def derivative_bound(self, samples: int = 2000, h: float = 1e-4) -> float:
-        """Sampled first-derivative bound, scaled by the cap width 2^{-m}."""
-        omega = _dense_sphere_sample(self.net.n, samples, seed=5)
+    def derivative_bound(self) -> float:
+        """First-derivative bound sampled at 2000 points by central differences
+        of step 1e-4, scaled by the cap width 2^{-m}."""
+        h = 1e-4
+        omega = _dense_sphere_sample(self.net.n, 2000, seed=5)
         rng = np.random.default_rng(6)
         tang = rng.normal(size=omega.shape)
         tang -= omega * np.sum(tang * omega, axis=1, keepdims=True)

@@ -281,26 +281,20 @@ def mixed_bernstein_ratio(
 # -- Besov sums ---------------------------------------------------------------
 
 
-def besov_l2_norm(
-    grid: Grid,
-    field,
-    s: float,
-    norm_functional,
-    k_range: tuple[int, int] | None = None,
-    residual_warn: float = 0.01,
-) -> float:
-    """(sum_k 2^{2ks} ||P_k field||^2)^{1/2} for a supplied per-band functional.
+def besov_l2_norm(grid: Grid, field, s: float, norm_functional) -> float:
+    """(sum_k 2^{2ks} ||P_k field||^2)^{1/2} over the representable bands for a
+    supplied per-band functional.
 
     ``field`` is any array with trailing spatial axes; ``norm_functional``
     maps a band piece to a nonnegative scalar.  Warns when the below-range
-    residual carries more than ``residual_warn`` of the chosen norm.
+    residual carries more than 1% of the chosen norm.
     """
-    dec = BandDecomposition.compute(grid, field, k_range)
+    dec = BandDecomposition.compute(grid, field)
     band_values = {k: float(norm_functional(piece)) for k, piece in dec.pieces.items()}
     total = sum(2.0 ** (2 * k * s) * v**2 for k, v in band_values.items())
     res_norm = float(norm_functional(dec.low_residual))
     ref = float(norm_functional(field))
-    if ref > 0 and res_norm > residual_warn * ref:
+    if ref > 0 and res_norm > 0.01 * ref:
         warnings.warn(
             f"besov_l2_norm: residual band P_<{dec.k_min} carries {res_norm:.3e} "
             f"of the field norm {ref:.3e}",

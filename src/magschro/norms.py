@@ -44,8 +44,8 @@ class AdmissiblePair:
             raise ValueError("admissible exponents require q, r >= 2")
 
 
-def is_admissible(q: float, r: float, n: int, tol: float = 1e-12) -> bool:
-    """Scaling line 2/q + n/r = n/2 with q,r >= 2, excluding (2, inf) at n=2."""
+def is_admissible(q: float, r: float, n: int) -> bool:
+    """Scaling line 2/q + n/r = n/2 (to 1e-12) with q,r >= 2, excluding (2, inf) at n=2."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if q < 2 or r < 2:
@@ -54,7 +54,7 @@ def is_admissible(q: float, r: float, n: int, tol: float = 1e-12) -> bool:
     inv_r = 0.0 if np.isinf(r) else 1.0 / r
     if (q, r, n) == (2, np.inf, 2):
         return False
-    return abs(2 * inv_q + n * inv_r - n / 2.0) <= tol
+    return abs(2 * inv_q + n * inv_r - n / 2.0) <= 1e-12
 
 
 def admissible_pairs(n: int, count: int = 6) -> list[AdmissiblePair]:
@@ -139,11 +139,10 @@ def xdot_norm(
     alpha: float,
     pairs: list[AdmissiblePair] | None = None,
     sampler: RotationSampler | None = None,
-    k_range: tuple[int, int] | None = None,
 ) -> float:
-    """Besov-type solution norm: per band, 2^{2 alpha k} times the squared sup
-    over admissible pairs of L^q L^r plus the squared rotated-frame component,
-    summed over bands and square-rooted.
+    """Besov-type solution norm: per representable band, 2^{2 alpha k} times
+    the squared sup over admissible pairs of L^q L^r plus the squared
+    rotated-frame component, summed over bands and square-rooted.
 
     Only a finite admissible-pair sample and rotation sample are used; a
     warning records this.
@@ -155,7 +154,7 @@ def xdot_norm(
         stacklevel=2,
     )
     sampler = sampler or RotationSampler(grid.n, count=8)
-    k_min, k_max = k_range if k_range is not None else representable_bands(grid)
+    k_min, k_max = representable_bands(grid)
     aniso_pairs = low_dim_anisotropic_exponents(grid.n) if grid.n >= 2 else []
     spec = u.spectrum()
     total = 0.0

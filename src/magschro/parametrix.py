@@ -323,13 +323,12 @@ class PhaseField:
         s1 = 2j * np.pi * r * sub.ray("T", t_idx)[0]
         return s0, s1
 
-    def max_sigma(self, t_indices=None) -> float:
-        """Monitored sup of |sigma0| + |sigma1| at |xi| = 2^{k_f}."""
-        idx = t_indices if t_indices is not None else range(0, self.grid.n_steps + 1,
-                                                            max(self.grid.n_steps // 4, 1))
+    def max_sigma(self) -> float:
+        """Monitored sup of |sigma0| + |sigma1| at |xi| = 2^{k_f}, over every
+        quarter of the time slices."""
         r = 2.0**self.k_f
         worst = 0.0
-        for i in idx:
+        for i in range(0, self.grid.n_steps + 1, max(self.grid.n_steps // 4, 1)):
             s0 = SIGMA0_FACTOR * self.ray("S", i)
             s1 = 2.0 * np.pi * r * self.ray("T", i)
             worst = max(worst, float(np.max(np.abs(s0) + np.abs(s1))))
@@ -360,11 +359,7 @@ def _detect_envelope(bands) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     return env, denv, t_ref
 
 
-def build_sigma(
-    A: VectorPotential,
-    k_f: int,
-    directions: np.ndarray | None = None,
-) -> PhaseField:
+def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseField:
     """Assemble the phase data for a potential band-limited to k <= k_f - 4.
 
     ``directions`` is a (D, n) array of unit vectors; every later query must
@@ -374,8 +369,6 @@ def build_sigma(
     is unaffected; sizes acquire a wrap factor, recorded here).
     """
     grid = A.grid
-    if directions is None:
-        raise ValueError("build_sigma needs an explicit direction set")
     directions = np.asarray(directions, dtype=float)
     norms = np.linalg.norm(directions, axis=1)
     if not np.max(np.abs(norms - 1.0)) <= 1e-12:  # a NaN or Inf entry fails this too
@@ -480,14 +473,15 @@ def phase_identity_residual(
     return worst / scale
 
 
-def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray, t_idx: int = 0) -> float:
-    """Relative agreement of <grad sigma1, xi> with its chi'' ray-integral form."""
+def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray) -> float:
+    """Relative agreement of <grad sigma1, xi> with its chi'' ray-integral form
+    at the first time slice."""
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     radii = np.linalg.norm(xi_samples, axis=1)
     dirs = xi_samples / radii[:, None]
     sub = PhaseField(phase.grid, phase.k_f, dirs, phase.bands)
-    lhs = sub.ray("theta_grad_T", t_idx)
-    rhs = -sub.ray("T_dprime", t_idx)
+    lhs = sub.ray("theta_grad_T", 0)
+    rhs = -sub.ray("T_dprime", 0)
     scale = max(float(np.max(np.abs(rhs))), 1e-30)
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -811,17 +805,29 @@ def error_term_besov_ratio(
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
+    return _besov_ratio(_besov_band_norms(u, A, k_range), eps, s)
+
+
+def _besov_band_norms(u: SpaceTimeField, A: VectorPotential, k_range: tuple[int, int]) -> list:
+    """(k, ||E^k||_{L1L2}, ||u_k||_{LinfL2}) per band of ``k_range``, from one
+    `_band_error_terms` pass; the Besov ratio at any s is `_besov_ratio` of them."""
     ks = range(k_range[0], k_range[1] + 1)
     if not ks:
         raise ValueError(f"empty band range {k_range}")
     _check_error_inputs(u, A, ks)
     grid = u.grid
-    num = 0.0
-    den = 0.0
-    for k, (e_k, uk_hat, _) in zip(ks, _band_error_terms(u, A, ks)):
-        num += 2.0 ** (2 * k * s) * time_lq(grid.times, slice_l2(grid, e_k), 1.0) ** 2
-        u_k = fourier_inverse(grid, uk_hat)
-        den += 2.0 ** (2 * k * s) * float(np.max(slice_l2(grid, u_k))) ** 2
+    return [
+        (k, time_lq(grid.times, slice_l2(grid, e_k), 1.0),
+         float(np.max(slice_l2(grid, fourier_inverse(grid, uk_hat)))))
+        for k, (e_k, uk_hat, _) in zip(ks, _band_error_terms(u, A, ks))
+    ]
+
+
+def _besov_ratio(band_norms: list, eps: float, s: float) -> float:
+    num = den = 0.0
+    for k, e_norm, u_norm in band_norms:
+        num += 2.0 ** (2 * k * s) * e_norm**2
+        den += 2.0 ** (2 * k * s) * u_norm**2
     return num / (eps**2 * den) if den > 0 else 0.0
 
 

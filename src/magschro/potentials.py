@@ -22,8 +22,8 @@ plus the dominating sum
 
 sup over base points and measurable paths is exact at base 0 by translation
 invariance of the full-torus mixed norms (see norms module); sup over
-rotations is sampled and locally refined.  |d2 A_k| is the Frobenius norm of
-the full Hessian tensor.
+rotations is the max over the sampler's samples, with no local refinement.
+|d2 A_k| is the Frobenius norm of the full Hessian tensor.
 """
 
 from __future__ import annotations
@@ -253,15 +253,15 @@ def make_potential(
     seed: int = 0,
     width: float | None = None,
     center: tuple | None = None,
-    speed: tuple | None = None,
     k_cap: int | None = None,
     single_band: int | None = None,
     divergence_free: bool = False,
 ) -> VectorPotential:
     """Construct a test potential; all presets are analytic in time.
 
-    presets: 'gauss_bump', 'traveling_bump', 'divfree_curl', 'low_band'.
-    eps scales the amplitude (every functional is 1-homogeneous in it).
+    presets: 'gauss_bump', 'traveling_bump' (speed L/(8T) along every axis),
+    'divfree_curl', 'low_band'.  eps scales the amplitude (every functional is
+    1-homogeneous in it).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -272,6 +272,7 @@ def make_potential(
     c = np.asarray(center if center is not None else (grid.L / 2.0,) * n, dtype=float)
     env, denv = _envelope(grid.T)
     meshes = grid.spatial_meshes()
+    band_limit = None
 
     if preset == "gauss_bump":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
@@ -289,7 +290,7 @@ def make_potential(
         rng = np.random.default_rng(np.random.SeedSequence((seed, 102)))
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
-        s = np.asarray(speed if speed is not None else (grid.L / (8 * grid.T),) * n, dtype=float)
+        s = np.full(n, grid.L / (8 * grid.T))
 
         def evaluator(t, _v=v, _s=s):
             r2 = sum((m - ci - si * t) ** 2 for m, ci, si in zip(meshes, c, _s))
@@ -331,10 +332,10 @@ def make_potential(
             lo = (2.0 - glue) * 2.0 ** (single_band - 1)
             hi = (1.0 + glue) * 2.0**single_band
             sel = (grid.xi_norm > lo) & (grid.xi_norm < hi)
-            cap = single_band
+            band_limit = single_band
         else:
             sel = (grid.xi_norm <= (1.0 + glue) * 2.0**k_cap) & (grid.xi_norm > 0)
-            cap = k_cap
+            band_limit = k_cap
         if not np.any(sel):
             raise ValueError("no lattice modes in the requested band window")
         spec = np.zeros((n,) + grid.shape, dtype=complex)
@@ -357,18 +358,6 @@ def make_potential(
         def dt_evaluator(t, _s=static):
             return eps * denv(t) * _s
 
-        pot = VectorPotential(
-            grid,
-            np.stack([evaluator(t) for t in grid.times]),
-            evaluator=evaluator,
-            dt_evaluator=dt_evaluator,
-            divergence_free=False,
-            band_limit=cap,
-        )
-        if divergence_free:
-            pot.divergence_free = True
-        return pot
-
     else:
         raise ValueError(f"unknown preset '{preset}'")
 
@@ -379,6 +368,7 @@ def make_potential(
         evaluator=evaluator,
         dt_evaluator=dt_evaluator,
         divergence_free=divergence_free,
+        band_limit=band_limit,
     )
 
 

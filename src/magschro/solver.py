@@ -85,11 +85,10 @@ def _dealias_mask(grid: Grid) -> np.ndarray:
 class _Stepper:
     """One Lawson-RK4 step for u' = i Lap u - A.grad u + F."""
 
-    def __init__(self, grid: Grid, A, F, config: SolverConfig):
+    def __init__(self, grid: Grid, A, F):
         self.grid = grid
         self.A = A
         self.F = F
-        self.config = config
         self.mask = _dealias_mask(grid)
 
     def _rhs(self, t: float, u: np.ndarray) -> np.ndarray:
@@ -141,7 +140,7 @@ class PropagatorHandle:
         _check_step(self.grid, f, self.A, self.config)
         if np.isclose(t, s):
             return f.copy()
-        stepper = _Stepper(self.grid, self.A, None, self.config)
+        stepper = _Stepper(self.grid, self.A, None)
         span = abs(t - s)
         sign = 1.0 if t > s else -1.0
         n_full = int(np.floor(span / self.config.dt + 1e-9))
@@ -166,29 +165,21 @@ def _check_step(grid: Grid, f: np.ndarray, A, config: SolverConfig):
     config.check_cfl(grid, _a_sup(A))
 
 
-def _check_inputs(grid: Grid, f: np.ndarray, A, config: SolverConfig):
-    """Reject what ``solve`` and ``duhamel_solve`` cannot march; warn on Nyquist mass."""
-    if not np.isclose(config.dt, grid.dt):
-        raise ValueError("solver dt must match the grid time step")
-    _check_step(grid, f, A, config)
+def _check_inputs(grid: Grid, f: np.ndarray, A):
+    """Reject what ``solve`` and ``duhamel_solve`` cannot march at the grid's
+    step; warn on Nyquist mass."""
+    _check_step(grid, f, A, SolverConfig(dt=grid.dt))
     if _nyquist_leak_fraction(grid, fourier_forward(grid, f)) > 1e-6:
         warnings.warn("solve: initial data carries spectral mass near Nyquist", stacklevel=3)
 
 
-def solve(
-    grid: Grid,
-    f: np.ndarray,
-    A: VectorPotential | None,
-    F,
-    config: SolverConfig | None = None,
-) -> SpaceTimeField:
+def solve(grid: Grid, f: np.ndarray, A: VectorPotential | None, F) -> SpaceTimeField:
     """March the forced equation from u(0) = f to T on the grid's time grid.
 
     ``F`` is None or a callable t -> complex spatial array.
     """
-    config = config or SolverConfig(dt=grid.dt)
-    _check_inputs(grid, f, A, config)
-    stepper = _Stepper(grid, A, F, config)
+    _check_inputs(grid, f, A)
+    stepper = _Stepper(grid, A, F)
     out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
     out[0] = f
     u = f.astype(complex)
@@ -198,21 +189,14 @@ def solve(
     return SpaceTimeField(grid, out)
 
 
-def duhamel_solve(
-    grid: Grid,
-    f: np.ndarray,
-    A: VectorPotential | None,
-    F,
-    config: SolverConfig | None = None,
-) -> SpaceTimeField:
+def duhamel_solve(grid: Grid, f: np.ndarray, A: VectorPotential | None, F) -> SpaceTimeField:
     """u = U_A(t,0) f + int_0^t U_A(t,s) F(s) ds, accumulated stepwise.
 
     The step integral uses 3-point Gauss-Legendre with each node transported
     by one homogeneous sub-step; an independent path from ``solve``.
     """
-    config = config or SolverConfig(dt=grid.dt)
-    _check_inputs(grid, f, A, config)
-    hom = _Stepper(grid, A, None, config)
+    _check_inputs(grid, f, A)
+    hom = _Stepper(grid, A, None)
     out = np.empty((grid.n_steps + 1,) + grid.shape, dtype=complex)
     u_hom = f.astype(complex)
     inhom = np.zeros(grid.shape, dtype=complex)
@@ -236,13 +220,11 @@ def propagator_compose_check(
     s: float,
     t: float,
     probes: list[np.ndarray],
-    config: SolverConfig | None = None,
 ) -> float:
     """max over probes of ||U(t,s)U(s,0)f - U(t,0)f|| / ||f||."""
     if not (0 <= s <= t <= grid.T):
         raise ValueError("need 0 <= s <= t <= T")
-    config = config or SolverConfig(dt=grid.dt)
-    handle = PropagatorHandle(grid, A, config)
+    handle = PropagatorHandle(grid, A, SolverConfig(dt=grid.dt))
     worst = 0.0
     for f in probes:
         via = handle.apply(handle.apply(f, s, 0.0), t, s)
@@ -251,13 +233,7 @@ def propagator_compose_check(
     return worst
 
 
-def energy_bound_check(
-    grid: Grid,
-    f: np.ndarray,
-    A: VectorPotential | None,
-    F,
-    config: SolverConfig | None = None,
-) -> dict:
+def energy_bound_check(grid: Grid, f: np.ndarray, A: VectorPotential | None, F) -> dict:
     """sup_t ||u||_2 against C (||f||_2 + ||F||_{L1 L2}) with C = 4.
 
     Operative premise: ||div A||_{L1 Linf} < 1/2 (then M^2 <= ||f||^2 + M^2/2
@@ -281,7 +257,7 @@ def energy_bound_check(
         out["pass"] = None
         return out
     out["premise_ok"] = True
-    u = solve(grid, f, A, F, config)
+    u = solve(grid, f, A, F)
     sup = float(np.max(u.slice_l2()))
     g_norm = 0.0
     if F is not None:

@@ -56,6 +56,8 @@ class TestValidate:
         for extra, name in bad:
             diags = validate({**base, **extra})
             assert any(name in d for d in diags), (extra, diags)
+        with pytest.raises(ValueError, match="rotation_count"):
+            ExperimentConfig(experiment="norms", params={"rotation_count": 0})
 
     def test_unknown_check_and_tolerance_ids(self):
         diags = validate({"version": 1, "experiment": "nets", "checks": ["nope"]})
@@ -65,6 +67,48 @@ class TestValidate:
 
     def test_clean_config_passes(self):
         assert validate({"version": 1, "experiment": "nets", "seed": 5}) == []
+        own_params = {
+            "norms": {"rotation_count": 4},
+            "parametrix": {"eps_list": [0.05, 0.1], "max_products": 1e9},
+            "strichartz-sweep": {"eps_list": [0.05, 0.1]},
+            "dispersive": {"t_list": [1.0, 2.0]},
+        }
+        for exp, params in own_params.items():
+            assert validate({"version": 1, "experiment": exp, "params": params}) == []
+        readme_example = {
+            "version": 1,
+            "experiment": "parametrix",
+            "seed": 7,
+            "out_dir": "out/",
+            "checks": ["phase-identity", "dual-path-residual"],
+            "tolerances": {"dual-path-residual": 5e-4},
+            "params": {"eps_list": [0.02, 0.05, 0.1, 0.2]},
+        }
+        assert validate(readme_example) == []
+
+    @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+    def test_keys_of_other_experiments_rejected(self, experiment, monkeypatch):
+        from magschro import experiments
+
+        foreign = next(cid for cid, (exp, _, _) in CHECK_CATALOG.items() if exp != experiment)
+        key, value = ("eps_list", [0.1]) if experiment == "dispersive" else ("t_list", [1.0, 2.0])
+        bad = [
+            ({"checks": [foreign]}, foreign),
+            ({"tolerances": {foreign: 1.0}}, foreign),
+            ({"params": {key: value}}, key),
+            ({"checks": []}, "checks"),
+        ]
+        calls = []
+        monkeypatch.setitem(experiments._RUNNERS, experiment, lambda *args: calls.append(args))
+        for extra, name in bad:
+            raw = {"version": 1, "experiment": experiment, **extra}
+            assert any(name in d for d in validate(raw)), (extra, validate(raw))
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig.from_dict(raw)
+            direct = {k: tuple(v) if k == "checks" else v for k, v in extra.items()}
+            with pytest.raises(ValueError, match=name):
+                run(ExperimentConfig(experiment=experiment, **direct))
+        assert calls == []
 
     def test_every_check_maps_to_experiment(self):
         for cid, (exp, thr, cmp_) in CHECK_CATALOG.items():
