@@ -1,6 +1,6 @@
 """Batch experiment driver: seeded runs, per-check CSV rows, JSON summaries.
 
-Each experiment id covers a group of acceptance checks:
+Each experiment id covers a set of acceptance checks:
 
   norms            spectral core, dyadic calculus, smallness-functional scale
                    invariance
@@ -16,6 +16,12 @@ Each experiment id covers a group of acceptance checks:
   nets             cap partitions, net cardinality, the pointwise ray bound,
                    and the dyadic sequence inequality
 
+The checks are computed by check groups, listed in ``_GROUPS``: a group owns
+one or more checks of one experiment and does the work they share.  A run calls
+only the groups of its enabled checks, in table order, and times each one (the
+``stages`` of the summary).  A group's keyword parameters are the ``params``
+keys it reads.
+
 Configs are JSON with a versioned schema; unknown keys, and check ids,
 tolerance ids and params keys the experiment does not read, are rejected, for
 a directly built config too.  All randomness flows from one seed through numpy
@@ -26,12 +32,15 @@ uncentered R^2 (1 - sum(y - a x)^2 / sum y^2).
 
 from __future__ import annotations
 
+import inspect
 import json
 import platform
+import resource
 import time
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +76,19 @@ from .potentials import (
     y3_norm,
 )
 from .rotate import RotationSampler
-from .solver import SolverConfig, PropagatorHandle, duhamel_solve, energy_bound_check, solve
+from .solver import (
+    PropagatorHandle,
+    SolverConfig,
+    duhamel_solve,
+    energy_bound_check,
+    propagator_compose_check,
+    solve,
+)
 from .parametrix import (
     AnnulusCutoff,
     ParametrixOperator,
     annulus_data,
     build_sigma,
-    error_term,
     error_term_groups,
     parametrix_residual,
     phase_identity_residual,
@@ -171,15 +186,6 @@ CHECK_CATALOG = {
     "sequence-lemma-stability": ("nets", 4.0, "le"),
 }
 
-# the params keys each runner reads; the other runners read none
-_RUNNER_PARAMS = {
-    "norms": ("rotation_count",),
-    "parametrix": ("eps_list", "max_products"),
-    "strichartz-sweep": ("eps_list",),
-    "dispersive": ("t_list",),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -219,6 +225,8 @@ class RunReport:
     environment: dict
     wall_seconds: float
     diagnostics: list  # sorted (message, category, count) of the warnings the run raised
+    stages: list  # {"checks", "seconds"} of each group that ran, in run order
+    peak_rss_mb: float  # the process's peak resident set so far
 
     @property
     def passed(self) -> bool:
@@ -234,6 +242,8 @@ class RunReport:
             "wall_seconds": self.wall_seconds,
             "environment": self.environment,
             "diagnostics": self.diagnostics,
+            "stages": self.stages,
+            "peak_rss_mb": self.peak_rss_mb,
             "rows": self.rows,
         }
 
@@ -250,7 +260,8 @@ def validate(raw: dict) -> list[str]:
         return diags
     exp = raw["experiment"]
     own = {cid for cid, (e, _, _) in CHECK_CATALOG.items() if e == exp}
-    allowed = {"checks": own, "tolerances": own, "params": _RUNNER_PARAMS.get(exp, ())}
+    params = {key for _, body in _groups_of(exp) for key in _group_params(body)}
+    allowed = {"checks": own, "tolerances": own, "params": params}
     return [
         f"{key}: '{name}' is not read by the {exp} experiment"
         for key, names in allowed.items()
@@ -265,35 +276,6 @@ def list_checks() -> list[dict]:
         {"check_id": cid, "experiment": exp, "threshold": thr, "comparator": cmp_}
         for cid, (exp, thr, cmp_) in CHECK_CATALOG.items()
     ]
-
-
-class _Collector:
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.rows = []
-
-    def enabled(self, check_id: str) -> bool:
-        return self.config.checks is None or check_id in self.config.checks
-
-    def add(self, check_id: str, value: float, params: dict | None = None) -> None:
-        if not self.enabled(check_id):
-            return
-        if not np.isfinite(value):
-            raise FloatingPointError(
-                f"check {check_id} produced a non-finite value ({value}) with params {params}"
-            )
-        _, default_thr, cmp_ = CHECK_CATALOG[check_id]
-        thr = self.config.tolerances.get(check_id, default_thr)
-        ok = value <= thr if cmp_ == "le" else value >= thr
-        self.rows.append(
-            {
-                "check_id": check_id,
-                "params": params or {},
-                "value": float(value),
-                "threshold": float(thr),
-                "pass": bool(ok),
-            }
-        )
 
 
 def _fit_through_origin(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -324,13 +306,13 @@ def _gaussian_free(grid: Grid, center, width, momentum, t):
     )
 
 
-# -- experiment bodies -------------------------------------------------------------
+# -- check groups ------------------------------------------------------------------
+# A group takes the seed and, as keyword parameters with their defaults, the
+# params keys it reads; it yields (check id, value, row params) in row order.
 
 
-def _run_norms(col: _Collector, seed: int, params: dict) -> None:
+def _spectral_core(seed):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-
-    # spectral core
     g1 = make_grid(1, 256, 128, 0.1, 1.0)
     g2 = make_grid(2, 128, 64, 0.1, 1.0)
     worst_rt, worst_pv = 0.0, 0.0
@@ -342,36 +324,36 @@ def _run_norms(col: _Collector, seed: int, params: dict) -> None:
         lhs = np.sum(np.abs(f) ** 2) * g.dx**g.n
         rhs = np.sum(np.abs(spec) ** 2) / g.L**g.n
         worst_pv = max(worst_pv, abs(lhs - rhs) / lhs)
-    col.add("fft-roundtrip", worst_rt)
-    col.add("parseval", worst_pv)
+    yield "fft-roundtrip", worst_rt, {}
+    yield "parseval", worst_pv, {}
     for cid, g in (("free-gaussian-n1", g1), ("free-gaussian-n2", g2)):
         c = np.full(g.n, g.L / 2.0)
         p = np.full(g.n, 0.25)
         f0 = _gaussian_free(g, c, 4.0, p, 0.0)
         err = l2_norm(g, free_propagate(g, f0, 1.0) - _gaussian_free(g, c, 4.0, p, 1.0))
-        col.add(cid, err / l2_norm(g, f0), {"N": g.N, "n": g.n})
+        yield cid, err / l2_norm(g, f0), {"N": g.N, "n": g.n}
 
-    # dyadic calculus
+
+def _dyadic_calculus(seed):
     ks = np.arange(-30, 31)
     rs = np.concatenate([np.geomspace(2.0**-8, 2.0**8, 400), [1.0, 1.3]])
     pou = max(abs(np.sum(CUTOFFS.phi(r * 2.0**-ks)) - 1.0) for r in rs)
-    col.add("lp-partition-unity", float(pou))
+    yield "lp-partition-unity", float(pou), {}
     g = make_grid(2, 64, 32, 0.25, 1.0)
     f = gaussian_wavepacket(g, (16, 16), 3.0, (0.2, 0.1))
     dec = BandDecomposition.compute(g, f)
-    col.add("lp-band-reconstruction", l2_norm(g, dec.reconstruct() - f) / l2_norm(g, f))
+    yield "lp-band-reconstruction", l2_norm(g, dec.reconstruct() - f) / l2_norm(g, f), {}
     h = gaussian_wavepacket(g, (18, 15), 4.0, (-0.05, 0.1)).real
     groups = paraproduct_split(g, f.real, h, -2)
     direct = project_band(g, f.real * h, -2)
     scale = max(l2_norm(g, direct), 1e-30)
-    col.add(
-        "lp-paraproduct-identity", l2_norm(g, sum(groups.values()) - direct) / scale
-    )
+    yield "lp-paraproduct-identity", l2_norm(g, sum(groups.values()) - direct) / scale, {}
 
-    # scale invariance of the smallness functionals on five presets
+
+def _y_scale_invariance(seed, rotation_count=8):
+    """Scale invariance of the smallness functionals on five presets."""
     g = make_grid(2, 64, 32, 1.0 / 32.0, 1.0)
-    sampler = RotationSampler(2, count=int(params.get("rotation_count", 8)), refine_rounds=0)
-    yp = YNormParams(sampler=sampler)
+    yp = YNormParams(sampler=RotationSampler(2, count=int(rotation_count)))
     presets = [
         ("gauss_bump", {"seed": 0, "width": 3.0}),
         ("gauss_bump", {"seed": 1, "width": 2.5}),
@@ -393,7 +375,7 @@ def _run_norms(col: _Collector, seed: int, params: dict) -> None:
             r = fn(B) / fn(A)
             worst[j] = max(worst[j], abs(r - 1.0))
     for j in range(4):
-        col.add(f"y-scale-invariance-y{j}", worst[j], {"presets": len(presets)})
+        yield f"y-scale-invariance-y{j}", worst[j], {"presets": len(presets)}
 
 
 def _constant_potential(grid: Grid, a) -> VectorPotential:
@@ -416,54 +398,77 @@ def _transported_free(grid: Grid, f, a, t):
     return np.fft.ifftn(spec * shift)
 
 
-def _run_solve(col: _Collector, seed: int, params: dict) -> None:
+def _solve_data(dt: float = 1.0 / 64.0):
+    g = make_grid(2, 64, 32, dt, 1.0)
+    return g, gaussian_wavepacket(g, (12, 16), 5.0, (0.05, -0.05))
+
+
+def _transport_error(dt: float) -> float:
+    """L2 error at t = 1 of the solve under a constant potential, against the
+    free flow transported along it."""
     a = np.array([0.8, -0.6])
-    errs = []
-    for dt in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):
-        g = make_grid(2, 64, 32, dt, 1.0)
-        f = gaussian_wavepacket(g, (12, 16), 5.0, (0.05, -0.05))
-        u = solve(g, f, _constant_potential(g, a), None)
-        errs.append(l2_norm(g, u.values[-1] - _transported_free(g, f, a, 1.0)))
-    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
-    col.add("solve-order", min(orders), {"orders": orders})
-    g = make_grid(2, 64, 32, 1.0 / 64.0, 1.0)
-    f = gaussian_wavepacket(g, (12, 16), 5.0, (0.05, -0.05))
+    g, f = _solve_data(dt)
     u = solve(g, f, _constant_potential(g, a), None)
-    col.add(
-        "solve-transport-oracle",
-        l2_norm(g, u.values[-1] - _transported_free(g, f, a, 1.0)),
-        {"dt": 1.0 / 64.0},
-    )
+    return l2_norm(g, u.values[-1] - _transported_free(g, f, a, 1.0))
 
-    g = make_grid(2, 64, 32, 1.0 / 64.0, 1.0)
-    f = gaussian_wavepacket(g, (12, 16), 5.0, (0.05, -0.05))
-    A_df = make_potential("divfree_curl", 0.2, g, seed=seed, width=2.5)
-    u = solve(g, f, A_df, None)
-    col.add("solve-charge-drift", float(np.max(np.abs(u.slice_l2() - u.slice_l2()[0]))))
 
+def _low_band_setup(seed):
+    """The 64-step grid, data, low-band potential and forcing of the Duhamel,
+    compose, reversal and energy checks."""
+    g, f = _solve_data()
     A = make_potential("low_band", 0.1, g, seed=seed + 1, k_cap=-3)
     bump = gaussian_wavepacket(g, (18, 14), 3.0, (0.0, 0.05))
 
     def F(t):
         return np.exp(-2.0 * (t - 0.4) ** 2) * bump
 
+    return g, f, A, F
+
+
+def _solve_order(seed):
+    errs = [_transport_error(dt) for dt in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)]
+    orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(2)]
+    yield "solve-order", min(orders), {"orders": orders}
+
+
+def _solve_transport(seed):
+    yield "solve-transport-oracle", _transport_error(1.0 / 64.0), {"dt": 1.0 / 64.0}
+
+
+def _solve_charge(seed):
+    g, f = _solve_data()
+    u = solve(g, f, make_potential("divfree_curl", 0.2, g, seed=seed, width=2.5), None)
+    yield "solve-charge-drift", float(np.max(np.abs(u.slice_l2() - u.slice_l2()[0]))), {}
+
+
+def _solve_duhamel(seed):
+    g, f, A, F = _low_band_setup(seed)
     u1 = solve(g, f, A, F)
     u2 = duhamel_solve(g, f, A, F)
     err = max(l2_norm(g, u1.values[i] - u2.values[i]) for i in range(0, g.n_steps + 1, 8))
-    col.add("solve-duhamel-agreement", err)
+    yield "solve-duhamel-agreement", err, {}
 
+
+def _solve_compose(seed):
+    g, f, A, _ = _low_band_setup(seed)
+    # s off the step grid, so each side takes a remainder step: at s = 1/2 both
+    # sides are the same 64 steps and the check could not fail
+    yield "solve-compose", propagator_compose_check(g, A, 0.5 + g.dt / 3, 1.0, [f]), {}
+
+
+def _solve_reversal(seed):
+    g, f, A, _ = _low_band_setup(seed)
     handle = PropagatorHandle(g, A, SolverConfig(dt=g.dt))
-    mid = handle.apply(f, 0.5, 0.0)
-    via = handle.apply(mid, 1.0, 0.5)
-    direct = handle.apply(f, 1.0, 0.0)
-    col.add("solve-compose", l2_norm(g, via - direct) / l2_norm(g, f))
-    back = handle.apply(direct, 0.0, 1.0)
-    col.add("solve-reversal", l2_norm(g, back - f) / l2_norm(g, f))
+    back = handle.apply(handle.apply(f, 1.0, 0.0), 0.0, 1.0)
+    yield "solve-reversal", l2_norm(g, back - f) / l2_norm(g, f), {}
 
+
+def _solve_energy(seed):
+    g, f, A, F = _low_band_setup(seed)
     out = energy_bound_check(g, f, A, F)
     if out["pass"] is None:
         raise FloatingPointError("energy bound premise violated in the default setup")
-    col.add(
+    yield (
         "solve-energy-bound",
         out["sup_l2"] / out["bound"],
         {"div_l1linf": out["div_l1linf"], "grad_l1linf": out["grad_l1linf"]},
@@ -480,12 +485,8 @@ def _parametrix_setup(seed: int):
     return g, k_f, scale
 
 
-def _run_parametrix(col: _Collector, seed: int, params: dict) -> None:
+def _phase_identity(seed):
     g, k_f, scale = _parametrix_setup(seed)
-    budget = float(params.get("max_products", 5e9))
-    f = annulus_data(g, k_f, seed=seed + 2)
-    eps_list = list(params.get("eps_list", (0.02, 0.05, 0.1, 0.2)))
-
     A_ref = make_potential("low_band", 0.1 / scale, g, seed=seed, single_band=-6)
     ang = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     dirs16 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -493,7 +494,14 @@ def _run_parametrix(col: _Collector, seed: int, params: dict) -> None:
     res = phase_identity_residual(
         ph, A_ref, 2.0**k_f * dirs16, t_indices=(0, g.n_steps // 2, g.n_steps)
     )
-    col.add("phase-identity", res, {"directions": 16, "time_slices": 3})
+    yield "phase-identity", res, {"directions": 16, "time_slices": 3}
+
+
+def _eps_sweep(seed, eps_list=(0.02, 0.05, 0.1, 0.2), max_products=5e9):
+    g, k_f, scale = _parametrix_setup(seed)
+    budget = float(max_products)
+    f = annulus_data(g, k_f, seed=seed + 2)
+    eps_list = list(eps_list)
 
     def operator(eps):
         A = make_potential("low_band", eps / scale, g, seed=seed, single_band=-6)
@@ -528,20 +536,19 @@ def _run_parametrix(col: _Collector, seed: int, params: dict) -> None:
     eps_arr = np.array(eps_list)
     slope_v0, r2_v0 = _fit_through_origin(eps_arr, np.array(v0_err))
     slope_res, r2_res = _fit_through_origin(eps_arr, np.array(res_norm))
-    col.add("parametrix-v0-linearity", r2_v0, {"slope": slope_v0, "eps": eps_list})
-    col.add("parametrix-residual-linearity", r2_res, {"slope": slope_res, "eps": eps_list})
-    col.add("dual-path-residual", float(np.max(dual)))
-    col.add("parametrix-lqlr-factor", worst_factor, {"pairs": len(pairs)})
+    yield "parametrix-v0-linearity", r2_v0, {"slope": slope_v0, "eps": eps_list}
+    yield "parametrix-residual-linearity", r2_res, {"slope": slope_res, "eps": eps_list}
+    yield "dual-path-residual", float(np.max(dual)), {}
+    yield "parametrix-lqlr-factor", worst_factor, {"pairs": len(pairs)}
 
     if taylor_err is None:
         op = operator(0.1)
         taylor_err = taylor_error(op, op.apply())
-    col.add("parametrix-taylor-error", taylor_err, {"order": 4, "eps": 0.1})
+    yield "parametrix-taylor-error", taylor_err, {"order": 4, "eps": 0.1}
 
 
-def _run_strichartz(col: _Collector, seed: int, params: dict) -> None:
-    g = make_grid(2, 64, 32, 1.0 / 64.0, 1.0)
-    f = gaussian_wavepacket(g, (12, 16), 5.0, (0.05, -0.05))
+def _strichartz_sweep(seed, eps_list=(0.025, 0.05, 0.075, 0.1)):
+    g, f = _solve_data()
     bump = gaussian_wavepacket(g, (18, 14), 3.0)
 
     def F(t):
@@ -559,7 +566,7 @@ def _run_strichartz(col: _Collector, seed: int, params: dict) -> None:
         return max(lqlr_norm(u, p.q, p.r) for p in pairs) / denom
 
     base = ratio(solve(g, f, None, F))
-    eps_list = list(params.get("eps_list", (0.025, 0.05, 0.075, 0.1)))
+    eps_list = list(eps_list)
     presets = [
         ("gauss_bump", {"seed": seed, "width": 2.5}),
         ("divfree_curl", {"seed": seed + 1, "width": 2.5}),
@@ -578,32 +585,31 @@ def _run_strichartz(col: _Collector, seed: int, params: dict) -> None:
             prev = r
     # trend_flips counts non-monotone eps steps; reported, not checked, since the
     # ratio is not monotone in eps at every seed
-    col.add(
+    yield (
         "strichartz-ratio-excess",
         worst_excess,
         {"baseline": base, "eps": eps_list, "trend_flips": trend_flips},
     )
 
 
-def _run_dispersive(col: _Collector, seed: int, params: dict) -> None:
-    t_list = list(params.get("t_list", (1, 1.41, 2, 2.83, 4, 5.66, 8, 11.3, 16)))
-    for mu in (0, 1, 2):
-        caps = random_caps(2, mu, seed=seed + mu)
-        tab = cap_oscillatory_decay(t_list, caps, k_f=0, n=2)
-        col.add(
-            f"dispersive-slope-mu{mu}",
-            abs(decay_slope(tab) + 1.0),
-            {"slope": decay_slope(tab), "sup_t1": float(tab["sup"][0])},
-        )
-    tab = cap_oscillatory_decay(t_list, [], k_f=0, n=2, fixed_axis=True)
-    col.add(
-        "dispersive-fixed-axis-slope",
-        abs(decay_slope(tab) + 0.5),
-        {"slope": decay_slope(tab)},
+_T_LIST = (1, 1.41, 2, 2.83, 4, 5.66, 8, 11.3, 16)
+
+
+def _dispersive_slope(mu, seed, t_list=_T_LIST):
+    tab = cap_oscillatory_decay(list(t_list), random_caps(2, mu, seed=seed + mu), k_f=0, n=2)
+    yield (
+        f"dispersive-slope-mu{mu}",
+        abs(decay_slope(tab) + 1.0),
+        {"slope": decay_slope(tab), "sup_t1": float(tab["sup"][0])},
     )
 
 
-def _run_error_terms(col: _Collector, seed: int, params: dict) -> None:
+def _fixed_axis_slope(seed, t_list=_T_LIST):
+    tab = cap_oscillatory_decay(list(t_list), [], k_f=0, n=2, fixed_axis=True)
+    yield "dispersive-fixed-axis-slope", abs(decay_slope(tab) + 0.5), {"slope": decay_slope(tab)}
+
+
+def _error_terms(seed):
     g = make_grid(2, 128, 64, 1.0 / 64.0, 0.5)
     f = annulus_data(g, -3, seed=seed + 3)
     worst_identity = 0.0
@@ -611,36 +617,42 @@ def _run_error_terms(col: _Collector, seed: int, params: dict) -> None:
     for eps in (0.05, 0.1, 0.2):
         A = make_potential("low_band", eps, g, seed=seed, k_cap=-6)
         u = solve(g, f, A, None)
-        for k in (-4, -3, -2):
-            e = error_term(u, A, k)
+        band_norms = list(_besov_band_norms(u, A, (-4, -2)))
+        for k, _, _, e in band_norms:
             total = sum(error_term_groups(u, A, k).values())
             scale = max(float(np.max(np.abs(e))), 1e-30)
             worst_identity = max(worst_identity, float(np.max(np.abs(total - e))) / scale)
-        band_norms = _besov_band_norms(u, A, (-4, -2))
         for s in (0.0, 1.0):
             ratios[s].append(_besov_ratio(band_norms, eps, s))
-    col.add("error-term-identity", worst_identity)
+    yield "error-term-identity", worst_identity, {}
     for s, tag in ((0.0, "s0"), (1.0, "s1")):
         vals = np.array(ratios[s])
-        col.add(
+        yield (
             f"error-term-besov-stability-{tag}",
             float(vals.max() / vals.min()),
             {"ratios": [float(v) for v in vals]},
         )
 
 
-def _run_nets(col: _Collector, seed: int, params: dict) -> None:
+def _cap_partition_sum(seed):
     worst_sum = 0.0
     for n, m in ((2, 2), (2, 4), (3, 3)):
         part = cap_partition(angular_net(n, m))
         pts = _dense_sphere_sample(n, 1000, seed=seed + m)
         worst_sum = max(worst_sum, float(np.max(np.abs(part.values(pts).sum(axis=0) - 1.0))))
-    col.add("cap-partition-sum", worst_sum)
-    consts = [angular_net(3, m).count / 4.0**m for m in (1, 2, 3)]
-    col.add("net-cardinality-constant", float(np.max(consts)), {"per_scale": consts})
+    yield "cap-partition-sum", worst_sum, {}
 
+
+def _net_cardinality(seed):
+    consts = [angular_net(3, m).count / 4.0**m for m in (1, 2, 3)]
+    yield "net-cardinality-constant", float(np.max(consts)), {"per_scale": consts}
+
+
+def _ray_bound_draws(seed):
+    """The ray-bound check's (k, grid, band spectrum) for k = -2 .. 2 and the
+    generator they were drawn from, which the sequence lemma draws from next."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    ray_ratios = []
+    draws = []
     for k in (-2, -1, 0, 1, 2):
         g = make_grid(2, 256, 64.0 * 2.0**-k, 0.5, 1.0)
         lo = (2.0 - CUTOFFS.glue_width) * 2.0 ** (k - 1)
@@ -648,18 +660,28 @@ def _run_nets(col: _Collector, seed: int, params: dict) -> None:
         sel = (g.xi_norm > lo) & (g.xi_norm < hi)
         spec = np.zeros(g.shape, dtype=complex)
         spec[sel] = rng.normal(size=int(sel.sum())) + 1j * rng.normal(size=int(sel.sum()))
+        draws.append((k, g, spec))
+    return draws, rng
+
+
+def _ray_bound(seed):
+    draws, _ = _ray_bound_draws(seed)
+    ray_ratios = []
+    for k, g, spec in draws:
         fband = fourier_inverse(g, spec).real
         meshes = g.spatial_meshes()
         env = np.exp(-sum((x - g.L / 2) ** 2 for x in meshes) / (g.L / 7.0) ** 2)
-        out = pointwise_ray_bound_check(g, fband * env, k)
-        ray_ratios.append(out["ratio"])
+        ray_ratios.append(pointwise_ray_bound_check(g, fband * env, k)["ratio"])
     ray_ratios = np.array(ray_ratios)
-    col.add(
+    yield (
         "ray-bound-stability",
         float(ray_ratios.max() / ray_ratios.min()),
         {"ratios": [float(v) for v in ray_ratios]},
     )
 
+
+def _sequence_lemma(seed):
+    _, rng = _ray_bound_draws(seed)
     for h in (0.125, 0.25 - 0.0625):
         rats = []
         for _ in range(1000):
@@ -668,31 +690,81 @@ def _run_nets(col: _Collector, seed: int, params: dict) -> None:
             _, r = sequence_bound_check(a, b, h)
             rats.append(r)
         rats = np.array(rats)
-        col.add(
+        yield (
             "sequence-lemma-stability",
             float(rats.max() / np.median(rats)),
             {"h": h, "max_ratio": float(rats.max())},
         )
 
 
-_RUNNERS = {
-    "norms": _run_norms,
-    "solve": _run_solve,
-    "parametrix": _run_parametrix,
-    "strichartz-sweep": _run_strichartz,
-    "dispersive": _run_dispersive,
-    "error-terms": _run_error_terms,
-    "nets": _run_nets,
-}
+# (check ids, group) in run order; every id belongs to one experiment
+_GROUPS = (
+    (("fft-roundtrip", "parseval", "free-gaussian-n1", "free-gaussian-n2"), _spectral_core),
+    (("lp-partition-unity", "lp-band-reconstruction", "lp-paraproduct-identity"), _dyadic_calculus),
+    (tuple(f"y-scale-invariance-y{j}" for j in range(4)), _y_scale_invariance),
+    (("solve-order",), _solve_order),
+    (("solve-transport-oracle",), _solve_transport),
+    (("solve-charge-drift",), _solve_charge),
+    (("solve-duhamel-agreement",), _solve_duhamel),
+    (("solve-compose",), _solve_compose),
+    (("solve-reversal",), _solve_reversal),
+    (("solve-energy-bound",), _solve_energy),
+    (("phase-identity",), _phase_identity),
+    (("parametrix-v0-linearity", "parametrix-residual-linearity", "dual-path-residual",
+      "parametrix-lqlr-factor", "parametrix-taylor-error"), _eps_sweep),
+    (("strichartz-ratio-excess",), _strichartz_sweep),
+    *(((f"dispersive-slope-mu{mu}",), partial(_dispersive_slope, mu)) for mu in (0, 1, 2)),
+    (("dispersive-fixed-axis-slope",), _fixed_axis_slope),
+    (("error-term-identity", "error-term-besov-stability-s0", "error-term-besov-stability-s1"),
+     _error_terms),
+    (("cap-partition-sum",), _cap_partition_sum),
+    (("net-cardinality-constant",), _net_cardinality),
+    (("ray-bound-stability",), _ray_bound),
+    (("sequence-lemma-stability",), _sequence_lemma),
+)
+
+
+def _groups_of(experiment: str) -> list:
+    return [(ids, body) for ids, body in _GROUPS if CHECK_CATALOG[ids[0]][0] == experiment]
+
+
+def _group_params(body) -> list[str]:
+    """The params keys a group reads: its parameters after the seed."""
+    return list(inspect.signature(body).parameters)[1:]
+
+
+def _row(config: ExperimentConfig, check_id: str, value: float, params: dict) -> dict:
+    if not np.isfinite(value):
+        raise FloatingPointError(
+            f"check {check_id} produced a non-finite value ({value}) with params {params}"
+        )
+    _, default_thr, cmp_ = CHECK_CATALOG[check_id]
+    thr = config.tolerances.get(check_id, default_thr)
+    ok = value <= thr if cmp_ == "le" else value >= thr
+    return {
+        "check_id": check_id,
+        "params": params,
+        "value": float(value),
+        "threshold": float(thr),
+        "pass": bool(ok),
+    }
 
 
 def run(config: ExperimentConfig) -> RunReport:
-    """Execute one experiment; writes report.csv and summary.json when out_dir set."""
-    col = _Collector(config)
+    """Execute the groups of the enabled checks; writes report.csv and
+    summary.json when out_dir set."""
+    enabled = set(CHECK_CATALOG if config.checks is None else config.checks)
+    rows, stages = [], []
     start = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _RUNNERS[config.experiment](col, config.seed, config.params)
+        for ids, body in _groups_of(config.experiment):
+            if enabled.isdisjoint(ids):
+                continue
+            kwargs = {k: config.params[k] for k in _group_params(body) if k in config.params}
+            began = time.monotonic()
+            rows += [_row(config, *out) for out in body(config.seed, **kwargs) if out[0] in enabled]
+            stages.append({"checks": list(ids), "seconds": time.monotonic() - began})
     wall = time.monotonic() - start
     counts = Counter((str(w.message), w.category.__name__) for w in caught)
     diagnostics = sorted((msg, cat, n) for (msg, cat), n in counts.items())
@@ -702,7 +774,10 @@ def run(config: ExperimentConfig) -> RunReport:
         "numpy": np.__version__,
         "platform": platform.platform(),
     }
-    report = RunReport(config.experiment, config.seed, col.rows, env, wall, diagnostics)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    report = RunReport(
+        config.experiment, config.seed, rows, env, wall, diagnostics, stages, peak_rss_mb
+    )
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

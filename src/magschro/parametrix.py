@@ -808,24 +808,25 @@ def error_term_besov_ratio(
     return _besov_ratio(_besov_band_norms(u, A, k_range), eps, s)
 
 
-def _besov_band_norms(u: SpaceTimeField, A: VectorPotential, k_range: tuple[int, int]) -> list:
-    """(k, ||E^k||_{L1L2}, ||u_k||_{LinfL2}) per band of ``k_range``, from one
-    `_band_error_terms` pass; the Besov ratio at any s is `_besov_ratio` of them."""
+def _besov_band_norms(u: SpaceTimeField, A: VectorPotential, k_range: tuple[int, int]):
+    """(k, ||E^k||_{L1L2}, ||u_k||_{LinfL2}, E^k) per band of ``k_range``, lazily,
+    from one `_band_error_terms` pass; the Besov ratio at any s is `_besov_ratio`
+    of them.  The inputs are checked on the call, before the first band."""
     ks = range(k_range[0], k_range[1] + 1)
     if not ks:
         raise ValueError(f"empty band range {k_range}")
     _check_error_inputs(u, A, ks)
     grid = u.grid
-    return [
+    return (
         (k, time_lq(grid.times, slice_l2(grid, e_k), 1.0),
-         float(np.max(slice_l2(grid, fourier_inverse(grid, uk_hat)))))
+         float(np.max(slice_l2(grid, fourier_inverse(grid, uk_hat)))), e_k)
         for k, (e_k, uk_hat, _) in zip(ks, _band_error_terms(u, A, ks))
-    ]
+    )
 
 
-def _besov_ratio(band_norms: list, eps: float, s: float) -> float:
+def _besov_ratio(band_norms, eps: float, s: float) -> float:
     num = den = 0.0
-    for k, e_norm, u_norm in band_norms:
+    for k, e_norm, u_norm, _ in band_norms:
         num += 2.0 ** (2 * k * s) * e_norm**2
         den += 2.0 ** (2 * k * s) * u_norm**2
     return num / (eps**2 * den) if den > 0 else 0.0

@@ -12,6 +12,8 @@ import pytest
 
 from magschro.experiments import EXPERIMENT_IDS, ExperimentConfig, run
 
+pytestmark = pytest.mark.slow  # seven full experiments
+
 SEED = 2026
 
 CRITERIA = {

@@ -1,5 +1,6 @@
-"""Config validation, check catalog, report contract, CLI, snapshots."""
+"""Config validation, check catalog, check groups, report contract, CLI, snapshots."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from magschro import experiments
 from magschro.experiments import (
     CHECK_CATALOG,
     EXPERIMENT_IDS,
@@ -24,6 +26,15 @@ from magschro.snapshots import (
     write_norm_report_csv,
     write_y_report_csv,
 )
+
+
+def _stub_groups(monkeypatch, make_stub):
+    """Replace each group by ``make_stub(ids)``, which keeps the group's signature
+    and so the params keys the experiment accepts."""
+    stubs = tuple(
+        (ids, functools.wraps(body)(make_stub(ids))) for ids, body in experiments._GROUPS
+    )
+    monkeypatch.setattr(experiments, "_GROUPS", stubs)
 
 
 class TestValidate:
@@ -88,8 +99,6 @@ class TestValidate:
 
     @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
     def test_keys_of_other_experiments_rejected(self, experiment, monkeypatch):
-        from magschro import experiments
-
         foreign = next(cid for cid, (exp, _, _) in CHECK_CATALOG.items() if exp != experiment)
         key, value = ("eps_list", [0.1]) if experiment == "dispersive" else ("t_list", [1.0, 2.0])
         bad = [
@@ -99,7 +108,7 @@ class TestValidate:
             ({"checks": []}, "checks"),
         ]
         calls = []
-        monkeypatch.setitem(experiments._RUNNERS, experiment, lambda *args: calls.append(args))
+        _stub_groups(monkeypatch, lambda ids: lambda *args, **kwargs: calls.append(ids))
         for extra, name in bad:
             raw = {"version": 1, "experiment": experiment, **extra}
             assert any(name in d for d in validate(raw)), (extra, validate(raw))
@@ -114,6 +123,12 @@ class TestValidate:
         for cid, (exp, thr, cmp_) in CHECK_CATALOG.items():
             assert exp in EXPERIMENT_IDS
             assert cmp_ in ("le", "ge")
+
+    def test_every_check_in_one_group_of_its_experiment(self):
+        grouped = [cid for ids, _ in experiments._GROUPS for cid in ids]
+        assert sorted(grouped) == sorted(CHECK_CATALOG)
+        for ids, _ in experiments._GROUPS:
+            assert len({CHECK_CATALOG[cid][0] for cid in ids}) == 1, ids
 
 
 class TestRun:
@@ -135,6 +150,14 @@ class TestRun:
         summary = json.loads((tmp_path / "nets-summary.json").read_text())
         assert summary["passed"] is True
         assert "environment" in summary and "numpy" in summary["environment"]
+        # the ray-bound group is not enabled, so it does not run
+        assert [s["checks"] for s in summary["stages"]] == [
+            ["cap-partition-sum"],
+            ["net-cardinality-constant"],
+            ["sequence-lemma-stability"],
+        ]
+        assert all(s["seconds"] >= 0 for s in summary["stages"])
+        assert summary["peak_rss_mb"] > 0
 
     def test_deterministic_reports(self, tmp_path):
         cfg = dict(
@@ -171,15 +194,13 @@ class TestRun:
     def test_warnings_become_diagnostics(self, monkeypatch, tmp_path):
         import warnings
 
-        from magschro import experiments
-
-        def runner(col, seed, params):
+        def group(seed):
             for _ in range(2):
                 warnings.warn("wrap depth 256 at band -6")
             warnings.warn("mass near Nyquist", RuntimeWarning)
-            col.add("cap-partition-sum", 0.0)
+            yield "cap-partition-sum", 0.0, {}
 
-        monkeypatch.setitem(experiments._RUNNERS, "nets", runner)
+        monkeypatch.setattr(experiments, "_GROUPS", ((("cap-partition-sum",), group),))
         report = run(ExperimentConfig(experiment="nets", out_dir=str(tmp_path)))
         expected = [
             ("mass near Nyquist", "RuntimeWarning", 1),
@@ -189,6 +210,34 @@ class TestRun:
         summary = json.loads((tmp_path / "nets-summary.json").read_text())
         assert summary["diagnostics"] == [list(d) for d in expected]
         assert [r["check_id"] for r in summary["rows"]] == ["cap-partition-sum"]
+
+    @pytest.mark.parametrize("check_id", list(CHECK_CATALOG))
+    def test_one_check_runs_only_its_group(self, check_id, monkeypatch):
+        ran = []
+
+        def make_stub(ids):
+            def group(seed, **kwargs):
+                if check_id not in ids:
+                    raise AssertionError(f"group {ids} ran for {check_id}")
+                ran.append(ids)
+                for cid in ids:
+                    yield cid, 0.0, {}
+
+            return group
+
+        _stub_groups(monkeypatch, make_stub)
+        experiment = CHECK_CATALOG[check_id][0]
+        report = run(ExperimentConfig(experiment=experiment, checks=(check_id,)))
+        assert len(ran) == 1
+        assert [r["check_id"] for r in report.rows] == [check_id]
+        assert [s["checks"] for s in report.stages] == [list(ran[0])]
+
+    @pytest.mark.parametrize("experiment", ["nets", "solve"])
+    def test_group_alone_matches_full_run(self, experiment):
+        full = run(ExperimentConfig(experiment=experiment, seed=5)).rows
+        for ids, _ in experiments._groups_of(experiment):
+            alone = run(ExperimentConfig(experiment=experiment, seed=5, checks=ids)).rows
+            assert alone == [r for r in full if r["check_id"] in ids], ids
 
 
 class TestCli:
