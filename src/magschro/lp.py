@@ -323,7 +323,8 @@ def sequence_bound_check(a: np.ndarray, b: np.ndarray, h: float) -> tuple[float,
     pad = ceil(27.0 / h)
     ks = np.arange(-pad, m + 3)
     terms = 2.0 ** (-h * np.arange(m)) * a * b
-    inner = np.array([terms[max(kk - 2, 0):].sum() for kk in ks])
+    suffix = np.append(np.cumsum(terms[::-1])[::-1], 0.0)  # suffix[j] = sum of terms[j:]
+    inner = suffix[np.clip(ks - 2, 0, m)]
     lhs = float(np.sqrt(np.sum(2.0 ** (2 * h * ks) * inner**2)))
     denom = float(np.max(np.abs(a)) * np.sqrt(np.sum(b**2)))
     ratio = lhs / denom if denom > 0 else 0.0

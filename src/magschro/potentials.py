@@ -70,6 +70,7 @@ class VectorPotential:
     cutoffs: CutoffPair = CUTOFFS  # accepted only as the lab's one pair
     _bands: dict = field(default_factory=dict, repr=False)
     _dt_values: np.ndarray | None = field(default=None, repr=False)
+    _dt_spectrum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.cutoffs != CUTOFFS:
@@ -149,9 +150,14 @@ class VectorPotential:
         return self._bands[k]
 
     def dt_band(self, k: int) -> np.ndarray:
-        """P_k dt A (real part); recomputed on every call, unlike ``band``."""
-        dt_spec = fourier_forward(self.grid, self.time_derivative())
-        return fourier_inverse(self.grid, dt_spec * band_mask(self.grid, k)).real
+        """P_k dt A (real part): one inverse transform of the dt A spectrum.
+
+        The spectrum is cached on the potential like the bands; the bands of
+        dt A are not, so each call makes that one transform.
+        """
+        if self._dt_spectrum is None:
+            self._dt_spectrum = fourier_forward(self.grid, self.time_derivative())
+        return fourier_inverse(self.grid, self._dt_spectrum * band_mask(self.grid, k)).real
 
     def divergence(self) -> np.ndarray:
         spec = fourier_forward(self.grid, self.values)
@@ -168,14 +174,22 @@ class VectorPotential:
         return out
 
     def hessian_of(self, sampled: np.ndarray) -> np.ndarray:
-        """(n_t+1, n, n, n_comp, spatial) of d_i d_j applied to a (t, comp, x) array."""
-        spec = fourier_forward(self.grid, sampled)
-        n = self.grid.n
-        out = np.empty((sampled.shape[0], n, n, n) + self.grid.shape)
+        """(n_t+1, n, n, n_comp, spatial) of d_i d_j applied to a real (t, comp, x) array.
+
+        One real-input transform; only the pairs i <= j are inverted, and each
+        is copied to (j, i).  The Riemann weights of the two transforms cancel.
+        """
+        g = self.grid
+        n = g.n
+        axes = tuple(range(-n, 0))
+        spec = np.fft.rfftn(sampled, axes=axes)
+        xi = g.xi[..., : g.N // 2 + 1]  # the half spectrum rfftn keeps
+        out = np.empty((sampled.shape[0], n, n, n) + g.shape)
         for i in range(n):
-            for j in range(n):
-                mult = -4 * np.pi**2 * self.grid.xi[i] * self.grid.xi[j]
-                out[:, i, j] = fourier_inverse(self.grid, mult * spec).real
+            for j in range(i, n):
+                mult = -4 * np.pi**2 * xi[i] * xi[j]
+                out[:, i, j] = np.fft.irfftn(mult * spec, s=g.shape, axes=axes)
+                out[:, j, i] = out[:, i, j]
         return out
 
     def band_range(self) -> tuple[int, int]:

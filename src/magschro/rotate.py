@@ -10,6 +10,7 @@ factor into ZYZ planar rotations.  Rotation is about the box center.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,26 +19,25 @@ from .grid import Grid
 __all__ = ["rotate_field", "rotation_angle_2d", "RotationSampler", "sup_over_rotations"]
 
 
-def _centered_coords(grid: Grid) -> np.ndarray:
-    # coordinate values relative to the box center, index-aligned
-    return grid.x1d - grid.L / 2.0
+@lru_cache(maxsize=64)  # every shear of 32 planar rotations on one grid
+def _shear_table(grid: Grid, s: float) -> np.ndarray:
+    """exp(2 pi i xi_f s (x_c - L/2)) indexed [f, c]: frequency f, coordinate c."""
+    coords = grid.x1d - grid.L / 2.0  # relative to the box center
+    return np.exp(2j * np.pi * grid.freq1d[:, None] * (s * coords[None, :]))
 
 
 def _shear(grid: Grid, arr: np.ndarray, shift_axis: int, coord_axis: int, s: float) -> np.ndarray:
     """Evaluate f at (.., x_shift + s*(x_coord - c), ..): per-row spectral shift."""
     if s == 0.0:
         return arr
-    freqs = grid.freq1d
-    coords = _centered_coords(grid)
+    table = _shear_table(grid, s)
+    if shift_axis > coord_axis:
+        table = table.T
+    shape = [1] * arr.ndim
+    shape[shift_axis] = shape[coord_axis] = grid.N
     spec = np.fft.fft(arr, axis=shift_axis)
-    shape_f = [1] * arr.ndim
-    shape_f[shift_axis] = grid.N
-    shape_c = [1] * arr.ndim
-    shape_c[coord_axis] = grid.N
-    phase = np.exp(
-        2j * np.pi * freqs.reshape(shape_f) * (s * coords.reshape(shape_c))
-    )
-    return np.fft.ifft(spec * phase, axis=shift_axis)
+    spec *= table.reshape(shape)
+    return np.fft.ifft(spec, axis=shift_axis)
 
 
 def _quarter_turn(arr: np.ndarray, axis_a: int, axis_b: int, grid: Grid) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
 _GL3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 CFL_SAFETY = 0.5
+_PHASES_KEPT = 8  # free phases per stepper: dt, dt/2, three Gauss sub-steps and their halves
 
 
 class CFLError(ValueError):
@@ -90,6 +92,7 @@ class _Stepper:
         self.A = A
         self.F = F
         self.mask = _dealias_mask(grid)
+        self._phase = lru_cache(maxsize=_PHASES_KEPT)(partial(_free_phase, grid))
 
     def _rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -108,8 +111,8 @@ class _Stepper:
 
     def step(self, t: float, u: np.ndarray, dt: float) -> np.ndarray:
         g = self.grid
-        E_half = _free_phase(g, dt / 2.0)
-        E_full = _free_phase(g, dt)
+        E_half = self._phase(dt / 2.0)
+        E_full = self._phase(dt)
 
         def flow(phase, v):
             return fourier_inverse(g, phase * fourier_forward(g, v))

@@ -144,6 +144,23 @@ class TestRotation:
             w = rotate_field(g, f, R)
             assert np.max(np.abs(w - f)) <= 1e-6
 
+    def test_three_d_matches_analytic_rotation_oracle(self):
+        # oracle: a Gaussian with three different widths evaluated at rotated
+        # points, so a phase table on the wrong pair of axes shows
+        g = make_grid(3, 32, 16, 0.5, 1)
+        c = g.L / 2
+        widths = (2.5, 2.8, 3.2)
+
+        def field_at(p):
+            return np.exp(-np.pi * sum((pj - c) ** 2 / w**2 for pj, w in zip(p, widths)))
+
+        xs = g.spatial_meshes()
+        f = field_at(xs)
+        for R in RotationSampler(3, count=3, seed=11).samples():
+            p = [c + sum(R[i, j] * (xs[j] - c) for j in range(3)) for i in range(3)]
+            got = rotate_field(g, f, R)
+            assert np.max(np.abs(got - field_at(p))) <= 1e-6
+
     def test_sampler_orthogonality(self):
         for n in (2, 3):
             for R in RotationSampler(n, count=12, seed=3).samples():

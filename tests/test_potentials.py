@@ -185,6 +185,60 @@ class TestScaling:
         assert np.allclose(F2.values, 4.0 * u.values)
 
 
+class TestKernels:
+    """The Hessian and dt-band kernels behind Y2 and Y3."""
+
+    @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+    def test_hessian_matches_plane_waves(self, n, N):
+        # a real sum of plane waves below Nyquist, different in every (t, comp)
+        g = make_grid(n, N, 8.0, 0.5, 1.0)
+        rng = np.random.default_rng(n)
+        x = g.spatial_meshes()
+        modes = rng.integers(-N // 2 + 1, N // 2, size=(4, n))
+        amps = rng.normal(size=(4, g.n_steps + 1, n))
+        shifts = rng.uniform(0, 2 * np.pi, size=4)
+        sampled = np.zeros((g.n_steps + 1, n) + g.shape)
+        expected = np.zeros((g.n_steps + 1, n, n, n) + g.shape)
+        for m, a, phi in zip(modes, amps, shifts):
+            xi = m / g.L
+            wave = a.reshape(a.shape + (1,) * n) * np.cos(
+                2 * np.pi * sum(xi_j * x_j for xi_j, x_j in zip(xi, x)) + phi
+            )
+            sampled += wave
+            for i in range(n):
+                for j in range(n):
+                    expected[:, i, j] -= 4 * np.pi**2 * xi[i] * xi[j] * wave
+        A = VectorPotential(g, np.zeros((g.n_steps + 1, n) + g.shape))
+        out = A.hessian_of(sampled)
+        assert out.shape == expected.shape and out.dtype == np.float64
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for i in range(n):
+            for j in range(n):
+                assert np.array_equal(out[:, i, j], out[:, j, i])
+
+    @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+    def test_hessian_transform_count(self, n, N, fft_calls):
+        g = make_grid(n, N, 8.0, 0.5, 1.0)
+        A = make_potential("gauss_bump", 0.2, g, width=2.0)
+        A.hessian_of(A.values)
+        assert len(fft_calls) == 1 + n * (n + 1) // 2
+
+    def test_dt_band_one_transform_per_call(self, grid2, fft_calls):
+        from magschro.grid import fourier_forward, fourier_inverse
+        from magschro.lp import band_mask
+
+        A = make_potential("traveling_bump", 0.3, grid2, seed=2, width=5.0)
+        k = -2
+        first = A.dt_band(k)
+        fft_calls.clear()
+        again = A.dt_band(k)
+        assert len(fft_calls) == 1
+        direct = fourier_inverse(
+            grid2, fourier_forward(grid2, A.time_derivative()) * band_mask(grid2, k)
+        ).real
+        assert np.array_equal(first, direct) and np.array_equal(again, direct)
+
+
 def test_y23_report_structure(grid2):
     A = make_potential("gauss_bump", 0.1, grid2, seed=10, width=5.0)
     rep = y23_report(A, small_params(2))
