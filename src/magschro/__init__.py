@@ -20,6 +20,7 @@ from .grid import (
     make_grid,
 )
 from .lp import (
+    AnnulusCutoff,
     BandDecomposition,
     CutoffPair,
     bernstein_ratio,
@@ -68,7 +69,6 @@ from .solver import (
     solve,
 )
 from .parametrix import (
-    AnnulusCutoff,
     ParametrixOperator,
     PhaseField,
     annulus_data,

@@ -16,7 +16,7 @@ from math import floor, isqrt, log2
 import numpy as np
 
 from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
-from .lp import CUTOFFS
+from .lp import CUTOFFS, AnnulusCutoff
 
 __all__ = [
     "AngularNet",
@@ -361,8 +361,6 @@ def cap_oscillatory_decay(
     phase matrix.  Returns {"t": ..., "sup": ...} plus the zero-time sanity
     value at x = 0 (full path) or the frozen coordinate "xi1" (fixed axis).
     """
-    from .parametrix import AnnulusCutoff
-
     om = AnnulusCutoff(k_f)
     t_list = np.asarray(sorted(t_list), dtype=float)
     if not np.all(np.isfinite(t_list) & (t_list >= 0)):

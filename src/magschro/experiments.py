@@ -59,6 +59,7 @@ from .grid import (
 )
 from .lp import (
     CUTOFFS,
+    AnnulusCutoff,
     BandDecomposition,
     paraproduct_split,
     project_band,
@@ -85,7 +86,6 @@ from .solver import (
     solve,
 )
 from .parametrix import (
-    AnnulusCutoff,
     ParametrixOperator,
     annulus_data,
     build_sigma,
@@ -131,11 +131,17 @@ _SCHEMA = {
         "params": {
             "type": "object",
             "properties": {
-                "eps_list": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-                "t_list": {
+                "eps_list": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 2,
+                    "uniqueItems": True,
+                },
+                "t_list": {  # the lattice side N doubles with t: N = 8192 at t = 16
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 16},
+                    "minItems": 2,
+                    "uniqueItems": True,
                 },
                 "max_products": {"type": "number", "exclusiveMinimum": 0},
                 "rotation_count": {"type": "integer", "minimum": 1},
@@ -251,7 +257,8 @@ class RunReport:
 def validate(raw: dict) -> list[str]:
     """Schema diagnostics, then on a schema-clean config the rules it does not
     state: check ids, tolerance ids and params keys are ones the experiment
-    reads.  Side-effect free; every ``ExperimentConfig`` passes it."""
+    reads, and every tolerance and params number is finite.  Side-effect free;
+    every ``ExperimentConfig`` passes it."""
     diags = [
         f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
         for e in Draft202012Validator(_SCHEMA).iter_errors(raw)
@@ -262,12 +269,14 @@ def validate(raw: dict) -> list[str]:
     own = {cid for cid, (e, _, _) in CHECK_CATALOG.items() if e == exp}
     params = {key for _, body in _groups_of(exp) for key in _group_params(body)}
     allowed = {"checks": own, "tolerances": own, "params": params}
-    return [
-        f"{key}: '{name}' is not read by the {exp} experiment"
-        for key, names in allowed.items()
-        for name in raw.get(key, ())
-        if name not in names
-    ]
+    diags = []
+    for key, names in allowed.items():
+        for name in raw.get(key, ()):
+            if name not in names:
+                diags.append(f"{key}: '{name}' is not read by the {exp} experiment")
+            elif key != "checks" and not np.all(np.isfinite(raw[key][name])):
+                diags.append(f"{key}/{name}: {raw[key][name]!r} is not finite")
+    return diags
 
 
 def list_checks() -> list[dict]:

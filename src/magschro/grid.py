@@ -10,6 +10,11 @@ discretized as a Riemann sum with weight dx^n, so discrete norms approximate
 continuum integrals with no extra factors.  Frequencies live on the dual
 lattice (1/L)*{-N/2, ..., N/2-1}^n and are stored unshifted (FFT order);
 ``Grid.freq_physical`` gives the sorted physical-order view.
+
+Two spectral rules live here once: ``_free_phase`` (exp(-4*pi^2*i*t*|xi|^2),
+shared by the free flow and the solver's Lawson steps) and ``_mass_share``
+(the share of a spectrum's L^2 mass under a weight, read by every spectral
+guard in the package).
 """
 
 from __future__ import annotations
@@ -170,12 +175,22 @@ def l2_norm(grid: Grid, values: np.ndarray) -> float:
     return float(slice_l2(grid, values))
 
 
-def _nyquist_leak_fraction(grid: Grid, spectrum: np.ndarray) -> float:
-    total = np.sum(np.abs(spectrum) ** 2)
+def _mass_share(spectrum: np.ndarray, weight: np.ndarray) -> float:
+    """Share of the spectrum's L^2 mass under ``weight`` (0 for a zero spectrum)."""
+    power = np.abs(spectrum) ** 2
+    total = np.sum(power)
     if total == 0:
         return 0.0
-    near = grid.xi_norm >= 0.9 * grid.nyquist
-    return float(np.sum(np.abs(spectrum) ** 2 * near) / total)
+    return float(np.sum(power * weight) / total)
+
+
+def _nyquist_leak_fraction(grid: Grid, spectrum: np.ndarray) -> float:
+    return _mass_share(spectrum, grid.xi_norm >= 0.9 * grid.nyquist)
+
+
+def _free_phase(grid: Grid, t) -> np.ndarray:
+    """exp(-4*pi^2*i*t*|xi|^2); an array t broadcasts against the spatial axes."""
+    return np.exp(-4.0 * np.pi**2 * 1j * t * grid.xi_norm**2)
 
 
 def free_propagate(grid: Grid, f: np.ndarray, t: float) -> np.ndarray:
@@ -191,7 +206,9 @@ def free_propagate(grid: Grid, f: np.ndarray, t: float) -> np.ndarray:
             f"free_propagate: {leak:.2e} of spectral mass within 10% of Nyquist",
             stacklevel=2,
         )
-    phase = np.exp(-4.0 * np.pi**2 * 1j * t * grid.xi_norm**2)
+    # bound to a name: numpy would multiply into an unnamed temporary in place,
+    # and that loop rounds differently
+    phase = _free_phase(grid, t)
     return fourier_inverse(grid, spec * phase)
 
 
@@ -229,11 +246,8 @@ class SpaceTimeField:
 def free_evolution(grid: Grid, f: np.ndarray) -> SpaceTimeField:
     """Sample the free flow of f on the grid's time grid."""
     spec = fourier_forward(grid, f)
-    phases = np.exp(
-        -4.0 * np.pi**2 * 1j * grid.times[(...,) + (None,) * grid.n] * grid.xi_norm**2
-    )
-    values = fourier_inverse(grid, spec * phases)
-    return SpaceTimeField(grid, values)
+    phases = _free_phase(grid, grid.times[(...,) + (None,) * grid.n])
+    return SpaceTimeField(grid, fourier_inverse(grid, spec * phases))
 
 
 def gaussian_wavepacket(

@@ -8,7 +8,8 @@ of unity holds to round-off inside the truncation range.
 
 The lab uses one cutoff pair, ``CUTOFFS`` (glue width 1/8), for every band,
 phase and error term; ``build_cutoffs(glue)`` remains only for studying the
-profile family.
+profile family.  ``AnnulusCutoff`` is the data cutoff built on its plateau
+bump.  The Bernstein ratios' leak guards read ``grid._mass_share``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from math import ceil, floor, log2
 
 import numpy as np
 
-from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
+from .grid import Grid, _mass_share, fourier_forward, fourier_inverse, spatial_norm
 
 __all__ = [
     "CutoffPair",
     "CUTOFFS",
+    "AnnulusCutoff",
     "BandDecomposition",
     "build_cutoffs",
     "representable_bands",
@@ -89,6 +91,17 @@ def build_cutoffs(glue_width: float = _DEFAULT_GLUE) -> CutoffPair:
 
 
 CUTOFFS = CutoffPair()  # the one pair behind every band, phase and error term
+
+
+@dataclass(frozen=True)
+class AnnulusCutoff:
+    """Smooth radial bump: 1 on [3/4, 3/2]*2^{k_f}, 0 outside [1/2, 2]*2^{k_f}."""
+
+    k_f: int
+
+    def profile(self, r) -> np.ndarray:
+        s = 2.0**self.k_f
+        return CUTOFFS.plateau_bump(np.asarray(r, float), 0.5 * s, 0.75 * s, 1.5 * s, 2.0 * s)
 
 
 # -- band bookkeeping ---------------------------------------------------------
@@ -237,8 +250,7 @@ def bernstein_ratio(
     for axis, (lo, hi) in enumerate(Q):
         xi_axis = grid.xi[axis]
         inside &= (xi_axis >= lo) & (xi_axis <= hi)
-    total = np.sum(np.abs(spec) ** 2)
-    leak = np.sum(np.abs(spec) ** 2 * ~inside) / total if total > 0 else 0.0
+    leak = _mass_share(spec, ~inside)
     if leak > 1e-8:
         raise ValueError(f"spectrum leaks outside Q: relative mass {leak:.2e}")
     vol = float(np.prod([hi - lo for lo, hi in Q]))
@@ -266,8 +278,7 @@ def mixed_bernstein_ratio(
     annulus = (grid.xi_norm >= (1.0 + CUTOFFS.glue_width) * 2.0 ** (k - 1)) & (
         grid.xi_norm <= hi * 2.0**k
     )
-    total = np.sum(np.abs(spec) ** 2)
-    leak = np.sum(np.abs(spec) ** 2 * ~annulus) / total if total > 0 else 0.0
+    leak = _mass_share(spec, ~annulus)
     if leak > 1e-8:
         raise ValueError(f"spectrum leaks outside annulus 2^{k}: {leak:.2e}")
     inv1 = 0.0 if np.isinf(p1) else 1.0 / p1

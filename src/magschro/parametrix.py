@@ -63,9 +63,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, l2_norm, slice_l2
+from .grid import (
+    Grid,
+    SpaceTimeField,
+    _mass_share,
+    fourier_forward,
+    fourier_inverse,
+    l2_norm,
+    slice_l2,
+)
 from .lp import (
     CUTOFFS,
+    AnnulusCutoff,
     _advect,
     _apply_mask,
     _check_band,
@@ -78,7 +87,7 @@ from .norms import time_lq
 from .potentials import VectorPotential
 
 __all__ = [
-    "AnnulusCutoff",
+    "AnnulusCutoff",  # defined in lp, kept importable from here
     "PhaseField",
     "build_sigma",
     "phase_identity_residual",
@@ -94,20 +103,6 @@ __all__ = [
 SIGMA0_FACTOR = 0.5  # cancellation-correct weight of the displayed ray integral
 _CHUNK_BYTES = 2 * 2**20  # one (mode chunk, P) complex temporary of the direct sum
 _TAYLOR_TAIL = 1e-16  # bound on the dropped tail of each phase series in the direct sum
-
-
-# -- annulus cutoff -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnnulusCutoff:
-    """Smooth radial bump: 1 on [3/4, 3/2]*2^{k_f}, 0 outside [1/2, 2]*2^{k_f}."""
-
-    k_f: int
-
-    def profile(self, r) -> np.ndarray:
-        s = 2.0**self.k_f
-        return CUTOFFS.plateau_bump(np.asarray(r, float), 0.5 * s, 0.75 * s, 1.5 * s, 2.0 * s)
 
 
 # -- 1-D chi kernels ------------------------------------------------------------
@@ -376,12 +371,9 @@ def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseFi
 
     spec = fourier_forward(grid, A.values)
     hi_mask = 1.0 - CUTOFFS.chi(grid.xi_norm * 2.0 ** -(k_f - 4))
-    hi_mass = np.sum(np.abs(spec) ** 2 * hi_mask**2)
-    total = np.sum(np.abs(spec) ** 2)
-    if total > 0 and hi_mass > 1e-10 * total:
-        raise ValueError(
-            f"potential carries {hi_mass/total:.2e} of spectral mass above band {k_f - 4}"
-        )
+    hi_share = _mass_share(spec, hi_mask**2)
+    if hi_share > 1e-10:
+        raise ValueError(f"potential carries {hi_share:.2e} of spectral mass above band {k_f - 4}")
 
     k_min, _ = representable_bands(grid)
     k_top = k_f - 4

@@ -23,7 +23,10 @@ plus the dominating sum
 sup over base points and measurable paths is exact at base 0 by translation
 invariance of the full-torus mixed norms (see norms module); sup over
 rotations is the max over the sampler's samples, with no local refinement.
-|d2 A_k| is the Frobenius norm of the full Hessian tensor.
+|d2 A_k| is the Frobenius norm of the full Hessian tensor.  Every functional
+walks its bands through ``_walk_bands``, which warns once per call when over
+1% of A's spectral mass (``grid._mass_share``) lies outside the
+representable band window.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, fourier_forward, fourier_inverse, spatial_norm
+from .grid import Grid, SpaceTimeField, _mass_share, fourier_forward, fourier_inverse, spatial_norm
 from .lp import CUTOFFS, CutoffPair, _gradient, band_mask, representable_bands
 from .norms import time_lq
 from .rotate import RotationSampler, rotate_field
@@ -68,9 +71,9 @@ class VectorPotential:
     divergence_free: bool = False
     band_limit: int | None = None  # all spectral mass in bands <= band_limit
     cutoffs: CutoffPair = CUTOFFS  # accepted only as the lab's one pair
-    _bands: dict = field(default_factory=dict, repr=False)
-    _dt_values: np.ndarray | None = field(default=None, repr=False)
-    _dt_spectrum: np.ndarray | None = field(default=None, repr=False)
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
+    _dt_values: np.ndarray | None = field(default=None, init=False, repr=False)
+    _dt_spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.cutoffs != CUTOFFS:
@@ -201,15 +204,10 @@ class VectorPotential:
     def out_of_range_mass(self) -> float:
         """Relative spectral L2 mass outside the representable band window."""
         k_min, k_max = representable_bands(self.grid)
-        spec = fourier_forward(self.grid, self.values)
         covered = sum(band_mask(self.grid, k) for k in range(k_min, k_max + 1))
-        total = np.sum(np.abs(spec) ** 2)
-        if total == 0:
-            return 0.0
-        # mean mode belongs to the low residual by convention
-        mean_mass = np.sum(np.abs(spec[(Ellipsis,) + (0,) * self.grid.n]) ** 2)
-        rest = np.sum(np.abs(spec) ** 2 * (1.0 - covered) ** 2)
-        return float(max(rest - mean_mass, 0.0) / total)
+        outside = (1.0 - covered) ** 2
+        outside[(0,) * self.grid.n] = 0.0  # the mean mode belongs to the low residual
+        return _mass_share(fourier_forward(self.grid, self.values), outside)
 
 
 @dataclass(frozen=True)
@@ -390,17 +388,26 @@ def make_potential(
 
 
 def _vec_mag(arr: np.ndarray) -> np.ndarray:
-    """Euclidean magnitude over the component axis (axis 1 of (t, comp, x))."""
-    return np.sqrt(np.sum(arr**2, axis=1))
+    """Modulus over the component axis (axis 1 of (t, comp, x))."""
+    return np.sqrt(np.sum(np.abs(arr) ** 2, axis=1))
 
 
-def _band_mass_warn(A: VectorPotential, label: str):
+def _walk_bands(A: VectorPotential, label: str):
+    """Yield (k, P_k A) over A's band range.
+
+    On its first step it warns, pointing at the caller of the functional that
+    iterates it, when over 1% of A's spectral mass lies outside the
+    representable band window.
+    """
     mass = A.out_of_range_mass()
     if mass > 0.01:
         warnings.warn(
             f"{label}: {mass:.2%} of spectral mass outside the representable band window",
             stacklevel=3,
         )
+    k_min, k_max = A.band_range()
+    for k in range(k_min, k_max + 1):
+        yield k, A.band(k)
 
 
 # -- Y0, Y1 --------------------------------------------------------------------
@@ -409,20 +416,15 @@ def _band_mass_warn(A: VectorPotential, label: str):
 def y0_components(A: VectorPotential, params: YNormParams | None = None) -> dict:
     params = params or YNormParams()
     grid = A.grid
-    _band_mass_warn(A, "y0_norm")
     jac = A.jacobian()
     grad_mag = np.sqrt(np.sum(jac**2, axis=(1, 2)))
     grad_term = time_lq(grid.times, spatial_norm(grid, grad_mag, np.inf), 1.0)
     a_term = time_lq(grid.times, spatial_norm(grid, _vec_mag(A.values), np.inf), 2.0)
-    k_min, k_max = A.band_range()
     p = grid.n / params.h
-    dyadic_sq = 0.0
     per_band = {}
-    for k in range(k_min, k_max + 1):
-        piece = _vec_mag(A.band(k))
-        v = time_lq(grid.times, spatial_norm(grid, piece, p), 1.0)
-        per_band[k] = v
-        dyadic_sq += 2.0 ** (2 * k * (1 + params.h)) * v**2
+    for k, band in _walk_bands(A, "y0_norm"):
+        per_band[k] = time_lq(grid.times, spatial_norm(grid, _vec_mag(band), p), 1.0)
+    dyadic_sq = sum(2.0 ** (2 * k * (1 + params.h)) * v**2 for k, v in per_band.items())
     return {
         "grad_l1_linf": grad_term,
         "a_l2_linf": a_term,
@@ -438,12 +440,9 @@ def y0_norm(A: VectorPotential, params: YNormParams | None = None) -> float:
 
 def y1_norm(A: VectorPotential) -> float:
     grid = A.grid
-    _band_mass_warn(A, "y1_norm")
-    k_min, k_max = A.band_range()
     total = 0.0
-    for k in range(k_min, k_max + 1):
-        piece = _vec_mag(A.band(k))
-        total += 2.0 ** (k * (grid.n - 1)) * float(np.max(spatial_norm(grid, piece, 1.0)))
+    for k, band in _walk_bands(A, "y1_norm"):
+        total += 2.0 ** (k * (grid.n - 1)) * float(np.max(spatial_norm(grid, _vec_mag(band), 1.0)))
     return total
 
 
@@ -452,17 +451,12 @@ def y1_tilde_norm(A: VectorPotential, params: YNormParams | None = None) -> floa
     grid = A.grid
     p0 = params.resolve_p0(grid.n)
     sampler = params.resolve_sampler(grid.n)
-    _band_mass_warn(A, "y1_tilde_norm")
-    k_min, k_max = A.band_range()
     total = 0.0
-    for k in range(k_min, k_max + 1):
-        comps = A.band(k)
+    for k, band in _walk_bands(A, "y1_tilde_norm"):
         best = 0.0
         for U in sampler.samples():
-            rot = rotate_field(grid, comps, U)
-            mag = np.sqrt(np.sum(np.abs(rot) ** 2, axis=1))
-            val = float(np.max(spatial_norm(grid, mag, p0, inner=1.0)))
-            best = max(best, val)
+            mag = _vec_mag(rotate_field(grid, band, U))
+            best = max(best, float(np.max(spatial_norm(grid, mag, p0, inner=1.0))))
         total += 2.0 ** (k * (grid.n - 1) / p0) * best
     return total
 
@@ -477,13 +471,10 @@ def _derivative_magnitude(A: VectorPotential, k: int) -> np.ndarray:
     return h_mag + _vec_mag(A.dt_band(k))
 
 
-def _rotated_stats(A: VectorPotential, k: int, U: np.ndarray) -> dict:
+def _rotated_stats(A: VectorPotential, k: int, band: np.ndarray, U: np.ndarray) -> dict:
     """The four mixed-norm statistics of band k under one rotation."""
     grid = A.grid
-    band = A.band(k)
-    rot = rotate_field(grid, band, U)
-    mag = np.sqrt(np.sum(np.abs(rot) ** 2, axis=1))
-    a_series = spatial_norm(grid, mag, 2.0, inner=1.0)
+    a_series = spatial_norm(grid, _vec_mag(rotate_field(grid, band, U)), 2.0, inner=1.0)
     d_field = _derivative_magnitude(A, k)
     d_series = spatial_norm(grid, rotate_field(grid, d_field, U), 2.0, inner=1.0)
     return {
@@ -499,22 +490,13 @@ def y23_report(A: VectorPotential, params: YNormParams | None = None) -> dict:
     params = params or YNormParams()
     grid = A.grid
     sampler = params.resolve_sampler(grid.n)
-    _band_mass_warn(A, "y2/y3")
     if grid.dt > 0.25 * grid.T:
         warnings.warn("time grid very coarse for dt A: finite-difference error may exceed 5%",
                       stacklevel=3)
-    k_min, k_max = A.band_range()
     report = {}
-    for k in range(k_min, k_max + 1):
-        best = None
-        for U in sampler.samples():
-            stats = _rotated_stats(A, k, U)
-            if best is None:
-                best = {key: val for key, val in stats.items()}
-            else:
-                for key, val in stats.items():
-                    best[key] = max(best[key], val)
-        report[k] = best
+    for k, band in _walk_bands(A, "y2/y3"):
+        stats = [_rotated_stats(A, k, band, U) for U in sampler.samples()]
+        report[k] = {key: max(s[key] for s in stats) for key in stats[0]}
     return report
 
 
@@ -540,14 +522,10 @@ def corollary_norm(A: VectorPotential) -> float:
     """Bernstein-dominating sum controlling Y0 .. Y3 up to a constant."""
     grid = A.grid
     n = grid.n
-    _band_mass_warn(A, "corollary_norm")
-    k_min, k_max = A.band_range()
     total = 0.0
-    for k in range(k_min, k_max + 1):
-        a_mag = _vec_mag(A.band(k))
-        d_mag = _vec_mag(A.dt_band(k))
-        a_l1 = spatial_norm(grid, a_mag, 1.0)
-        d_l1 = spatial_norm(grid, d_mag, 1.0)
+    for k, band in _walk_bands(A, "corollary_norm"):
+        a_l1 = spatial_norm(grid, _vec_mag(band), 1.0)
+        d_l1 = spatial_norm(grid, _vec_mag(A.dt_band(k)), 1.0)
         total += (
             2.0 ** (k * (n - 1)) * float(np.max(a_l1))
             + 2.0 ** (k * (n - 3)) * float(np.max(d_l1))

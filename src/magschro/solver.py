@@ -18,6 +18,7 @@ import numpy as np
 from .grid import (
     Grid,
     SpaceTimeField,
+    _free_phase,
     _nyquist_leak_fraction,
     fourier_forward,
     fourier_inverse,
@@ -70,10 +71,6 @@ def _a_sup(A) -> float:
     if A is None:
         return 0.0
     return float(np.max(np.sqrt(np.sum(A.values**2, axis=1))))
-
-
-def _free_phase(grid: Grid, s: float) -> np.ndarray:
-    return np.exp(-4.0 * np.pi**2 * 1j * s * grid.xi_norm**2)
 
 
 def _dealias_mask(grid: Grid) -> np.ndarray:

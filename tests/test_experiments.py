@@ -70,6 +70,35 @@ class TestValidate:
         with pytest.raises(ValueError, match="rotation_count"):
             ExperimentConfig(experiment="norms", params={"rotation_count": 0})
 
+    @pytest.mark.parametrize(
+        "experiment, extra, name",
+        [
+            # each of these once made its checks pass without testing anything
+            ("strichartz-sweep", {"params": {"eps_list": []}}, "eps_list"),
+            ("parametrix", {"params": {"eps_list": [0.1]}}, "eps_list"),
+            ("nets", {"tolerances": {"cap-partition-sum": float("inf")}}, "cap-partition-sum"),
+            ("nets", {"tolerances": {"cap-partition-sum": float("nan")}}, "cap-partition-sum"),
+            ("parametrix", {"params": {"eps_list": [0.1, 0.1]}}, "eps_list"),
+            ("parametrix", {"params": {"eps_list": [0.1, float("nan")]}}, "eps_list"),
+            ("parametrix", {"params": {"max_products": float("inf")}}, "max_products"),
+            ("dispersive", {"params": {"t_list": [2.0, 2.0]}}, "t_list"),
+            ("dispersive", {"params": {"t_list": [1.0, float("inf")]}}, "t_list"),
+            # the lattice side doubles with t: t = 64 would need an 8 GB buffer
+            ("dispersive", {"params": {"t_list": [1.0, 64.0]}}, "t_list"),
+        ],
+    )
+    def test_vacuous_or_unbounded_values_rejected(self, experiment, extra, name):
+        raw = {"version": 1, "experiment": experiment, **extra}
+        diags = validate(raw)
+        assert any(name in d for d in diags), diags
+        assert validate(json.loads(json.dumps(raw))) == diags  # Infinity and NaN survive JSON
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_dict(raw)
+
+    def test_largest_time_accepted(self):
+        raw = {"version": 1, "experiment": "dispersive", "params": {"t_list": [1.0, 16.0]}}
+        assert validate(raw) == []
+
     def test_unknown_check_and_tolerance_ids(self):
         diags = validate({"version": 1, "experiment": "nets", "checks": ["nope"]})
         assert any("nope" in d for d in diags)
@@ -100,7 +129,7 @@ class TestValidate:
     @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
     def test_keys_of_other_experiments_rejected(self, experiment, monkeypatch):
         foreign = next(cid for cid, (exp, _, _) in CHECK_CATALOG.items() if exp != experiment)
-        key, value = ("eps_list", [0.1]) if experiment == "dispersive" else ("t_list", [1.0, 2.0])
+        key, value = ("eps_list", [0.1, 0.2]) if experiment == "dispersive" else ("t_list", [1.0, 2.0])
         bad = [
             ({"checks": [foreign]}, foreign),
             ({"tolerances": {foreign: 1.0}}, foreign),

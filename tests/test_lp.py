@@ -218,6 +218,20 @@ class TestBernstein:
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 1.10
 
+    @pytest.mark.parametrize("leak, raises", [(2e-8, True), (0.5e-8, False)])
+    def test_mixed_leak_threshold(self, leak, raises):
+        # a wave inside the band -2 annulus [0.14, 0.47] plus one at |xi| = 0.5
+        # outside it, carrying the share `leak` of the L^2 mass
+        g = make_grid(2, 64, 32, 0.25, 1)
+        x, _ = g.spatial_meshes()
+        b = np.sqrt(leak / (1.0 - leak))
+        f = np.exp(2j * np.pi * 0.25 * x) + b * np.exp(2j * np.pi * 0.5 * x)
+        if raises:
+            with pytest.raises(ValueError, match="leaks outside annulus"):
+                mixed_bernstein_ratio(g, f, -2, np.inf, 2, 1)
+        else:
+            assert np.isfinite(mixed_bernstein_ratio(g, f, -2, np.inf, 2, 1))
+
     def test_mixed_rejects_bad_exponents(self):
         g = make_grid(2, 64, 32, 0.25, 1)
         f = np.zeros(g.shape)

@@ -1,5 +1,7 @@
 """Potential presets, smallness functionals, homogeneity, scaling action."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,44 @@ class TestKernels:
             grid2, fourier_forward(grid2, A.time_derivative()) * band_mask(grid2, k)
         ).real
         assert np.array_equal(first, direct) and np.array_equal(again, direct)
+
+
+_WALKERS = {  # each functional that walks the bands itself
+    "y0_components": lambda A, p: y0_components(A, p),
+    "y1_norm": lambda A, p: y1_norm(A),
+    "y1_tilde_norm": lambda A, p: y1_tilde_norm(A, p),
+    "y23_report": lambda A, p: y23_report(A, p),
+    "corollary_norm": lambda A, p: corollary_norm(A),
+}
+_WRAPPERS = {  # and each that walks them through one of those
+    "y0_norm": lambda A, p: y0_norm(A, p),
+    "y2_norm": lambda A, p: y2_norm(A, p),
+    "y3_norm": lambda A, p: y3_norm(A, p),
+}
+
+
+@pytest.mark.parametrize("name", list(_WALKERS) + list(_WRAPPERS))
+@pytest.mark.parametrize("share, warns", [(0.012, True), (0.008, False)])
+def test_out_of_range_band_warning_threshold(name, share, warns):
+    # a wave at mode (4, 0), inside bands -4..-1, plus one at mode (15, 0),
+    # which no band covers, carrying the share `share` of the spectral mass
+    g = make_grid(2, 32, 16, 0.25, 1.0)
+    x, _ = g.spatial_meshes()
+    b = np.sqrt(share / (1.0 - share))
+    wave = np.cos(2 * np.pi * 4 * x / g.L) + b * np.cos(2 * np.pi * 15 * x / g.L)
+    vals = np.zeros((g.n_steps + 1, 2) + g.shape)
+    vals[:, 0] = 0.1 * wave
+    A = VectorPotential(g, vals)
+    assert A.out_of_range_mass() == pytest.approx(share, rel=1e-9)
+    p = YNormParams(sampler=RotationSampler(2, count=2, refine_rounds=0))
+    fn = {**_WALKERS, **_WRAPPERS}[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(A, p)
+    outside = [w for w in caught if "outside the representable band window" in str(w.message)]
+    assert len(outside) == (1 if warns else 0)
+    if name in _WALKERS:
+        assert all(w.filename == __file__ for w in outside)  # points at the caller
 
 
 def test_y23_report_structure(grid2):

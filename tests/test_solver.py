@@ -1,5 +1,7 @@
 """Propagator oracles: transport, convergence order, charge, Duhamel, reversal."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,22 @@ class TestInputChecks:
         A = constant_potential(grid2, (speed, 0.0))
         with pytest.raises(CFLError):
             handle_march(grid2, packet2, A, None, SolverConfig(dt=dt))
+
+
+    @pytest.mark.parametrize("march", [solve, duhamel_solve])
+    @pytest.mark.parametrize("share, warns", [(2e-6, True), (0.5e-6, False)])
+    def test_nyquist_warning_threshold(self, march, share, warns):
+        # a wave at |xi| = 0.25 plus one at 1.875, within 10% of Nyquist (2),
+        # carrying the share `share` of the L^2 mass
+        g = make_grid(1, 32, 8, 0.125, 0.25)
+        b = np.sqrt(share / (1.0 - share))
+        f = np.exp(2j * np.pi * 0.25 * g.x1d) + b * np.exp(2j * np.pi * 1.875 * g.x1d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            march(g, f, None, None)
+        near = [w for w in caught if "Nyquist" in str(w.message)]
+        assert len(near) == (1 if warns else 0)
+        assert all(w.filename == __file__ for w in near)  # points at the caller
 
 
 class TestDuhamel:
