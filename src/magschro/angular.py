@@ -16,7 +16,7 @@ from math import floor, isqrt, log2
 import numpy as np
 
 from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
-from .lp import CUTOFFS, AnnulusCutoff
+from .lp import CUTOFFS, AnnulusCutoff, _gauss_legendre
 
 __all__ = [
     "AngularNet",
@@ -220,7 +220,7 @@ class _PhiKernel:
 
     def __init__(self, sigma_max: float):
         n_nodes = max(128, int(np.ceil(12.0 * max(sigma_max, 1.0) * 1.5)))
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = _gauss_legendre(n_nodes)
         a, b = 0.25, 2.0
         self.nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
         self.weights = 0.5 * (b - a) * w
@@ -287,46 +287,106 @@ def pointwise_ray_bound_check(
 
 
 _BLOCK_POINTS = 1 << 17  # lattice points per row or column block in _lattice_sup
+_SIGN_IMAGES = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (xi1, xi2) -> (s1 xi1, s2 xi2)
 
 
-def _lattice_sup(t, N: int, dxi, om, cap_weight) -> float:
+def _cap_weight(points: np.ndarray, caps: list) -> np.ndarray:
+    """prod_j chi(2^{k_j} |omega - theta_j|) at each row omega of points (Q, n)."""
+    out = np.ones(len(points))
+    for theta, kj in caps:
+        d = np.linalg.norm(points - np.asarray(theta)[None, :], axis=1)
+        out *= CUTOFFS.chi(2.0**kj * d)
+    return out
+
+
+def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
     """max_x |I(t, x)| over the N x N lattice x = j / (N dxi), both signs via FFT order.
 
     g = profile * cap weight * e^{-4 pi^2 i t |xi|^2} dxi^2 on the xi-lattice
     m dxi (m the integer modes in FFT order) is built into one complex64 N^2
-    buffer one xi1 row block at a time.  Only rows and columns with
-    |xi_j| < 2 scale can meet the annulus, and the profile is evaluated only
-    where 0.5 scale < |xi| < 2 scale (it is exactly 0 elsewhere).  Each
-    finished row block is transformed along axis 1 before it is stored; the
-    axis-0 transform then runs over column blocks with a running max of |.|.
-    These are the two 1-D passes np.fft.fft2 makes (last axis first), so the
-    sup is bit-identical to fft2 of the whole buffer, and untouched rows stay
-    zero pages.
+    buffer.  The build walks only the quadrant a, b >= 0 of modes with
+    |xi_j| < 2 scale, a block of rows a at a time, and evaluates the profile
+    only where 0.5 scale < |xi| < 2 scale (it is exactly 0 elsewhere).  The
+    float32 r^2, the profile and the chirp depend only on (|a|, |b|), so each
+    is computed once and scattered to the four sign images (+-a, +-b), whose
+    FFT indices are a or N - a; the images of a = 0 and b = 0 are written
+    once.  Since xi_ax[-m] == -xi_ax[m] exactly in float32, r^2, omega =
+    xi / |xi| and every stored value are the bits a pointwise build over the
+    whole lattice makes.
+
+    Without caps the weight is 1 and omega is never formed; row -a then
+    holds the values of row a, so it is not built and takes row a's
+    transform.  With caps, the weight of each image is evaluated only where
+    omega lies inside every cap's support: chi(2^k |omega - theta|) is
+    exactly 0 once |omega|^2 + |theta|^2 - 2 omega.theta (the expansion of
+    |omega - theta|^2, to rounding) reaches ((2 - glue) / 2^k)^2 (1 + 1e-9),
+    so pruned points keep the zero they would have been given, and a row
+    with no point inside is neither transformed nor stored.
+
+    Rows a and -a finish in the same block, whose rows are transformed along
+    axis 1 before they are stored; the axis-0 transform then runs over
+    column blocks with a running max of |.|.  These are the two 1-D passes
+    np.fft.fft2 makes (last axis first), so the sup is bit-identical to fft2
+    of the whole buffer (the transform of a zero row is zero up to the sign
+    of 0), and untouched rows stay zero pages.
     """
     scale = 2.0**om.k_f
-    m = np.fft.fftfreq(N, d=1.0 / N)  # integer modes, FFT order
+    m = np.fft.fftfreq(N, d=1.0 / N)  # integer modes, FFT order: 0 .. N/2 - 1 first
     xi_ax = (m * dxi).astype(np.float32)
-    inside = np.flatnonzero(np.abs(xi_ax) < 2.0 * scale)
-    xi_in = xi_ax[inside]
+    xi_q = xi_ax[: np.count_nonzero(xi_ax[: N // 2] < 2.0 * scale)]  # modes 0 <= m, xi < 2 scale
+    b = np.arange(len(xi_q))
+    col_of = {1: b, -1: (N - b) % N}
+    # each cap's centre and squared support radius, widened past rounding
+    reach = 2.0 - CUTOFFS.glue_width
+    support = [(np.asarray(th, float), (reach / 2.0**kj) ** 2 * (1.0 + 1e-9)) for th, kj in caps]
     step = max(1, _BLOCK_POINTS // N)
     g = np.zeros((N, N), dtype=np.complex64)
-    for i in range(0, len(inside), step):
-        rows = inside[i : i + step]
-        x1 = xi_ax[rows]
-        r2 = x1[:, None] ** 2 + xi_in[None, :] ** 2
+    half = max(1, step // 2)  # rows a per block: with their images -a, a block of step rows
+    for a0 in range(0, len(xi_q), half):
+        x1 = xi_q[a0 : a0 + half]
+        a = np.arange(a0, a0 + len(x1))
+        r2 = x1[:, None] ** 2 + xi_q[None, :] ** 2
         r = np.sqrt(r2)
         ri, ci = np.nonzero((r > 0.5 * scale) & (r < 2.0 * scale))
         prof = om.profile(r[ri, ci]).astype(np.float32)
         keep = prof > 0
         ri, ci, prof = ri[keep], ci[keep], prof[keep]
         r2_sel = r2[ri, ci].astype(np.float64)
-        omega_pts = np.stack([x1[ri].astype(np.float64), xi_in[ci].astype(np.float64)], axis=1)
-        omega_pts /= np.sqrt(r2_sel)[:, None]
-        block = np.zeros((len(rows), N), dtype=np.complex64)
-        block[ri, inside[ci]] = (
-            prof * cap_weight(omega_pts) * np.exp(-4j * np.pi**2 * t * r2_sel) * dxi**2
-        ).astype(np.complex64)
-        g[rows] = np.fft.fft(block, axis=1, out=block)
+        chirp = np.exp(-4j * np.pi**2 * t * r2_sel)
+        if caps:
+            norm = np.sqrt(r2_sel)
+            o1, o2 = x1[ri].astype(np.float64) / norm, xi_q[ci].astype(np.float64) / norm
+            o_sq = o1**2 + o2**2
+        else:
+            val = (prof * chirp * dxi**2).astype(np.complex64)
+        # rows +a, then rows -a; without caps row -a repeats row a and is not built
+        images = _SIGN_IMAGES if caps else _SIGN_IMAGES[:2]
+        dest = np.concatenate([a, (N - a) % N]) if caps else a
+        block = np.zeros((len(dest), N), dtype=np.complex64)
+        live = np.zeros(len(dest), dtype=bool)
+        row_of = {1: ri, -1: ri + len(x1)}
+        for s1, s2 in images:
+            sel = np.ones(len(ri), dtype=bool)
+            if s1 < 0:
+                sel &= a[ri] > 0
+            if s2 < 0:
+                sel &= ci > 0
+            if caps:
+                for th, lim in support:
+                    sel &= o_sq + th @ th - 2.0 * (s1 * th[0] * o1 + s2 * th[1] * o2) < lim
+                sel = np.flatnonzero(sel)
+                pts = np.stack([s1 * o1[sel], s2 * o2[sel]], axis=1)
+                v = (prof[sel] * _cap_weight(pts, caps) * chirp[sel] * dxi**2).astype(np.complex64)
+            else:
+                v = val[sel]
+            block[row_of[s1][sel], col_of[s2][ci[sel]]] = v
+            live[row_of[s1][sel]] = True
+        rows = np.flatnonzero(live)  # rows with no point in a cap stay zero pages
+        spec = np.fft.fft(block[rows], axis=1)
+        g[dest[rows]] = spec
+        if not caps:
+            mirror = a[rows] > 0
+            g[N - a[rows][mirror]] = spec[mirror]
     sup = 0.0
     for j in range(0, N, step):
         # the axis-0 transform of columns j..j+step, taken along a contiguous copy
@@ -349,10 +409,13 @@ def cap_oscillatory_decay(
     quadrature, not the lattice), with the xi step tied to the stationary
     radius 4 pi t rho so the oscillation stays resolved at every t.  The full
     path samples I on an N x N x-lattice (N a power of two, N dxi >= 4.6
-    scale): the integrand is built into one complex64 N^2 buffer one xi1 row
-    block at a time, each block transformed along xi2 as it is stored, and the
-    xi1 transform runs over column blocks keeping a running max of |I| (see
-    ``_lattice_sup``); the peak is the buffer plus a few small blocks.  With
+    scale), see ``_lattice_sup``: the integrand is built into one complex64
+    N^2 buffer from the quadrant xi1, xi2 >= 0, whose r^2, profile and chirp
+    serve all four sign images bit for bit; cap weights are evaluated only
+    inside every cap's support, where they can be nonzero.  Each block of
+    rows +-xi1 is transformed along xi2 as it is stored, and the xi1
+    transform runs over column blocks keeping a running max of |I|; the peak
+    is the buffer plus a few small blocks.  With
     ``fixed_axis`` the first frequency coordinate is frozen and only the
     remaining n-1 integrate, giving the (n-1)/2 decay rate: per time the sum
     J(x2) = sum_j w_j e^{-4 pi^2 i t xi2_j^2} e^{2 pi i x2 xi2_j} over
@@ -370,13 +433,6 @@ def cap_oscillatory_decay(
             raise ValueError(f"cap centre {np.asarray(theta).tolist()} is not finite")
     scale = 2.0**k_f
 
-    def cap_weight(omega_points: np.ndarray) -> np.ndarray:
-        out = np.ones(len(omega_points))
-        for theta, kj in caps:
-            d = np.linalg.norm(omega_points - np.asarray(theta)[None, :], axis=1)
-            out *= CUTOFFS.chi(2.0**kj * d)
-        return out
-
     if n == 2 and not fixed_axis:
         # Cartesian quadrature on a full x-lattice whose window 1/dxi exceeds
         # the stationary radius 4 pi t rho_max, so the periodization images stay
@@ -388,12 +444,12 @@ def cap_oscillatory_decay(
             dxi = 1.0 / (2.2 * r_max)
             half = 2.3 * scale
             N = int(2 ** np.ceil(np.log2(2 * half / dxi)))
-            sups.append(_lattice_sup(t, N, dxi, om, cap_weight))
+            sups.append(_lattice_sup(t, N, dxi, om, caps))
         # zero-time sanity: I(0,0) = int a Omega rho drho dphi
         n_phi_s = 2048
         phi = np.linspace(0, 2 * np.pi, n_phi_s, endpoint=False)
         omega = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        a_phi = cap_weight(omega) * (2 * np.pi / n_phi_s)
+        a_phi = _cap_weight(omega, caps) * (2 * np.pi / n_phi_s)
         rho = np.linspace(0.45 * scale, rho_hi, 4096)
         sanity = float(np.sum(om.profile(rho) * rho) * (rho[1] - rho[0]) * np.sum(a_phi))
         return {"t": t_list, "sup": np.array(sups), "zero_time_value": sanity}
@@ -409,7 +465,7 @@ def cap_oscillatory_decay(
             xi2 = np.linspace(-2.2 * scale, 2.2 * scale, n_xi)
             r = np.sqrt(xi1**2 + xi2**2)
             omega_pts = np.stack([np.full_like(xi2, xi1) / r, xi2 / r], axis=1)
-            w = om.profile(r) * cap_weight(omega_pts) * (xi2[1] - xi2[0])
+            w = om.profile(r) * _cap_weight(omega_pts, caps) * (xi2[1] - xi2[0])
             w = w * np.exp(-4j * np.pi**2 * t * xi2**2)
             n_x2 = 6000
             J = _uniform_dft(-x2_max, 2.0 * x2_max / (n_x2 - 1), n_x2, xi2, w)

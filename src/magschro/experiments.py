@@ -143,8 +143,9 @@ _SCHEMA = {
                     "minItems": 2,
                     "uniqueItems": True,
                 },
-                "max_products": {"type": "number", "exclusiveMinimum": 0},
-                "rotation_count": {"type": "integer", "minimum": 1},
+                "max_products": {"type": "number", "exclusiveMinimum": 0, "maximum": 5e9},
+                # _shear_table caches the shears of 32 planar rotations
+                "rotation_count": {"type": "integer", "minimum": 1, "maximum": 32},
             },
         },
     },

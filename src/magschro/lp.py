@@ -93,6 +93,14 @@ def build_cutoffs(glue_width: float = _DEFAULT_GLUE) -> CutoffPair:
 CUTOFFS = CutoffPair()  # the one pair behind every band, phase and error term
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class AnnulusCutoff:
     """Smooth radial bump: 1 on [3/4, 3/2]*2^{k_f}, 0 outside [1/2, 2]*2^{k_f}."""

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +79,7 @@ from .lp import (
     _advect,
     _apply_mask,
     _check_band,
+    _gauss_legendre,
     _gradient,
     _leq_mask,
     band_mask,
@@ -121,6 +123,13 @@ def _chi_prime(u: np.ndarray) -> np.ndarray:
     return -step_prime / (1.0 - 2.0 * d)
 
 
+@lru_cache(maxsize=1)
+def _chi_area() -> float:
+    """int_0^2 chi du by 256-node Gauss-Legendre: W0(0)."""
+    x, w = _gauss_legendre(256)
+    return float(np.sum(w * CUTOFFS.chi(x + 1.0)))
+
+
 class _ChiKernels:
     """V0(s) = int chi'(u) e^{2 pi i s u} du by Gauss-Legendre, plus the exact
     integration-by-parts partners
@@ -133,14 +142,10 @@ class _ChiKernels:
         d = CUTOFFS.glue_width
         a, b = 1.0 + d, 2.0 - d
         n_nodes = max(96, int(np.ceil(10.0 * max(sigma_max, 1.0) * (b - a))))
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = _gauss_legendre(n_nodes)
         self.nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
         self.weights = 0.5 * (b - a) * w
         self.dchi = _chi_prime(self.nodes)
-        # int_0^2 chi du for the s = 0 limit of W0
-        x2, w2 = np.polynomial.legendre.leggauss(256)
-        u2 = x2 + 1.0
-        self.chi_area = float(np.sum(w2 * CUTOFFS.chi(u2)))
 
     def __call__(self, s: np.ndarray) -> dict[str, np.ndarray]:
         """{"chi": W0(s), "chi_prime": V0(s), "chi_dprime": Q0(s)} from one V0 sum."""
@@ -148,7 +153,7 @@ class _ChiKernels:
         v = np.exp(2j * np.pi * np.multiply.outer(s, self.nodes)) @ (self.weights * self.dchi)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -(1.0 + v) / (2j * np.pi * s)
-        w = np.where(np.abs(s) < 1e-9, self.chi_area, w)
+        w = np.where(np.abs(s) < 1e-9, _chi_area(), w)
         return {"chi": w, "chi_prime": v, "chi_dprime": -2j * np.pi * s * v}
 
 

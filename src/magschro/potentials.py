@@ -26,11 +26,13 @@ rotations is the max over the sampler's samples, with no local refinement.
 |d2 A_k| is the Frobenius norm of the full Hessian tensor.  Every functional
 walks its bands through ``_walk_bands``, which warns once per call when over
 1% of A's spectral mass (``grid._mass_share``) lies outside the
-representable band window.
+representable band window.  Every warning of this module (``_warn``) points
+at the line outside it that called the public function.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -233,10 +235,7 @@ class YNormParams:
         if p0 >= (n - 1) / 2.0:
             raise ValueError(f"p0 must be < (n-1)/2 = {(n-1)/2}")
         if n < 4:
-            warnings.warn(
-                f"Y1~ evaluated at n={n}: outside the n>=4 regime, diagnostic only",
-                stacklevel=3,
-            )
+            _warn(f"Y1~ evaluated at n={n}: outside the n>=4 regime, diagnostic only")
         return p0
 
     def resolve_sampler(self, n: int) -> RotationSampler:
@@ -392,19 +391,24 @@ def _vec_mag(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(arr) ** 2, axis=1))
 
 
+def _warn(message: str) -> None:
+    """warnings.warn blamed on the first frame outside this module, however
+    deep in it (functionals, the band walk, a resumed generator) the call sits."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _walk_bands(A: VectorPotential, label: str):
     """Yield (k, P_k A) over A's band range.
 
-    On its first step it warns, pointing at the caller of the functional that
-    iterates it, when over 1% of A's spectral mass lies outside the
-    representable band window.
+    On its first step it warns when over 1% of A's spectral mass lies outside
+    the representable band window.
     """
     mass = A.out_of_range_mass()
     if mass > 0.01:
-        warnings.warn(
-            f"{label}: {mass:.2%} of spectral mass outside the representable band window",
-            stacklevel=3,
-        )
+        _warn(f"{label}: {mass:.2%} of spectral mass outside the representable band window")
     k_min, k_max = A.band_range()
     for k in range(k_min, k_max + 1):
         yield k, A.band(k)
@@ -491,8 +495,7 @@ def y23_report(A: VectorPotential, params: YNormParams | None = None) -> dict:
     grid = A.grid
     sampler = params.resolve_sampler(grid.n)
     if grid.dt > 0.25 * grid.T:
-        warnings.warn("time grid very coarse for dt A: finite-difference error may exceed 5%",
-                      stacklevel=3)
+        _warn("time grid very coarse for dt A: finite-difference error may exceed 5%")
     report = {}
     for k, band in _walk_bands(A, "y2/y3"):
         stats = [_rotated_stats(A, k, band, U) for U in sampler.samples()]

@@ -7,6 +7,7 @@ import pytest
 
 from magschro.angular import (
     _covering_radius,
+    _lattice_sup,
     angular_net,
     cap_oscillatory_decay,
     cap_partition,
@@ -213,6 +214,14 @@ class TestPointwiseRayBound:
         assert vals.max() <= 2.0 * vals.min()
 
 
+def lattice_size(t, k_f):
+    """(N, dxi) of the full-path lattice at time t."""
+    scale = 2.0**k_f
+    r_max = 4 * np.pi * t * 2.05 * scale * 1.12 + 8.0 / scale
+    dxi = 1.0 / (2.2 * r_max)
+    return int(2 ** np.ceil(np.log2(2 * 2.3 * scale / dxi))), dxi
+
+
 def one_shot_sups(t_list, caps, k_f=0):
     """The full-path sups from one N^2 build and one np.fft.fft2 per time."""
     om = AnnulusCutoff(k_f)
@@ -227,9 +236,7 @@ def one_shot_sups(t_list, caps, k_f=0):
 
     sups = []
     for t in np.asarray(sorted(t_list), dtype=float):
-        r_max = 4 * np.pi * t * 2.05 * scale * 1.12 + 8.0 / scale
-        dxi = 1.0 / (2.2 * r_max)
-        N = int(2 ** np.ceil(np.log2(2 * 2.3 * scale / dxi)))
+        N, dxi = lattice_size(t, k_f)
         xi_ax = (np.fft.fftfreq(N, d=1.0 / N) * dxi).astype(np.float32)
         x1, x2 = xi_ax[:, None], xi_ax[None, :]
         r2 = x1**2 + x2**2
@@ -248,13 +255,44 @@ def one_shot_sups(t_list, caps, k_f=0):
     return sups
 
 
+_AXIS_CAPS = [
+    (np.array(theta), k) for theta in ([1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]) for k in (0, 1)
+]
+
+
 class TestOscillatoryDecay:
+    @pytest.mark.parametrize(
+        "caps, k_f, ts",
+        [(random_caps(2, mu, seed=mu + 1), 0, [1.0, 2.83]) for mu in (0, 1, 2)]
+        # centres on the axes: sign images on xi1 = 0 and xi2 = 0, pruning at the edges
+        + [([cap], 0, [1.0, 2.83]) for cap in _AXIS_CAPS]
+        + [([(np.array([1.3, 0.4]), 1)], 0, [1.0])]  # |theta| != 1
+        + [(random_caps(2, 2, seed=3), -1, [1.0, 2.83]), (random_caps(2, 2, seed=3), 1, [0.5])],
+        ids=["0", "1", "2"]  # mu
+        + [f"theta({t[0]:g},{t[1]:g})-k{k}" for t, k in _AXIS_CAPS]
+        + ["non-unit-theta", "k_f-1", "k_f+1"],
+    )
+    def test_full_path_sups_match_one_shot_fft2(self, caps, k_f, ts):
+        tab = cap_oscillatory_decay(ts, caps, k_f=k_f, n=2)
+        assert tab["sup"].tolist() == one_shot_sups(ts, caps, k_f)
+
     @pytest.mark.parametrize("mu", [0, 2])
-    def test_full_path_sups_match_one_shot_fft2(self, mu):
-        caps = random_caps(2, mu, seed=mu + 1)
-        ts = [1.0, 2.83]
-        tab = cap_oscillatory_decay(ts, caps, k_f=0, n=2)
-        assert tab["sup"].tolist() == one_shot_sups(ts, caps)
+    def test_profile_evaluated_once_per_quadrant_point(self, mu, monkeypatch):
+        # the profile sees each lattice point with m1, m2 >= 0 inside the open
+        # annulus once; the other three sign images reuse its value
+        seen = []
+        profile = AnnulusCutoff.profile
+
+        def counting(self, r):
+            seen.append(np.size(r))
+            return profile(self, r)
+
+        monkeypatch.setattr(AnnulusCutoff, "profile", counting)
+        N, dxi = lattice_size(1.0, 0)
+        _lattice_sup(1.0, N, dxi, AnnulusCutoff(0), random_caps(2, mu, seed=mu + 1))
+        xi = (np.arange(N // 2) * dxi).astype(np.float32)
+        r = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+        assert sum(seen) == np.count_nonzero((r > 0.5) & (r < 2.0))
 
     def test_full_path_peak_memory_bounded(self):
         # t = 8 runs on a 4096^2 lattice whose complex64 buffer alone is 128 MB;

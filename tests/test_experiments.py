@@ -85,6 +85,12 @@ class TestValidate:
             ("dispersive", {"params": {"t_list": [1.0, float("inf")]}}, "t_list"),
             # the lattice side doubles with t: t = 64 would need an 8 GB buffer
             ("dispersive", {"params": {"t_list": [1.0, 64.0]}}, "t_list"),
+            # a budget above the default switches the guard off as Infinity did
+            ("parametrix", {"params": {"max_products": 1e300}}, "max_products"),
+            ("parametrix", {"params": {"max_products": 5.000001e9}}, "max_products"),
+            # more rotations than the shear cache holds
+            ("norms", {"params": {"rotation_count": 1000000000}}, "rotation_count"),
+            ("norms", {"params": {"rotation_count": 33}}, "rotation_count"),
         ],
     )
     def test_vacuous_or_unbounded_values_rejected(self, experiment, extra, name):
@@ -98,6 +104,13 @@ class TestValidate:
     def test_largest_time_accepted(self):
         raw = {"version": 1, "experiment": "dispersive", "params": {"t_list": [1.0, 16.0]}}
         assert validate(raw) == []
+
+    @pytest.mark.parametrize(
+        "experiment, params",
+        [("parametrix", {"max_products": 5e9}), ("norms", {"rotation_count": 32})],
+    )
+    def test_largest_budget_and_rotation_count_accepted(self, experiment, params):
+        assert validate({"version": 1, "experiment": experiment, "params": params}) == []
 
     def test_unknown_check_and_tolerance_ids(self):
         diags = validate({"version": 1, "experiment": "nets", "checks": ["nope"]})

@@ -275,8 +275,23 @@ def test_out_of_range_band_warning_threshold(name, share, warns):
         fn(A, p)
     outside = [w for w in caught if "outside the representable band window" in str(w.message)]
     assert len(outside) == (1 if warns else 0)
-    if name in _WALKERS:
-        assert all(w.filename == __file__ for w in outside)  # points at the caller
+    line = fn.__code__.co_firstlineno  # the lambda's line calls the functional
+    assert all((w.filename, w.lineno) == (__file__, line) for w in outside)
+
+
+@pytest.mark.parametrize("name", ["y23_report", "y2_norm", "y3_norm", "y1_tilde_norm"])
+def test_regime_warnings_point_at_the_caller(name):
+    # dt > T/4 trips the coarse-time-grid warning of y23_report, and n = 2 the
+    # n >= 4 regime warning of y1_tilde_norm
+    g = make_grid(2, 32, 16, 0.5, 1.0)
+    A = make_potential("gauss_bump", 0.1, g, seed=10, width=5.0)
+    fn = {**_WALKERS, **_WRAPPERS}[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(A, YNormParams(sampler=RotationSampler(2, count=2, refine_rounds=0)))
+    regime = [w for w in caught if "coarse" in str(w.message) or "regime" in str(w.message)]
+    assert len(regime) == 1
+    assert (regime[0].filename, regime[0].lineno) == (__file__, fn.__code__.co_firstlineno)
 
 
 def test_y23_report_structure(grid2):
