@@ -44,7 +44,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .grid import (
@@ -260,6 +259,8 @@ def validate(raw: dict) -> list[str]:
     state: check ids, tolerance ids and params keys are ones the experiment
     reads, and every tolerance and params number is finite.  Side-effect free;
     every ``ExperimentConfig`` passes it."""
+    from jsonschema import Draft202012Validator  # ~50 ms to import: `import magschro` skips it
+
     diags = [
         f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
         for e in Draft202012Validator(_SCHEMA).iter_errors(raw)

@@ -14,7 +14,9 @@ lattice (1/L)*{-N/2, ..., N/2-1}^n and are stored unshifted (FFT order);
 Two spectral rules live here once: ``_free_phase`` (exp(-4*pi^2*i*t*|xi|^2),
 shared by the free flow and the solver's Lawson steps) and ``_mass_share``
 (the share of a spectrum's L^2 mass under a weight, read by every spectral
-guard in the package).
+guard in the package).  ``_fftn`` and ``_ifftn`` are the unweighted
+transforms that write into a caller's buffer; the solver's step pairs them, so
+their dx^n weights cancel.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ class Grid:
         return self.N / (2.0 * self.L)
 
     @cached_property
+    def _inv_cell(self) -> float:
+        """1 / dx^n, the inverse transform's weight."""
+        return 1.0 / self.dx**self.n
+
+    @cached_property
     def x1d(self) -> np.ndarray:
         return np.arange(self.N) * self.dx
 
@@ -139,7 +146,17 @@ def fourier_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def fourier_inverse(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
     axes = tuple(range(-grid.n, 0))
-    return np.fft.ifftn(spectrum, axes=axes) / grid.dx**grid.n
+    return np.fft.ifftn(spectrum, axes=axes) * grid._inv_cell
+
+
+def _fftn(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unweighted forward transform over every axis of ``values``, written into ``out``."""
+    return np.fft.fftn(values, out=out)
+
+
+def _ifftn(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unweighted inverse transform over every axis of ``spectrum``, written into ``out``."""
+    return np.fft.ifftn(spectrum, out=out)
 
 
 def slice_l2(grid: Grid, values: np.ndarray) -> np.ndarray:

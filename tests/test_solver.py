@@ -1,11 +1,15 @@
 """Propagator oracles: transport, convergence order, charge, Duhamel, reversal."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from magschro.grid import (
+    _free_phase,
+    fourier_forward,
+    fourier_inverse,
     free_propagate,
     gaussian_wavepacket,
     l2_norm,
@@ -15,6 +19,7 @@ from magschro.potentials import VectorPotential, make_potential
 from magschro.solver import (
     CFLError,
     PropagatorHandle,
+    _Stepper,
     SolverConfig,
     duhamel_solve,
     energy_bound_check,
@@ -273,3 +278,107 @@ class TestLpReduced:
         u = solve(grid2, packet2, A, None)
         vals = {k: lp_reduced_equation_check(u, A, None, k) for k in (-4, -3, -2)}
         assert all(np.isfinite(v) for v in vals.values())
+
+
+def reference_step(grid, A, F, t, u, dt):
+    """Plain Lawson-RK4 step with the weighted transforms and fresh arrays."""
+    dealias = np.all(np.abs(grid.xi) <= grid.nyquist * 2.0 / 3.0, axis=0)
+
+    def rhs(s, v):
+        out = np.zeros(grid.shape, dtype=complex)
+        if A is not None:
+            spec = fourier_forward(grid, v)
+            adv = np.zeros(grid.shape, dtype=complex)
+            for a_j, xi_j in zip(A.at(s), grid.xi):
+                du = fourier_inverse(grid, 2j * np.pi * xi_j * spec)
+                adv += fourier_forward(grid, a_j * du)
+            adv *= dealias
+            out = out - fourier_inverse(grid, adv)
+        if F is not None:
+            out = out + F(s)
+        return out
+
+    def flow(tau, v):
+        phase = _free_phase(grid, tau)
+        return fourier_inverse(grid, phase * fourier_forward(grid, v))
+
+    k1 = rhs(t, u)
+    k2 = rhs(t + dt / 2, flow(dt / 2, u + (dt / 2) * k1))
+    k3 = rhs(t + dt / 2, flow(dt / 2, u) + (dt / 2) * k2)
+    k4 = rhs(t + dt, flow(dt, u) + dt * flow(dt / 2, k3))
+    return flow(dt, u) + (dt / 6) * (flow(dt, k1) + 2.0 * flow(dt / 2, k2 + k3) + k4)
+
+
+def step_case(N, L, with_potential=True, with_forcing=True):
+    """Grid, data, potential and forcing of one stepping case at dx = L / N."""
+    g = make_grid(2, N, L, 1.0 / 64.0, 0.125)
+    f = gaussian_wavepacket(g, (0.4 * L, 0.5 * L), 5.0, (0.05, -0.05))
+    A = None
+    if with_potential:
+        A = make_potential("divfree_curl", 0.2, g, width=3.0, center=(L / 2, L / 2))
+    bump = gaussian_wavepacket(g, (0.55 * L, 0.45 * L), 4.0)
+    F = (lambda t: np.exp(-2.0 * (t - 0.1) ** 2) * bump) if with_forcing else None
+    return g, f, A, F
+
+
+def march(step, g, f, n):
+    """n steps of ``step(t, u, dt)`` from f at the grid's dt."""
+    u = f.astype(complex)
+    for i in range(n):
+        u = step(i * g.dt, u, g.dt)
+    return u
+
+
+class TestStepper:
+    """The buffered step against the plain Lawson-RK4 it implements."""
+
+    # dx = 0.5: the dx^n weights cancel exactly; 128^2 spectra are large enough
+    # that NumPy reuses the temporary in ``phase * fourier_forward(...)``
+    @pytest.mark.parametrize("N, L", [(64, 32.0), (128, 64.0)])
+    @pytest.mark.parametrize("with_potential", [True, False])
+    @pytest.mark.parametrize("with_forcing", [True, False])
+    def test_equals_reference_when_dx_is_a_power_of_two(self, N, L, with_potential, with_forcing):
+        g, f, A, F = step_case(N, L, with_potential, with_forcing)
+        stepper = _Stepper(g, A, F)
+        got = march(stepper.step, g, f, 3)
+        want = march(partial(reference_step, g, A, F), g, f, 3)
+        assert np.array_equal(got, want)
+
+    def test_agrees_with_reference_at_other_dx(self):
+        g, f, A, F = step_case(64, 48.0)  # dx = 0.75: dropping the weights rounds
+        stepper = _Stepper(g, A, F)
+        got = march(stepper.step, g, f, 3)
+        want = march(partial(reference_step, g, A, F), g, f, 3)
+        assert not np.array_equal(got, want)  # the weights did round
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("with_potential, count", [(True, 4 * (2 * 2 + 2) + 14), (False, 14)])
+    def test_transforms_per_step(self, fft_calls, with_potential, count):
+        # a right-hand side with A makes 1 + 2n + 1 transforms, without A none;
+        # the seven free flows make 2 each
+        g, f, A, F = step_case(64, 32.0, with_potential)
+        stepper = _Stepper(g, A, F)
+        fft_calls.clear()
+        stepper.step(0.0, f, g.dt)
+        assert fft_calls == [g.N**2] * count
+
+    def test_result_owns_its_memory(self):
+        g, f, A, F = step_case(64, 32.0)
+        stepper = _Stepper(g, A, F)
+        u0 = f.astype(complex)
+        u1 = stepper.step(0.0, u0, g.dt)
+        kept = u1.copy()
+        u2 = stepper.step(g.dt, u1, g.dt)
+        buffers = [v for v in vars(stepper).values() if isinstance(v, np.ndarray)]
+        for u in (u1, u2):
+            assert not any(np.shares_memory(u, b) for b in buffers)
+        assert not np.shares_memory(u1, u0) and not np.shares_memory(u2, u1)
+        assert np.array_equal(u1, kept)  # the next step leaves a result alone
+        assert np.array_equal(u0, f)
+
+    @pytest.mark.parametrize("march_fn", [solve, duhamel_solve, handle_march])
+    def test_data_unchanged(self, march_fn):
+        g, f, A, F = step_case(64, 32.0)
+        kept = f.copy()
+        march_fn(g, f, A, F)
+        assert np.array_equal(f, kept)
