@@ -8,8 +8,7 @@ transform convention is
 
 discretized as a Riemann sum with weight dx^n, so discrete norms approximate
 continuum integrals with no extra factors.  Frequencies live on the dual
-lattice (1/L)*{-N/2, ..., N/2-1}^n and are stored unshifted (FFT order);
-``Grid.freq_physical`` gives the sorted physical-order view.
+lattice (1/L)*{-N/2, ..., N/2-1}^n and are stored unshifted (FFT order).
 
 Two spectral rules live here once: ``_free_phase`` (exp(-4*pi^2*i*t*|xi|^2),
 shared by the free flow and the solver's Lawson steps) and ``_mass_share``
@@ -105,11 +104,6 @@ class Grid:
     def freq1d(self) -> np.ndarray:
         """Per-axis frequencies in FFT order (spacing 1/L)."""
         return np.fft.fftfreq(self.N, d=self.dx)
-
-    @cached_property
-    def freq_physical(self) -> np.ndarray:
-        """Per-axis frequencies sorted to physical order -N/2 .. N/2-1."""
-        return np.fft.fftshift(self.freq1d)
 
     @cached_property
     def xi(self) -> np.ndarray:

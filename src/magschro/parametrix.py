@@ -25,14 +25,13 @@ and is what phase_identity_residual checks.
 Ray integrals are evaluated over the full chi support with torus wrapping via
 exact 1-D kernels W(s) = int_0^inf chi(2^{2k} z) e^{2 pi i s z} dz per lattice
 frequency projection s = eta.theta (Gauss-Legendre on the chi' support plus
-the exact integration-by-parts relations), so the phase identity holds to
-round-off.  A composite-trapezoid ray quadrature along wrapped rays is kept
-as an independent cross-check (`ray_integral_trapezoid`).
+the exact integration-by-parts relation), so the phase identity holds to
+round-off.
 
 Every ray field is one entry of the table `RAY_FIELDS`, a triple (band
 coefficient, chi kernel, Fourier multiplier) summed over the bands by
 `PhaseField.ray`: S and T themselves, their time derivatives, Laplacians,
-gradients and derivatives along theta, and the chi'' form of <grad T, theta>.
+gradients and derivatives along theta.
 Fields are assembled on demand, for any subset of the directions, and never
 cached.
 
@@ -93,13 +92,11 @@ __all__ = [
     "PhaseField",
     "build_sigma",
     "phase_identity_residual",
-    "gradient_identity_check",
     "ParametrixOperator",
     "parametrix_residual",
     "error_term",
     "error_term_groups",
     "error_term_besov_ratio",
-    "ray_integral_trapezoid",
 ]
 
 SIGMA0_FACTOR = 0.5  # cancellation-correct weight of the displayed ray integral
@@ -132,10 +129,9 @@ def _chi_area() -> float:
 
 class _ChiKernels:
     """V0(s) = int chi'(u) e^{2 pi i s u} du by Gauss-Legendre, plus the exact
-    integration-by-parts partners
+    integration-by-parts partner
 
         W0(s) = -(1 + V0(s)) / (2 pi i s),   W0(0) = int chi du
-        Q0(s) = -2 pi i s V0(s)              (chi'' kernel; chi'(0)=chi'(2)=0)
     """
 
     def __init__(self, sigma_max: float):
@@ -148,13 +144,13 @@ class _ChiKernels:
         self.dchi = _chi_prime(self.nodes)
 
     def __call__(self, s: np.ndarray) -> dict[str, np.ndarray]:
-        """{"chi": W0(s), "chi_prime": V0(s), "chi_dprime": Q0(s)} from one V0 sum."""
+        """{"chi": W0(s), "chi_prime": V0(s)} from one V0 sum."""
         s = np.asarray(s, dtype=float)
         v = np.exp(2j * np.pi * np.multiply.outer(s, self.nodes)) @ (self.weights * self.dchi)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -(1.0 + v) / (2j * np.pi * s)
         w = np.where(np.abs(s) < 1e-9, _chi_area(), w)
-        return {"chi": w, "chi_prime": v, "chi_dprime": -2j * np.pi * s * v}
+        return {"chi": w, "chi_prime": v}
 
 
 # -- phase field -----------------------------------------------------------------
@@ -176,11 +172,11 @@ class _BandData:
     eta: np.ndarray  # (m, n) frequencies
     plane: np.ndarray  # (m, P) mode waves e^{2 pi i eta.x}
     coef: dict  # "a", "dt", "tilde", "tilde_dt" -> (n_t, n_comp, m) band spectra, mask included
-    kernel: dict | None = None  # "chi", "chi_prime", "chi_dprime" -> (D, m) kernels at eta.theta
+    kernel: dict | None = None  # "chi", "chi_prime" -> (D, m) kernels at eta.theta
 
 
 def _with_kernels(bands: list[_BandData], directions: np.ndarray) -> list[_BandData]:
-    """The bands with their 2^{-2k} W0/V0/Q0(2^{-2k} eta.theta) kernels for
+    """The bands with their 2^{-2k} W0/V0(2^{-2k} eta.theta) kernels for
     ``directions``; the quadrature resolves the largest 2^{-2k} |eta.theta|."""
     proj = [directions @ b.eta.T for b in bands]  # (D, m) per band
     sigma_max = max([1.0] + [4.0**-b.k * float(np.max(np.abs(s))) for b, s in zip(bands, proj)])
@@ -203,10 +199,6 @@ def _grad(directions, b):
     return 2j * np.pi * b.eta.T[:, None, :]  # (n, 1, m): one row per component
 
 
-def _weighted(directions, b):
-    return np.full((1, len(b.eta)), 4.0**b.k)
-
-
 # name -> (band coefficient, chi kernel, multiplier of the kernel or None); the
 # field is sum_k (theta . coef_k[t]) kernel_k multiplier_k @ plane_k, a Fourier
 # sum over each band's modes eta.  Gradient fields stack their n components.
@@ -221,7 +213,6 @@ RAY_FIELDS = {
     "theta_grad_T": ("tilde", "chi_prime", _along),
     "grad_S": ("a", "chi", _grad),
     "grad_T": ("tilde", "chi_prime", _grad),
-    "T_dprime": ("tilde", "chi_dprime", _weighted),
 }
 
 
@@ -231,20 +222,19 @@ class PhaseField:
     ``ray(name, t_idx)`` evaluates one entry of `RAY_FIELDS` as a (D,) + shape
     array, (n, D) + shape for ``grad_S`` and ``grad_T``.  The band
     coefficients are A_k ("a"), dt A_k ("dt"), At_k = 2^{2k} Lap^{-1} A_k
-    ("tilde") and dt At_k ("tilde_dt"); the kernels are the chi, chi' and
-    chi'' ray kernels; the multipliers are the Fourier symbols of Lap,
-    theta . grad and grad, or the weight 2^{2k}:
+    ("tilde") and dt At_k ("tilde_dt"); the kernels are the chi and chi' ray
+    kernels; the multipliers are the Fourier symbols of Lap, theta . grad and
+    grad:
 
         S, T            the displayed ray integral and the chi' ray of At_k
         dt_S, dt_T      their time derivatives
         lap_S, lap_T    their Laplacians
         theta_grad_S/T  their derivatives along theta
         grad_S, grad_T  their gradients
-        T_dprime        sum_k 2^{2k} chi''-ray of At_k.theta
 
     The constructor builds the bands' kernels for ``directions``, so
-    `sigma_at` and the identity checks reuse the band data on their own
-    directions through a new PhaseField.
+    `phase_identity_residual` reuses the band data on its own directions
+    through a new PhaseField.
 
     Invariants: S and T are real; sigma0 depends on xi only through the
     direction; sigma1 is 1-homogeneous in |xi| and purely imaginary.
@@ -312,16 +302,6 @@ class PhaseField:
         if self._env is None and self.bands:
             return [(np.array([i]), i) for i in range(self.grid.n_steps + 1)]
         return [(np.arange(self.grid.n_steps + 1), None)]
-
-    def sigma_at(self, t_idx: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma0, sigma1) fields for one frequency vector (appends a direction)."""
-        xi = np.asarray(xi, dtype=float)
-        r = float(np.linalg.norm(xi))
-        theta = xi / r
-        sub = PhaseField(self.grid, self.k_f, theta[None], self.bands)
-        s0 = SIGMA0_FACTOR * sub.ray("S", t_idx)[0]
-        s1 = 2j * np.pi * r * sub.ray("T", t_idx)[0]
-        return s0, s1
 
     def max_sigma(self) -> float:
         """Monitored sup of |sigma0| + |sigma1| at |xi| = 2^{k_f}, over every
@@ -468,19 +448,6 @@ def phase_identity_residual(
             worst = max(worst, 2.0 * np.pi * r * float(np.max(np.abs(res[d]))))
             scale = max(scale, 2.0 * np.pi * r * float(np.max(np.abs(a_theta[d]))))
     return worst / scale
-
-
-def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray) -> float:
-    """Relative agreement of <grad sigma1, xi> with its chi'' ray-integral form
-    at the first time slice."""
-    xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-    radii = np.linalg.norm(xi_samples, axis=1)
-    dirs = xi_samples / radii[:, None]
-    sub = PhaseField(phase.grid, phase.k_f, dirs, phase.bands)
-    lhs = sub.ray("theta_grad_T", 0)
-    rhs = -sub.ray("T_dprime", 0)
-    scale = max(float(np.max(np.abs(rhs))), 1e-30)
-    return float(np.max(np.abs(lhs - rhs))) / scale
 
 
 # -- the operator ------------------------------------------------------------------
@@ -827,45 +794,3 @@ def _besov_ratio(band_norms, eps: float, s: float) -> float:
         num += 2.0 ** (2 * k * s) * e_norm**2
         den += 2.0 ** (2 * k * s) * u_norm**2
     return num / (eps**2 * den) if den > 0 else 0.0
-
-
-# -- independent ray quadrature -----------------------------------------------------
-
-
-def ray_integral_trapezoid(
-    A: VectorPotential,
-    t_idx: int,
-    k: int,
-    theta: np.ndarray,
-    kernel: str = "chi",
-    dz: float | None = None,
-) -> np.ndarray:
-    """Composite-trapezoid evaluation of the band-k ray integral on the grid.
-
-    Fourier interpolation along the wrapped ray (spectral shift per z node);
-    independent of the analytic kernel path.  dz defaults to dx/2.
-    """
-    grid = A.grid
-    theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
-    dz = dz if dz is not None else grid.dx / 2.0
-    z_max = 2.0 ** (1 - 2 * k)
-    zs = np.arange(0.0, z_max + dz, dz)
-    weights = np.full(len(zs), dz)
-    weights[0] = weights[-1] = dz / 2.0
-    if kernel == "chi":
-        kern = CUTOFFS.chi(zs * 4.0**k)
-    elif kernel == "chi_prime":
-        kern = _chi_prime(zs * 4.0**k)
-    else:
-        raise ValueError("kernel must be 'chi' or 'chi_prime'")
-    mask = band_mask(grid, k)
-    spec = fourier_forward(grid, A.values[t_idx]) * mask
-    dot = np.tensordot(theta, spec, axes=(0, 0))
-    out = np.zeros(grid.shape, dtype=complex)
-    s_field = sum(grid.xi[j] * theta[j] for j in range(grid.n))
-    for z, w, kv in zip(zs, weights, kern):
-        if kv == 0.0 and z > 4.0 * 4.0**-k:
-            continue
-        out += (w * kv) * fourier_inverse(grid, dot * np.exp(2j * np.pi * z * s_field))
-    return out.real

@@ -53,7 +53,7 @@ class TestMakeGrid:
 
     def test_dual_lattice_frequencies(self):
         g = make_grid(1, 8, 8, 0.1, 1)
-        assert np.allclose(g.freq_physical, [-0.5, -0.375, -0.25, -0.125, 0, 0.125, 0.25, 0.375])
+        assert np.allclose(np.sort(g.freq1d), [-0.5, -0.375, -0.25, -0.125, 0, 0.125, 0.25, 0.375])
 
     def test_point_count(self):
         g = make_grid(3, 16, 16, 0.05, 0.5)

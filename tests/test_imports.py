@@ -1,5 +1,6 @@
 """Static scans of the package (stdlib ast only): every module uses every name
-it imports, and every defaulted parameter of the public API is set by some call."""
+it imports, every defaulted parameter of the public API is set by some call, and
+every public function and method is referenced by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -41,14 +42,26 @@ def test_scan_reports_an_unused_import():
     ]
 
 
-def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
-    """(callee, parameter, position or None) for each defaulted parameter of the
-    module's public functions and of the public methods and ``__init__`` of its
-    public classes; the callee of ``__init__`` is the class, and method
-    positions skip ``self`` or ``cls``."""
-    out = []
+def public_functions(source: str):
+    """(callee, def, bound) for the module's public functions and for the public
+    methods and ``__init__`` of its public classes; the callee of ``__init__``
+    is the class, and ``bound`` is 1 for a method (``self`` or ``cls``)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield node.name, item, 1
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item, 1
 
-    def scan(fn, callee, bound):
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position or None) for each defaulted parameter of
+    `public_functions`; method positions skip ``self`` or ``cls``."""
+    out = []
+    for callee, fn, bound in public_functions(source):
         args = fn.args
         positional = (args.posonlyargs + args.args)[bound:]
         first_default = len(positional) - len(args.defaults)
@@ -56,16 +69,6 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
         out.extend(
             (callee, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
         )
-
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            scan(node, node.name, 0)
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    scan(item, node.name, 1)
-                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    scan(item, item.name, 1)
     return out
 
 
@@ -114,3 +117,77 @@ def test_scan_reports_an_unset_default():
     )
     callers = ["f(0, 1)\nK(**kw)\nobj.m(3)\n"]
     assert unset_defaults({"mod": module}, calls_by_name(callers)) == ["mod.f(c)", "mod.m(z)"]
+
+
+# module.callee -> why it stays in src/ though neither src/ nor perfbench/ references it
+UNREFERENCED = {
+    "angular.derivative_bound": "CapPartition.derivative_bound; test_uniform_derivative_bounds",
+    "lp.project_below": "perfbench/tracing.py LAYER_TARGETS resolves it by getattr",
+    "lp.project_fat": "perfbench/tracing.py LAYER_TARGETS resolves it by getattr",
+    "lp.bernstein_ratio": "README Dyadic calculus: 'Bernstein ratios'",
+    "lp.mixed_bernstein_ratio": "README Dyadic calculus: 'Bernstein ratios'",
+    "lp.besov_l2_norm": "README Dyadic calculus: 'Besov-l2 sums'",
+    "lp.spectral_gradient": "test_projection_commutes_with_gradient",
+    "norms.path_sup_time_norm": "README Notes: 'Suprema over measurable base paths factorize'",
+    "norms.xdot_norm": "README Mixed norms: 'the Besov-type solution norm'",
+    "potentials.corollary_norm": "README Vector potentials: '`corollary_norm` walk their bands'",
+    "potentials.rescale_field": "test_rescale_field_power",
+    "snapshots.write_field_snapshot": "README File formats: 'Field snapshot'",
+    "snapshots.read_field_snapshot": "README File formats: 'Field snapshot'",
+    "snapshots.write_band_mask_csv": "README File formats: 'Band masks'",
+    "snapshots.write_norm_report_csv": "README File formats: 'Norm reports'",
+    "snapshots.write_y_report_csv": "README File formats: 'the smallness-functional breakdown'",
+    "solver.lp_reduced_equation_check": "README Parametrix: 'the band-k equation check'",
+}
+
+
+def references(sources) -> set[str]:
+    """Every name the sources read, bare (``f``) or as an attribute (``obj.f``)."""
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def unreferenced(package_sources: dict, names: set, allowlist: dict) -> list[str]:
+    """``module.callee`` of each of `public_functions` that no source reads and
+    the allowlist does not name, then each allowlist entry that is referenced or
+    no longer defined."""
+    missing = [
+        f"{module}.{callee}"
+        for module, source in package_sources.items()
+        for callee, _, _ in public_functions(source)
+        if callee not in names
+    ]
+    stale = [f"stale allowlist entry {entry}" for entry in allowlist if entry not in missing]
+    return [entry for entry in missing if entry not in allowlist] + stale
+
+
+def test_every_public_function_is_referenced():
+    # the package's modules without the re-exports of __init__.py, and the benchmark
+    readers = [p.read_text() for p in [*MODULES, *(ROOT / "perfbench").rglob("*.py")]]
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreferenced(sources, references(readers), UNREFERENCED) == []
+
+
+def test_scan_reports_an_unreferenced_function():
+    module = (
+        "def f():\n    pass\n"
+        "def g():\n    pass\n"
+        "def kept():\n    pass\n"
+        "class K:\n    def __init__(self):\n        pass\n"
+        "    def m(self):\n        pass\n"
+        "    def used(self):\n        pass\n"
+        "def _private():\n    pass\n"
+    )
+    readers = ["def f():\n    pass\nobj.g()\nK().used()\n"]
+    allowlist = {"mod.kept": "a reason", "mod.used": "now referenced"}
+    assert unreferenced({"mod": module}, references(readers), allowlist) == [
+        "mod.f",
+        "mod.m",
+        "stale allowlist entry mod.used",
+    ]
