@@ -44,7 +44,9 @@ of each group of slices with nearby envelope values (`_envelope_groups`).
 Each order is one matrix product over the modes for all of the group's
 slices, with one exponential e^{i c sigma} per group and chunk; a potential
 that is not rank-1 gives one slice per group and the series stops at order 0
-(see `ParametrixOperator`).
+(see `ParametrixOperator`).  Rank-1 covers A's samples too, so the analytic
+residual folds A into its integrand: three static factors for any n, whose
+slice weights denv, env and env^2 enter the rows of that one product.
 
 The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
 equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
@@ -233,27 +235,30 @@ class PhaseField:
         grad_S, grad_T  their gradients
 
     The constructor builds the bands' kernels for ``directions``, so
-    `phase_identity_residual` reuses the band data on its own directions
-    through a new PhaseField.
+    `phase_identity_residual` reuses the potential A and its band data on its
+    own directions through a new PhaseField.
 
     Invariants: S and T are real; sigma0 depends on xi only through the
     direction; sigma1 is 1-homogeneous in |xi| and purely imaginary.
 
-    When the potential's band spectrum is a rank-1 function of time
-    (coef[t] = env[t] * coef_ref, the case for all analytic presets) every ray
-    field separates as env(t) * static field (see `time_groups`).  Nothing is
-    cached: every call assembles its field from the band data, and the
-    ``d_idx`` argument of `ray` restricts that work to a subset of the
-    directions, which is how the operator walks its mode chunks.
+    When the potential is a rank-1 function of time, its band spectrum
+    (coef[t] = env[t] * coef_ref) and its samples (A(t) = env[t] * A(t_ref))
+    alike, as for every analytic preset but the traveling bump, every ray
+    field and A itself separate as env(t) * static field (see `time_groups`
+    and `potential`).  Nothing is cached: every call assembles its field from
+    the band data, and the ``d_idx`` argument of `ray` restricts that work to
+    a subset of the directions, which is how the operator walks its mode
+    chunks.
     """
 
-    def __init__(self, grid, k_f, directions, bands):
-        self.grid = grid
+    def __init__(self, A, k_f, directions, bands):
+        self.A = A
+        self.grid = A.grid
         self.k_f = k_f
         self.directions = directions
         self.bands = _with_kernels(bands, directions)
-        self.n_points = int(np.prod(grid.shape))
-        self._env, self._denv, self._t_ref = _detect_envelope(self.bands)
+        self.n_points = int(np.prod(self.grid.shape))
+        self._env, self._denv, self._t_ref = _detect_envelope(self.bands, A.values)
 
     def _assemble(self, name: str, t_idx: int, d_idx) -> np.ndarray:
         coef, kernel, mult = RAY_FIELDS[name]
@@ -266,11 +271,11 @@ class PhaseField:
             if mult is not None:
                 kern = kern * mult(directions, b)
             out += (theta_dot * kern) @ b.plane
-        flat = out.reshape(lead + (-1,))  # one row per field component
-        imag = np.max(np.abs(flat.imag), axis=-1)
-        real = np.max(np.abs(flat.real), axis=-1)
-        if np.any(imag > 1e-10 * np.maximum(real, 1e-30)):
-            raise AssertionError(f"ray field {name} lost reality: imag {np.max(imag):.2e}")
+        # against the whole field: a gradient component that nearly vanishes
+        # on the directions read keeps the round-off of the band coefficients
+        imag = float(np.max(np.abs(out.imag)))
+        if imag > 1e-10 * max(float(np.max(np.abs(out.real))), 1e-30):
+            raise AssertionError(f"ray field {name} lost reality: imag {imag:.2e}")
         return out.real.reshape(out.shape[:-1] + self.grid.shape)
 
     def ray(self, name: str, t_idx: int | None, d_idx=slice(None)) -> np.ndarray:
@@ -286,6 +291,14 @@ class PhaseField:
         static = self._assemble(name, ref, d_idx) / env[ref]
         return static if t_idx is None else env[t_idx] * static
 
+    def potential(self, t_idx: int | None) -> np.ndarray:
+        """A at slice t_idx, (n,) + shape; t_idx None gives the static factor
+        A(t_ref) / env(t_ref) of a rank-1 potential (see `time_groups`), and
+        any slice of A for a zero phase, whose gradient vanishes."""
+        if t_idx is not None:
+            return self.A.values[t_idx]
+        return self.A.values[self._t_ref] / self.envelope()[0][self._t_ref]
+
     def envelope(self) -> tuple[np.ndarray, np.ndarray]:
         """(env, denv) per slice, the scalars of `time_groups`; ones when the
         potential is not rank-1 in time."""
@@ -297,8 +310,9 @@ class PhaseField:
     def time_groups(self) -> list[tuple[np.ndarray, int | None]]:
         """(slices, t_field) groups: at slice t of slices every ray field is
         env[t] (denv[t] for dt fields, see `envelope`) times the field read at
-        t_field.  One group, t_field None, when rank-1 or without bands (a zero
-        phase); else one per slice."""
+        t_field, and A is env[t] times `potential`(t_field).  One group,
+        t_field None, when rank-1 or without bands (a zero phase); else one per
+        slice."""
         if self._env is None and self.bands:
             return [(np.array([i]), i) for i in range(self.grid.n_steps + 1)]
         return [(np.arange(self.grid.n_steps + 1), None)]
@@ -315,8 +329,9 @@ class PhaseField:
         return worst
 
 
-def _detect_envelope(bands) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """Rank-1-in-time detection: coef[t] = env[t] * coef[t_ref] across bands."""
+def _detect_envelope(bands, samples) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """Rank-1-in-time detection: coef[t] = env[t] * coef[t_ref] across bands, and
+    the potential's samples A(t) = env[t] * A(t_ref) with the same env."""
     if not bands:
         return None, None, 0
     nt = bands[0].coef["a"].shape[0]
@@ -329,14 +344,21 @@ def _detect_envelope(bands) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     if denom == 0.0:
         return None, None, 0
     env = (flat @ ref.conj()).real / denom
-    resid = flat - env[:, None] * ref[None]
-    if np.max(np.abs(resid)) > 1e-12 * max(float(np.max(np.abs(flat))), 1e-300):
-        return None, None, 0
     denv = (flat_dt @ ref.conj()).real / denom
-    resid_dt = flat_dt - denv[:, None] * ref[None]
-    if np.max(np.abs(resid_dt)) > 1e-12 * max(float(np.max(np.abs(flat_dt))), 1e-300):
+    samples = samples.reshape(nt, -1)
+    if not (
+        _is_rank1(flat, env, ref)
+        and _is_rank1(flat_dt, denv, ref)
+        and _is_rank1(samples, env, samples[t_ref])
+    ):
         return None, None, 0
     return env, denv, t_ref
+
+
+def _is_rank1(rows: np.ndarray, env: np.ndarray, ref: np.ndarray) -> bool:
+    """rows[t] = env[t] * ref to 1e-12 of max |rows|."""
+    resid = np.max(np.abs(rows - env[:, None] * ref[None]))
+    return bool(resid <= 1e-12 * max(float(np.max(np.abs(rows))), 1e-300))
 
 
 def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseField:
@@ -387,7 +409,7 @@ def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseFi
             )
         coefs = {"a": coef, "dt": coef_dt, "tilde": coef * inv_lap, "tilde_dt": coef_dt * inv_lap}
         bands.append(_BandData(k, eta, plane, coefs))
-    return PhaseField(grid, k_f, directions, bands)
+    return PhaseField(A, k_f, directions, bands)
 
 
 def annulus_data(
@@ -434,7 +456,7 @@ def phase_identity_residual(
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     radii = np.linalg.norm(xi_samples, axis=1)
     dirs = xi_samples / radii[:, None]
-    sub = PhaseField(phase.grid, phase.k_f, dirs, phase.bands)
+    sub = PhaseField(phase.A, phase.k_f, dirs, phase.bands)
     worst = 0.0
     scale = 1.0
     for i in t_indices:
@@ -495,8 +517,10 @@ class ParametrixOperator:
     order is one matrix product AMP @ (Z sigma^a plane), AMP the (slices,
     chunk) amplitude matrix, with a single exponential Z = e^{i c sigma} per
     group and chunk.  A potential that is not rank-1 gives one slice per
-    group, where the series stops at order 0.  The residual moves A(t, x)
-    outside the mode sum, so all of its integrand factors are static too.
+    group, where the series stops at order 0.  The residual folds A(t, x)
+    into its integrand, A = env(t) a with a static in the group, so it is
+    three static factors for any n, and their slice weights fold into the
+    rows: one (slices, 3 chunk) @ (3 chunk, P) product per order.
     """
 
     def __init__(
@@ -539,27 +563,34 @@ class ParametrixOperator:
             out = (out[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
         return out
 
-    def _mode_sum(self, integrand=None, n_out: int = 1, orders: int | None = None) -> np.ndarray:
-        """out[k, t] = sum_m amp_m(t) F_km(x) e^{i env(t) sigma_m(x)} e^{2 pi i xi_m.x},
-        amp_m(t) = coef_m e^{-4 pi^2 i t |xi_m|^2}, as (n_out, n_t, P).
+    def _mode_sum(self, integrand=None, weights=None, orders: int | None = None) -> np.ndarray:
+        """out[k, t] = sum_m amp_m(t) sum_f w_f(t) F_fm(x) e^{i env(t) sigma_m(x)}
+        e^{2 pi i xi_m.x}, amp_m(t) = coef_m e^{-4 pi^2 i t |xi_m|^2}, as
+        (1, n_t, P), or (orders + 1, n_t, P) with ``orders``.
 
         sigma = sigma0 + sigma1 is the static phase of each time group (see
-        `PhaseField.time_groups`).  integrand(ray, r) returns the n_out static
-        factors F_k as a list of (chunk, P) arrays, None meaning F = 1:
-        ray(name) gathers a `RAY_FIELDS` entry onto the chunk's modes
-        ((chunk, P) or (n, chunk, P)) and r is the chunk's |xi| as a column.
+        `PhaseField.time_groups`).  integrand(ray, r, t_field) returns the
+        static factors F_f as a list of (chunk, P) arrays, None meaning the one
+        factor F = 1: ray(name) gathers a `RAY_FIELDS` entry onto the chunk's
+        modes ((chunk, P) or (n, chunk, P)), r is the chunk's |xi| as a column
+        and t_field the group's field slice.  ``weights`` is the (factors, n_t)
+        array of slice weights w_f, ones by default.
 
         Per chunk, the group's slices split into `_envelope_groups` of centre
-        c, and each adds sum_{a<=K} ((i (env - c))^a / a!) amp @ (F e^{i c
-        sigma} sigma^a), its series tail below `_TAYLOR_TAIL`.  With ``orders``
-        (F = 1) every slice takes c = 0 and K = orders, and out[a] is the
-        order-a term alone.
+        c, and each adds sum_{a<=K} ((i (env - c))^a / a!) sum_f w_f amp @ (F_f
+        e^{i c sigma} sigma^a), its series tail below `_TAYLOR_TAIL`.  The
+        weights fold into the rows, so each order is one (slices, factors *
+        chunk) @ (factors * chunk, P) product.  With ``orders`` (F = 1) every
+        slice takes c = 0 and K = orders, and out[a] is the order-a term alone.
         """
         grid = self.grid
         n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
+        n_out = 1 if orders is None else orders + 1
         out = np.zeros((n_t, n_out, P), dtype=complex)  # one contiguous row per slice
         amp = self.coef * np.exp(-4j * np.pi**2 * np.multiply.outer(grid.times, self.radii**2))
         env = self.phase.envelope()[0]
+        if weights is None:
+            weights = np.ones((1, n_t))
         chunk = max(1, _CHUNK_BYTES // (16 * P))
         for lo in range(0, len(self.xi), chunk):
             sel = slice(lo, lo + chunk)
@@ -573,9 +604,9 @@ class ParametrixOperator:
                     return values.reshape(values.shape[: -grid.n] + (P,))[..., dmap, :]
 
                 sigma = SIGMA0_FACTOR * ray("S") + 2j * np.pi * r * ray("T")
-                F = plane[:, None, :]  # (chunk, factors, P)
+                F = plane[None]  # (factors, chunk, P)
                 if integrand is not None:
-                    F = np.stack(integrand(ray, r), axis=1) * F
+                    F = np.stack(integrand(ray, r, t_field)) * F
                 if orders is None:
                     groups = _envelope_groups(env[slices], float(np.max(np.abs(sigma))))
                 else:
@@ -583,14 +614,15 @@ class ParametrixOperator:
                 for rows, c, K in groups:
                     t = slices[rows]  # ascending, so a run of slices is a view of out
                     dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
-                    Z = F * np.exp(1j * c * sigma)[:, None, :] if c else F.copy()  # e^0 = 1
+                    Z = F * np.exp(1j * c * sigma) if c else F.copy()  # e^0 = 1
                     shift = 1j * (env[t] - c)
+                    w_rows = weights[:, t].T[:, :, None]  # (slices, factors, 1)
                     for a in range(K + 1):
                         w = (shift**a / math.factorial(a))[:, None] * amp[t, sel]
-                        k = slice(a, a + 1) if orders is not None else slice(None)
-                        out[dest, k] += (w @ Z.reshape(len(Z), -1)).reshape(len(t), -1, P)
+                        w = (w_rows * w[:, None, :]).reshape(len(t), -1)
+                        out[dest, a if orders is not None else 0] += w @ Z.reshape(-1, P)
                         if a < K:
-                            Z *= sigma[:, None, :]
+                            Z *= sigma
         return np.moveaxis(out, 1, 0)
 
     def apply(self) -> SpaceTimeField:
@@ -602,7 +634,7 @@ class ParametrixOperator:
         """All truncations sum_{a<=order} (i sigma)^a / a! inside the integral for
         orders 0..max_order, and the L^inf_t L^2_x norm of each order's term."""
         grid = self.grid
-        terms = self._mode_sum(n_out=max_order + 1, orders=max_order)
+        terms = self._mode_sum(orders=max_order)
         terms = terms.reshape((max_order + 1, -1) + grid.shape)
         sums = np.cumsum(terms, axis=0)
         fields = {a: SpaceTimeField(grid, sums[a]) for a in range(max_order + 1)}
@@ -615,29 +647,26 @@ class ParametrixOperator:
         i dt sigma + Lap sigma0 + 4 pi i <grad sigma1, xi>
         + i [ (grad sigma)^2 + A . grad sigma ].
 
-        With g_j = d_j sigma at env = 1, the slice integrand is
+        With g_j = d_j sigma at env = 1 and a_j = A_j read at the time group's
+        field (see `PhaseField.time_groups`), A = env a, so the slice integrand
+        is three static factors with A folded into the third:
         denv (i dt sigma) + env (Lap sigma0 + 4 pi i <grad sigma1, xi>)
-        + i env^2 sum_j g_j^2 + i env sum_j A_j(t, x) g_j; A_j(t, x) does not
-        depend on the mode, so it multiplies the mode sum of g_j.
+        + env^2 (i sum_j g_j (g_j + a_j)).  One mode sum takes them, with the
+        slice weights denv, env and env^2.
         """
         grid = self.grid
-        n = grid.n
 
-        def integrand(ray, r):
+        def integrand(ray, r, t_field):
+            a = self.phase.potential(t_field).reshape(grid.n, 1, -1)  # (n, 1, P)
             dt_term = 1j * (SIGMA0_FACTOR * ray("dt_S") + 2j * np.pi * r * ray("dt_T"))
             lap_term = SIGMA0_FACTOR * ray("lap_S") + 4j * np.pi * (
                 2j * np.pi * r**2 * ray("theta_grad_T")
             )
             g = SIGMA0_FACTOR * ray("grad_S") + 2j * np.pi * r * ray("grad_T")  # (n, chunk, P)
-            return [dt_term, lap_term, 1j * np.sum(g * g, axis=0), *g]
+            return [dt_term, lap_term, 1j * np.sum(g * (g + a), axis=0)]
 
-        sums = self._mode_sum(integrand, 3 + n)
-        env, denv = (e[:, None] for e in self.phase.envelope())
-        a = np.moveaxis(self.A.values.reshape(len(env), n, -1), 1, 0)  # (n, n_t, P)
-        out = (
-            denv * sums[0] + env * sums[1] + env**2 * sums[2]
-            + 1j * env * np.sum(a * sums[3:], axis=0)
-        )
+        env, denv = self.phase.envelope()
+        out = self._mode_sum(integrand, np.stack([denv, env, env**2]))[0]
         return SpaceTimeField(grid, out.reshape((-1,) + grid.shape))
 
 

@@ -19,7 +19,7 @@ def sigma_at(phase: PhaseField, t_idx: int, xi: np.ndarray) -> tuple[np.ndarray,
     xi = np.asarray(xi, dtype=float)
     r = float(np.linalg.norm(xi))
     theta = xi / r
-    sub = PhaseField(phase.grid, phase.k_f, theta[None], phase.bands)
+    sub = PhaseField(phase.A, phase.k_f, theta[None], phase.bands)
     s0 = SIGMA0_FACTOR * sub.ray("S", t_idx)[0]
     s1 = 2j * np.pi * r * sub.ray("T", t_idx)[0]
     return s0, s1
@@ -63,7 +63,7 @@ def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray) -> float:
     whose band-k Fourier kernel, weight 2^{2k} included, is Q0(2^{-2k} eta.theta)."""
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     dirs = xi_samples / np.linalg.norm(xi_samples, axis=1)[:, None]
-    sub = PhaseField(phase.grid, phase.k_f, dirs, phase.bands)
+    sub = PhaseField(phase.A, phase.k_f, dirs, phase.bands)
     lhs = sub.ray("theta_grad_T", 0)
     rhs = np.zeros((len(dirs), sub.n_points), dtype=complex)
     for b in phase.bands:
