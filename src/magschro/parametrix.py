@@ -52,8 +52,8 @@ The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
 equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
 call: `error_term`, `error_term_besov_ratio` and
 `solver.lp_reduced_equation_check` transform A and A.grad u once and then mask
-per band; `error_term_groups` masks the spectra of u and A once per piece.
-Nothing is cached beyond the call.
+per band.  The four groups of E^k, for any set of bands, come from one walk down
+the pieces of u and A (`_error_group_pass`).  Nothing is cached beyond the call.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ __all__ = [
 ]
 
 SIGMA0_FACTOR = 0.5  # cancellation-correct weight of the displayed ray integral
-_CHUNK_BYTES = 2 * 2**20  # one (mode chunk, P) complex temporary of the direct sum
+_CHUNK_BYTES = 2 * 2**20  # one complex temporary of the direct sum or of a chi-kernel block
 _TAYLOR_TAIL = 1e-16  # bound on the dropped tail of each phase series in the direct sum
 
 
@@ -146,9 +146,15 @@ class _ChiKernels:
         self.dchi = _chi_prime(self.nodes)
 
     def __call__(self, s: np.ndarray) -> dict[str, np.ndarray]:
-        """{"chi": W0(s), "chi_prime": V0(s)} from one V0 sum."""
+        """{"chi": W0(s), "chi_prime": V0(s)} from one V0 sum, taken over blocks
+        of rows of s whose (rows, ..., nodes) exponential fits `_CHUNK_BYTES`."""
         s = np.asarray(s, dtype=float)
-        v = np.exp(2j * np.pi * np.multiply.outer(s, self.nodes)) @ (self.weights * self.dchi)
+        weights = self.weights * self.dchi
+        rows = max(1, _CHUNK_BYTES // (16 * self.nodes.size * s[:1].size))
+        v = np.empty(s.shape, dtype=complex)
+        for i in range(0, len(s), rows):
+            phase = 2j * np.pi * np.multiply.outer(s[i : i + rows], self.nodes)
+            v[i : i + rows] = np.exp(phase) @ weights
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -(1.0 + v) / (2j * np.pi * s)
         w = np.where(np.abs(s) < 1e-9, _chi_area(), w)
@@ -749,40 +755,46 @@ def error_term_groups(
     high_high_a: high-band pairs with A carrying the strictly higher band
     high_high_u: high-band pairs with u carrying the weakly higher band
     high_low:    P_k(A_{>k-4} . grad u_{<=k-4})
-
-    Each piece of u or A is one mask on its spectrum, taken once: low
-    chi(2^{-(k-4)}.), bands phi(2^{-j}.) for j = k-3 .. k_max, top 1 - chi(2^{-k_max}.).
-    One pass over the high pieces sums A_j . grad U_{<j} and A_{<=j} . grad u_j,
-    and P_k is applied once to each sum.
     """
-    _check_error_inputs(u, A, [k])
+    return next(_error_group_pass(u, A, [k]))[1]
+
+
+def _error_group_pass(u: SpaceTimeField, A: VectorPotential, ks):
+    """(k, error_term_groups(u, A, k)) for each band of ``ks``, highest first.
+
+    One transform each of u and A, and one walk down the high pieces j: the top
+    1 - chi(2^{-k_max}.) as j = k_max + 1, then phi(2^{-j}.) to min(ks) - 3.  It
+    sums A_{>j} . grad u_j and A_j . grad u_{>=j} in place; band k is yielded at
+    piece k - 3 with P_k applied to both sums, so no band's groups wait.
+    """
+    _check_error_inputs(u, A, ks)
     grid = u.grid
-    mask = band_mask(grid, k)
     u_hat = u.spectrum()
     a_hat = fourier_forward(grid, A.values)
-    low = _leq_mask(grid, k - 4)
-    a_low = fourier_inverse(grid, a_hat * low).real
-    commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
-    commutator -= _advect(grid, a_low, u_hat * mask)
-    high_low = _apply_mask(grid, _advect(grid, A.values - a_low, u_hat * low), mask)
-
     _, k_max = representable_bands(grid)
-    pieces = [band_mask(grid, j) for j in range(k - 3, k_max + 1)]
-    pieces.append(1.0 - _leq_mask(grid, k_max))
-    hh_a = hh_u = a_upto = grad_below = 0.0
-    for piece in pieces:
+    a_above, grad_above = np.zeros(A.values.shape), np.zeros(A.values.shape, dtype=complex)
+    hh_a, hh_u = np.zeros(u.values.shape, dtype=complex), np.zeros(u.values.shape, dtype=complex)
+    for j in range(k_max + 1, min(ks) - 4, -1):
+        piece = band_mask(grid, j) if j <= k_max else 1.0 - _leq_mask(grid, k_max)
         a_j = fourier_inverse(grid, a_hat * piece).real
         grad_j = np.stack(list(_gradient(grid, u_hat * piece)), axis=1)  # (t, n, x)
-        a_upto = a_upto + a_j
-        hh_a = hh_a + np.sum(a_j * grad_below, axis=1)
-        hh_u = hh_u + np.sum(a_upto * grad_j, axis=1)
-        grad_below = grad_below + grad_j
-    return {
-        "commutator": commutator,
-        "high_high_a": _apply_mask(grid, hh_a, mask),
-        "high_high_u": _apply_mask(grid, hh_u, mask),
-        "high_low": high_low,
-    }
+        hh_a += np.sum(a_above * grad_j, axis=1)
+        grad_above += grad_j
+        hh_u += np.sum(a_j * grad_above, axis=1)
+        a_above += a_j
+        del a_j, grad_j  # not held while band k's groups are built and read
+        k = j + 3
+        if k in ks:
+            mask, low = band_mask(grid, k), _leq_mask(grid, k - 4)
+            a_low = fourier_inverse(grid, a_hat * low).real
+            commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
+            commutator -= _advect(grid, a_low, u_hat * mask)
+            yield k, {
+                "commutator": commutator,
+                "high_high_a": _apply_mask(grid, hh_a, mask),
+                "high_high_u": _apply_mask(grid, hh_u, mask),
+                "high_low": _apply_mask(grid, _advect(grid, A.values - a_low, u_hat * low), mask),
+            }
 
 
 def error_term_besov_ratio(

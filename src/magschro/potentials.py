@@ -503,22 +503,21 @@ def y23_report(A: VectorPotential, params: YNormParams | None = None) -> dict:
     return report
 
 
+def _y23_sums(report: dict, n: int) -> tuple[float, float]:
+    """(Y2, Y3): the two weightings of one `y23_report`."""
+    y2 = y3 = 0.0
+    for k, s in report.items():
+        y2 += 2.0 ** (k * (n - 1) / 2) * s["a_linf_t"] + 2.0 ** (k * (n - 5) / 2) * s["d_linf_t"]
+        y3 += 2.0 ** (k * (n + 3) / 2) * s["a_l1_t"] + 2.0 ** (k * (n - 1) / 2) * s["d_l1_t"]
+    return y2, y3
+
+
 def y2_norm(A: VectorPotential, params: YNormParams | None = None) -> float:
-    rep = y23_report(A, params)
-    n = A.grid.n
-    return sum(
-        2.0 ** (k * (n - 1) / 2.0) * s["a_linf_t"] + 2.0 ** (k * (n - 5) / 2.0) * s["d_linf_t"]
-        for k, s in rep.items()
-    )
+    return _y23_sums(y23_report(A, params), A.grid.n)[0]
 
 
 def y3_norm(A: VectorPotential, params: YNormParams | None = None) -> float:
-    rep = y23_report(A, params)
-    n = A.grid.n
-    return sum(
-        2.0 ** (k * (n + 3) / 2.0) * s["a_l1_t"] + 2.0 ** (k * (n - 1) / 2.0) * s["d_l1_t"]
-        for k, s in rep.items()
-    )
+    return _y23_sums(y23_report(A, params), A.grid.n)[1]
 
 
 def corollary_norm(A: VectorPotential) -> float:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from magschro import experiments
+from magschro import experiments, parametrix, potentials
 from magschro.experiments import (
     CHECK_CATALOG,
     EXPERIMENT_IDS,
@@ -280,6 +280,40 @@ class TestRun:
         for ids, _ in experiments._groups_of(experiment):
             alone = run(ExperimentConfig(experiment=experiment, seed=5, checks=ids)).rows
             assert alone == [r for r in full if r["check_id"] in ids], ids
+
+
+def _calls_of(monkeypatch, name, *modules):
+    """Record the arguments of every call to ``name``, patched into each module
+    (the defining one first), so calls from inside the package count too."""
+    calls, original = [], getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+class TestCallCounts:
+    """Each band quantity of a check group is computed once."""
+
+    def test_norms_y_group_builds_one_report_per_potential(self, monkeypatch):
+        reports = _calls_of(monkeypatch, "y23_report", potentials, experiments)
+        ids = tuple(f"y-scale-invariance-y{j}" for j in range(4))
+        params = {"rotation_count": 1}  # the count does not depend on the samples
+        run(ExperimentConfig(experiment="norms", checks=ids, params=params))
+        # five presets, each with its rescaling; Y2 and Y3 read the same report
+        assert len(reports) == 5 * 2
+
+    def test_error_terms_group_walks_the_pieces_once_per_amplitude(self, monkeypatch):
+        passes = _calls_of(monkeypatch, "_error_group_pass", parametrix, experiments)
+        singles = _calls_of(monkeypatch, "error_term_groups", parametrix, experiments)
+        run(ExperimentConfig(experiment="error-terms"))
+        # one pass over the bands -4 .. -2 for each of the three amplitudes
+        assert [sorted(ks) for _, _, ks in passes] == [[-4, -3, -2]] * 3
+        assert singles == []
 
 
 class TestCli:

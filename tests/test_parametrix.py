@@ -131,6 +131,21 @@ class TestPhase:
         with pytest.raises(ValueError, match="finite unit vectors"):
             build_sigma(zero, k_f, dirs)
 
+    def test_build_sigma_peak_memory(self):
+        # the parametrix experiment's first phase: 920 directions, band -6 with
+        # 8 modes and 679 quadrature nodes, whose chi kernels summed in one
+        # (920, 8, 679) complex exponential took a 163.6 MiB peak
+        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
+        A = make_potential("low_band", 0.01, g, seed=1, single_band=-6)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="wrap depth"):
+                build_sigma(A, -2, circle_directions(920))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_wrap_depth_warning(self, setup2d):
         g, k_f, scale = setup2d
         A = calibrated_potential(g, k_f, scale, 0.1)
@@ -311,19 +326,26 @@ class TestErrorTerm:
             scale = max(np.max(np.abs(e)), 1e-30)
             assert np.max(np.abs(total - e)) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("k", [-4, -3, -2])
+    @pytest.mark.parametrize("k", [-4, -3, -2, "all"])
     def test_groups_match_pairwise_oracle(self, k):
         # 3 slices of 64 x 64.  The low pieces hold more than the mean only at
         # k = -2; at k = -4, -3 the commutator and high-low groups vanish, so
-        # every group is measured against the size of E^k
+        # every group is measured against the size of E^k.  "all" takes the
+        # three bands from one pass, which yields them highest first
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
-        u, A = random_pair(g, seed=k + 10)
-        groups = error_term_groups(u, A, k)
-        oracle, e = error_term_groups_oracle(u, A, k)
-        scale = np.max(np.abs(e))
-        for name, ref in oracle.items():
-            assert np.max(np.abs(groups[name] - ref)) <= 1e-12 * scale, name
-        assert np.max(np.abs(error_term(u, A, k) - e)) <= 1e-12 * scale
+        if k == "all":
+            u, A = random_pair(g, seed=9)
+            bands = list(parametrix._error_group_pass(u, A, [-4, -3, -2]))
+            assert [band for band, _ in bands] == [-2, -3, -4]
+        else:
+            u, A = random_pair(g, seed=k + 10)
+            bands = [(k, error_term_groups(u, A, k))]
+        for band, groups in bands:
+            oracle, e = error_term_groups_oracle(u, A, band)
+            scale = np.max(np.abs(e))
+            for name, ref in oracle.items():
+                assert np.max(np.abs(groups[name] - ref)) <= 1e-12 * scale, (band, name)
+            assert np.max(np.abs(error_term(u, A, band) - e)) <= 1e-12 * scale
 
     def test_transform_counts(self, fft_calls):
         # fresh fields, so u's spectrum is taken once inside each call
@@ -333,6 +355,12 @@ class TestErrorTerm:
         # u 1, A 1, A_{<=k-4} 1, commutator 2n + 2, high-low n + 2,
         # the 7 high pieces (bands -7 .. -2 and the top) 1 + n each, two P_k 2 each
         assert (len(fft_calls), sum(fft_calls)) == (38, 577536)
+        fft_calls.clear()
+        u, A = random_pair(g, seed=1)
+        list(parametrix._error_group_pass(u, A, [-4, -3, -2]))
+        # u 1, A 1, the same 7 high pieces 1 + n each, walked once; per band
+        # A_{<=k-4} 1, commutator 2n + 2, high-low n + 2, two P_k 2 each
+        assert (len(fft_calls), sum(fft_calls)) == (68, 970752)
         fft_calls.clear()
         u, A = random_pair(g, seed=2)
         error_term(u, A, -4)
