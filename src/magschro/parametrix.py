@@ -41,7 +41,8 @@ directions only.  Under the smallness hypothesis the phase is small, and for
 a potential rank-1 in time it is env(t) times a static phase sigma, so
 e^{i env(t) sigma} is a short power series in env(t) - c about the centre c
 of each group of slices with nearby envelope values (`_envelope_groups`).
-Each order is one matrix product over the modes for all of the group's
+Each mode's series stops where its own tail bound does, and each order is
+one matrix product over the modes that still need it, for all of the group's
 slices, with one exponential e^{i c sigma} per group and chunk; a potential
 that is not rank-1 gives one slice per group and the series stops at order 0
 (see `ParametrixOperator`).  Rank-1 covers A's samples too, so the analytic
@@ -61,7 +62,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -146,19 +147,31 @@ class _ChiKernels:
         self.dchi = _chi_prime(self.nodes)
 
     def __call__(self, s: np.ndarray) -> dict[str, np.ndarray]:
-        """{"chi": W0(s), "chi_prime": V0(s)} from one V0 sum, taken over blocks
-        of rows of s whose (rows, ..., nodes) exponential fits `_CHUNK_BYTES`."""
+        """{"chi": W0(s), "chi_prime": V0(s)}, each distinct entry of s evaluated
+        once: the lattice's symmetries repeat most projections eta.theta."""
         s = np.asarray(s, dtype=float)
+        u, inverse = np.unique(s.ravel(), return_inverse=True)
+        v = self._v0(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = -(1.0 + v) / (2j * np.pi * u)
+        w = np.where(np.abs(u) < 1e-9, _chi_area(), w)
+        inverse = inverse.reshape(s.shape)
+        return {"chi": w[inverse], "chi_prime": v[inverse]}
+
+    def _v0(self, s: np.ndarray) -> np.ndarray:
+        """V0 at the 1-D array s, summed over blocks of entries whose (entries,
+        nodes) exponential fits `_CHUNK_BYTES`.  No block holds a lone entry,
+        which matmul would send to BLAS dot rather than gemv, and dot rounds
+        differently: so each entry's value does not depend on the others."""
         weights = self.weights * self.dchi
-        rows = max(1, _CHUNK_BYTES // (16 * self.nodes.size * s[:1].size))
+        rows, n = max(2, _CHUNK_BYTES // (16 * self.nodes.size)), len(s)
+        if n % rows == 1:
+            s = np.append(s, s[:1])
         v = np.empty(s.shape, dtype=complex)
         for i in range(0, len(s), rows):
             phase = 2j * np.pi * np.multiply.outer(s[i : i + rows], self.nodes)
             v[i : i + rows] = np.exp(phase) @ weights
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = -(1.0 + v) / (2j * np.pi * s)
-        w = np.where(np.abs(s) < 1e-9, _chi_area(), w)
-        return {"chi": w, "chi_prime": v}
+        return v[:n]
 
 
 # -- phase field -----------------------------------------------------------------
@@ -267,16 +280,24 @@ class PhaseField:
         self._env, self._denv, self._t_ref = _detect_envelope(self.bands, A.values)
 
     def _assemble(self, name: str, t_idx: int, d_idx) -> np.ndarray:
+        """The band sum of ``name`` at slice t_idx, one row per entry of d_idx
+        (entries may repeat), accumulated into the first band's product."""
         coef, kernel, mult = RAY_FIELDS[name]
         directions = self.directions[d_idx]
-        lead = (self.grid.n,) if mult is _grad else ()
-        out = np.zeros(lead + (len(directions), self.n_points), dtype=complex)
+        out = None
         for b in self.bands:
             theta_dot = np.einsum("dj,jm->dm", directions, b.coef[coef][t_idx])
             kern = b.kernel[kernel][d_idx]
             if mult is not None:
                 kern = kern * mult(directions, b)
-            out += (theta_dot * kern) @ b.plane
+            term = (theta_dot * kern) @ b.plane
+            if out is None:
+                out = term
+            else:
+                out += term
+        if out is None:  # no bands: a zero phase
+            lead = (self.grid.n,) if mult is _grad else ()
+            out = np.zeros(lead + (len(directions), self.n_points), dtype=complex)
         # against the whole field: a gradient component that nearly vanishes
         # on the directions read keeps the round-off of the band coefficients
         imag = float(np.max(np.abs(out.imag)))
@@ -286,8 +307,10 @@ class PhaseField:
 
     def ray(self, name: str, t_idx: int | None, d_idx=slice(None)) -> np.ndarray:
         """The ray field ``name`` of `RAY_FIELDS` at slice t_idx for the
-        directions d_idx (an index into ``directions``, all by default); t_idx
-        None gives the static factor of a rank-1 field (see `time_groups`)."""
+        directions d_idx (an index into ``directions``, all by default; an
+        index array may repeat a direction, which then gets one row per
+        entry); t_idx None gives the static factor of a rank-1 field (see
+        `time_groups`)."""
         if self._env is None:
             return self._assemble(name, t_idx, d_idx)
         env = self._denv if RAY_FIELDS[name][0].endswith("dt") else self._env
@@ -491,20 +514,24 @@ def _taylor_order(x: float) -> int:
     return order
 
 
-def _envelope_groups(env: np.ndarray, sigma_sup: float) -> list[tuple[np.ndarray, float, int]]:
+def _envelope_groups(
+    env: np.ndarray, sups: np.ndarray
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
     """Split the slices into (rows, c, K) groups of nearby envelope values: the
-    rows with |env - c| sigma_sup <= 1, and the order K at which the series of
-    e^{i (env - c) sigma} meets `_TAYLOR_TAIL` there."""
+    rows with |env - c| sups[0] <= 1, where sups holds each mode's sup|sigma_m|,
+    largest first.  K[m] is the order at which the series of
+    e^{i (env - c) sigma_m} meets `_TAYLOR_TAIL` there, so K falls along sups."""
     order = np.argsort(env, kind="stable")
     ends = env[order]
-    width = 2.0 / sigma_sup if sigma_sup > 0 else np.inf
+    width = 2.0 / sups[0] if sups[0] > 0 else np.inf
     groups = []
     lo = 0
     while lo < len(order):
         hi = int(np.searchsorted(ends, ends[lo] + width, side="right"))
         c = 0.5 * (ends[lo] + ends[hi - 1])
-        x = float(np.max(np.abs(ends[lo:hi] - c))) * sigma_sup
-        groups.append((np.sort(order[lo:hi]), c, _taylor_order(x)))
+        x = float(np.max(np.abs(ends[lo:hi] - c)))
+        K = np.array([_taylor_order(x * sup) for sup in sups])
+        groups.append((np.sort(order[lo:hi]), c, K))
         lo = hi
     return groups
 
@@ -520,9 +547,9 @@ class ParametrixOperator:
     `PhaseField.time_groups`) the phase is sigma(t) = env(t) sigma with sigma
     static, so e^{i env(t) sigma} is a short power series in env(t) - c about
     the centre c of a group of slices with nearby envelope values: every
-    order is one matrix product AMP @ (Z sigma^a plane), AMP the (slices,
-    chunk) amplitude matrix, with a single exponential Z = e^{i c sigma} per
-    group and chunk.  A potential that is not rank-1 gives one slice per
+    order is one matrix product AMP @ (Z sigma^a plane) over the modes whose
+    own series reaches that order, AMP the (slices, chunk) amplitude matrix,
+    with a single exponential Z = e^{i c sigma} per group and chunk.  A potential that is not rank-1 gives one slice per
     group, where the series stops at order 0.  The residual folds A(t, x)
     into its integrand, A = env(t) a with a static in the group, so it is
     three static factors for any n, and their slice weights fold into the
@@ -561,13 +588,19 @@ class ParametrixOperator:
         self.phase = build_sigma(A, omega.k_f, dirs)
         self.A = A
 
-    def _plane(self, sel: slice) -> np.ndarray:
-        """(chunk, P) waves e^{2 pi i xi.x} of the modes sel, a product of 1-D factors."""
-        out = np.ones((len(self.xi[sel]), 1))
+    def _plane(self, modes: np.ndarray) -> np.ndarray:
+        """(chunk, P) waves e^{2 pi i xi.x} of the modes (indices), a product of 1-D factors."""
+        out = np.ones((len(modes), 1))
         for j in range(self.grid.n):
-            wave = np.exp(2j * np.pi * np.multiply.outer(self.xi[sel, j], self.grid.x1d))
+            wave = np.exp(2j * np.pi * np.multiply.outer(self.xi[modes, j], self.grid.x1d))
             out = (out[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
         return out
+
+    def _ray(self, t_field, modes: np.ndarray, name: str) -> np.ndarray:
+        """The `RAY_FIELDS` entry ``name`` on each of the modes' directions, one
+        (P,) row per mode: (chunk, P), or (n, chunk, P) for a gradient."""
+        values = self.phase.ray(name, t_field, self.dir_of_mode[modes])
+        return values.reshape(values.shape[: -self.grid.n] + (-1,))
 
     def _mode_sum(self, integrand=None, weights=None, orders: int | None = None) -> np.ndarray:
         """out[k, t] = sum_m amp_m(t) sum_f w_f(t) F_fm(x) e^{i env(t) sigma_m(x)}
@@ -577,17 +610,21 @@ class ParametrixOperator:
         sigma = sigma0 + sigma1 is the static phase of each time group (see
         `PhaseField.time_groups`).  integrand(ray, r, t_field) returns the
         static factors F_f as a list of (chunk, P) arrays, None meaning the one
-        factor F = 1: ray(name) gathers a `RAY_FIELDS` entry onto the chunk's
+        factor F = 1: ray(name) reads a `RAY_FIELDS` entry on the chunk's
         modes ((chunk, P) or (n, chunk, P)), r is the chunk's |xi| as a column
         and t_field the group's field slice.  ``weights`` is the (factors, n_t)
         array of slice weights w_f, ones by default.
 
         Per chunk, the group's slices split into `_envelope_groups` of centre
-        c, and each adds sum_{a<=K} ((i (env - c))^a / a!) sum_f w_f amp @ (F_f
-        e^{i c sigma} sigma^a), its series tail below `_TAYLOR_TAIL`.  The
-        weights fold into the rows, so each order is one (slices, factors *
-        chunk) @ (factors * chunk, P) product.  With ``orders`` (F = 1) every
-        slice takes c = 0 and K = orders, and out[a] is the order-a term alone.
+        c, and each mode m adds sum_{a<=K_m} ((i (env - c))^a / a!) sum_f w_f
+        amp_m (F_fm e^{i c sigma_m} sigma_m^a), its own series tail below
+        `_TAYLOR_TAIL`.  When some K_m > 0 the chunk's modes are first sorted by
+        sup|sigma_m|, largest first, so that in every group the modes that
+        reach order a are a prefix: Z is held as (chunk, factors, P), and order
+        a is one (slices, prefix * factors) @ (prefix * factors, P) product
+        with the weights folded into the rows.  With ``orders`` (F = 1) every
+        mode of every slice takes c = 0 and K = orders, and out[a] is the
+        order-a term alone.
         """
         grid = self.grid
         n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
@@ -599,36 +636,44 @@ class ParametrixOperator:
             weights = np.ones((1, n_t))
         chunk = max(1, _CHUNK_BYTES // (16 * P))
         for lo in range(0, len(self.xi), chunk):
-            sel = slice(lo, lo + chunk)
-            used, dmap = np.unique(self.dir_of_mode[sel], return_inverse=True)
-            plane = self._plane(sel)
-            r = self.radii[sel, None]
+            modes = np.arange(lo, min(lo + chunk, len(self.xi)))
+            plane = None
             for slices, t_field in self.phase.time_groups():
-
-                def ray(name, t_field=t_field):
-                    values = self.phase.ray(name, t_field, used)
-                    return values.reshape(values.shape[: -grid.n] + (P,))[..., dmap, :]
-
+                ray, r = partial(self._ray, t_field, modes), self.radii[modes, None]
                 sigma = SIGMA0_FACTOR * ray("S") + 2j * np.pi * r * ray("T")
-                F = plane[None]  # (factors, chunk, P)
-                if integrand is not None:
-                    F = np.stack(integrand(ray, r, t_field)) * F
                 if orders is None:
-                    groups = _envelope_groups(env[slices], float(np.max(np.abs(sigma))))
+                    sups = np.max(np.abs(sigma), axis=1)
+                    by_sup = np.argsort(-sups, kind="stable")
+                    groups = _envelope_groups(env[slices], sups[by_sup])
+                    if max(K[0] for _, _, K in groups) > 0:
+                        modes, r, sigma, plane = modes[by_sup], r[by_sup], sigma[by_sup], None
+                        ray = partial(self._ray, t_field, modes)
                 else:
-                    groups = [(np.arange(len(slices)), 0.0, orders)]
-                for rows, c, K in groups:
+                    groups = [(np.arange(len(slices)), 0.0, np.full(len(modes), orders))]
+                if plane is None:
+                    plane = self._plane(modes)
+                F = plane[:, None]  # (chunk, factors, P)
+                if integrand is not None:
+                    F = np.stack(integrand(ray, r, t_field), axis=1)
+                    F *= plane[:, None]
+                for i, (rows, c, K) in enumerate(groups):
                     t = slices[rows]  # ascending, so a run of slices is a view of out
                     dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
-                    Z = F * np.exp(1j * c * sigma) if c else F.copy()  # e^0 = 1
+                    # an integrand's F is this group's own: the last group scales it in place
+                    Z = F if integrand is not None and i == len(groups) - 1 else F.copy()
+                    if c:  # e^0 = 1
+                        Z *= np.exp(1j * c * sigma)[:, None]
                     shift = 1j * (env[t] - c)
-                    w_rows = weights[:, t].T[:, :, None]  # (slices, factors, 1)
-                    for a in range(K + 1):
-                        w = (shift**a / math.factorial(a))[:, None] * amp[t, sel]
-                        w = (w_rows * w[:, None, :]).reshape(len(t), -1)
-                        out[dest, a if orders is not None else 0] += w @ Z.reshape(-1, P)
-                        if a < K:
-                            Z *= sigma
+                    amp_t = amp[np.ix_(t, modes)]  # (slices, chunk)
+                    w_rows = weights[:, t].T[:, None, :]  # (slices, 1, factors)
+                    for a in range(K[0] + 1):
+                        n_a = int(np.count_nonzero(K >= a))  # the modes reaching order a
+                        if a:
+                            Z[:n_a] *= sigma[:n_a, None]
+                        w = (shift**a / math.factorial(a))[:, None] * amp_t[:, :n_a]
+                        w = (w[:, :, None] * w_rows).reshape(len(t), -1)
+                        out[dest, a if orders is not None else 0] += w @ Z[:n_a].reshape(-1, P)
+                    del Z  # not held while the next group's Z or integrand is built
         return np.moveaxis(out, 1, 0)
 
     def apply(self) -> SpaceTimeField:

@@ -64,6 +64,26 @@ def calibrated_potential(g, k_f, scale, eps, seed=1):
     return make_potential("low_band", eps / scale, g, seed=seed, single_band=-6)
 
 
+def recorded(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's (args, result)."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def benchmark_operator():
+    """The parametrix benchmark's size: 64^2, 33 slices, M = 120 data modes."""
+    g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
+    f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
+    A = make_potential("low_band", 0.02, g, seed=1, single_band=-6)
+    return ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+
+
 class TestPhase:
     def test_zero_potential_zero_phase(self, setup2d):
         g, k_f, _ = setup2d
@@ -211,6 +231,22 @@ class TestPhase:
                             0, 2, limit=400)
             got = kern(np.array([sigma]))["chi"][0]
             assert abs(got - (re + 1j * im)) <= 1e-9
+
+    def test_chi_kernels_repeated_and_mirrored_arguments(self, monkeypatch):
+        # the lattice's symmetries repeat and mirror the projections eta.theta:
+        # each distinct one is evaluated once, and every entry as on its own
+        from magschro.parametrix import _ChiKernels
+
+        kern = _ChiKernels(sigma_max=6.0)
+        base = np.random.default_rng(5).uniform(-6.0, 6.0, size=(3, 4))
+        s = np.concatenate([base, -base, base[::-1]])  # (D, m) = (9, 4)
+        s[0, 0] = 0.0
+        v0 = recorded(monkeypatch, _ChiKernels, "_v0")
+        got = kern(s)
+        assert [args[1].size for args, _ in v0] == [25]  # 12 values, 12 mirrors, and 0
+        for key in ("chi", "chi_prime"):
+            alone = np.array([[kern(np.array([x]))[key][0] for x in row] for row in s])
+            assert got[key].shape == s.shape and np.array_equal(got[key], alone)
 
 
 class TestOperator:
@@ -539,26 +575,42 @@ class TestModeSumKernel:
         # small phase: one envelope group per chunk, whose series needs K > 0
         g, f = short_grid
         A = calibrated_potential(g, -2, setup2d[2], eps)
-        groups, split_slices = [], parametrix._envelope_groups
-
-        def spy(env, sigma_sup):
-            groups.append(split_slices(env, sigma_sup))
-            return groups[-1]
-
-        monkeypatch.setattr(parametrix, "_envelope_groups", spy)
+        groups = recorded(monkeypatch, parametrix, "_envelope_groups")
         self.check_against_oracle(g, f, A)
-        assert groups and all(len(split) == 1 for split in groups)
-        assert max(K for split in groups for _, _, K in split) > 0
+        assert groups and all(len(split) == 1 for _, split in groups)
+        orders = np.concatenate([K for _, split in groups for _, _, K in split])
+        assert orders.max() > 0
+        # the modes of a chunk stop at different orders, and still match the oracle
+        assert len(np.unique(orders)) >= 3
 
-    def test_potential_not_rank1_in_time(self, short_grid):
-        g, f = short_grid
+    @staticmethod
+    def not_rank1_potential(g):
         a1 = make_potential("low_band", 0.02, g, seed=1, single_band=-6).values
         a2 = make_potential("low_band", 0.02, g, seed=2, single_band=-6).values
         profile = np.cos(6.0 * g.times)[:, None, None, None]
-        A = VectorPotential(g, a1 + profile * a2, band_limit=-6)
+        return VectorPotential(g, a1 + profile * a2, band_limit=-6)
+
+    def test_potential_not_rank1_in_time(self, short_grid):
+        g, f = short_grid
+        A = self.not_rank1_potential(g)
         bands = build_sigma(A, -2, circle_directions(4)).bands
         assert _detect_envelope(bands, A.values)[0] is None
         self.check_against_oracle(g, f, A)
+
+    def test_not_rank1_builds_each_plane_once_in_mode_order(self, short_grid, monkeypatch):
+        # one slice per group, so every K_m is 0: no mode is reordered, and a
+        # chunk's plane waves serve all of its slices
+        g, f = short_grid
+        op = ParametrixOperator(g, f, self.not_rank1_potential(g), AnnulusCutoff(-2))
+        planes = recorded(monkeypatch, ParametrixOperator, "_plane")
+        groups = recorded(monkeypatch, parametrix, "_envelope_groups")
+        op.apply()
+        op.residual_analytic()
+        chunks = [list(range(lo, min(lo + 32, 120))) for lo in range(0, 120, 32)]
+        assert len(op.xi) == 120 and g.n_steps + 1 == 9
+        assert [list(args[1]) for args, _ in planes] == chunks * 2
+        assert len(groups) == 2 * len(chunks) * 9
+        assert all(len(split) == 1 and not split[0][2].any() for _, split in groups)
 
     def test_rank1_bands_with_samples_not_rank1(self, short_grid):
         # a spatially constant, time-varying vector lies in no band <= k_f - 4,
@@ -595,12 +647,27 @@ class TestModeSumKernel:
         op.residual_analytic()
         assert g.n == 2 and passes == [{3}]
 
+    def test_kernels_evaluate_each_distinct_projection_once(self, monkeypatch):
+        # 120 directions and the 8 modes of band -6: 960 projections, 117 distinct
+        v0 = recorded(monkeypatch, parametrix._ChiKernels, "_v0")
+        op = benchmark_operator()
+        assert [(len(op.phase.directions), len(b.eta)) for b in op.phase.bands] == [(120, 8)]
+        assert [args[1].size for args, _ in v0] == [117]
+
+    def test_per_mode_series_orders(self, monkeypatch):
+        # each mode's series stops at its own tail bound; the modes of a chunk
+        # are sorted so that K_m falls along them in every envelope group
+        op = benchmark_operator()
+        groups = recorded(monkeypatch, parametrix, "_envelope_groups")
+        op.apply()
+        orders = [K for _, split in groups for _, _, K in split]
+        assert len(groups) == 4 and all(np.all(np.diff(K) <= 0) for K in orders)
+        assert sum(int(np.sum(K + 1)) for K in orders) == 2481
+        # the per-chunk rule: every mode of a chunk to the chunk's largest K
+        assert sum(len(K) * (int(K[0]) + 1) for K in orders) == 5096
+
     def test_residual_peak_memory(self):
-        # the benchmark's size: 64^2, 33 slices, M = 120
-        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
-        f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
-        A = make_potential("low_band", 0.02, g, seed=1, single_band=-6)
-        op = ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+        op = benchmark_operator()
         assert len(op.xi) == 120
         tracemalloc.start()
         try:
@@ -611,11 +678,8 @@ class TestModeSumKernel:
         assert peak < 40 * 2**20
 
     def test_operator_holds_no_ray_fields(self):
-        # the benchmark's size; the fields of all 120 directions would take 39 MB
-        g = make_grid(2, 64, 64, 1.0 / 64.0, 0.5)
-        f = annulus_data(g, -2, seed=4, rel_width=(0.92, 1.0))
-        A = make_potential("low_band", 0.02, g, seed=1, single_band=-6)
-        op = ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+        # the fields of all 120 directions would take 39 MB
+        op = benchmark_operator()
         tracemalloc.start()
         try:
             op.apply()
