@@ -49,7 +49,6 @@ from .potentials import (
     YNormParams,
     corollary_norm,
     make_potential,
-    rescale_field,
     rescale_potential,
     y0_norm,
     y1_norm,

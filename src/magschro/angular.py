@@ -220,10 +220,7 @@ class _PhiKernel:
 
     def __init__(self, sigma_max: float):
         n_nodes = max(128, int(np.ceil(12.0 * max(sigma_max, 1.0) * 1.5)))
-        x, w = _gauss_legendre(n_nodes)
-        a, b = 0.25, 2.0
-        self.nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-        self.weights = 0.5 * (b - a) * w
+        self.nodes, self.weights = _gauss_legendre(n_nodes, 0.25, 2.0)
         self.phi = CUTOFFS.phi(self.nodes)
         hi, count = sigma_max * 1.05 + 1.0, 240001
         self.sig = np.linspace(-hi, hi, count)
@@ -251,7 +248,8 @@ def pointwise_ray_bound_check(
     against rhs = 2^{k(n-1)} ||H_k||_{L1}.
 
     The l sum is truncated at the box scale (support of phi(2^{-l}.) <= L/2);
-    the truncation point is recorded.  Ray integrals of |H_k| are evaluated on
+    the truncation point is recorded, and a box too small for the first scale
+    l = 1 - k is a ValueError.  Ray integrals of |H_k| are evaluated on
     all base points at once through the 1-D kernel of phi: the ray integral
     along theta at scale l is F^{-1}(|H_k|^ 2^l Phi0(2^l xi.theta)), so the
     multipliers 2^l Phi0(2^l xi.theta) are summed over l and the net in
@@ -262,6 +260,8 @@ def pointwise_ray_bound_check(
     """
     hi = 2.0 - CUTOFFS.glue_width
     truncated = floor(log2(grid.L / 2.0 / hi))
+    if truncated < 1 - k:
+        raise ValueError(f"no scale fits the box: l_start {1 - k} > l_truncated_at {truncated}")
     mag = np.abs(H_k)
     spec = fourier_forward(grid, mag.astype(complex))
     s_max = float(np.max(np.abs(grid.xi_norm))) * 2.0**truncated * 1.05

@@ -32,6 +32,7 @@ uncentered R^2 (1 - sum(y - a x)^2 / sum y^2).
 
 from __future__ import annotations
 
+import csv
 import inspect
 import json
 import platform
@@ -103,9 +104,16 @@ from .angular import (
     random_caps,
     _dense_sphere_sample,
 )
-from .snapshots import write_check_rows_csv
 
-__all__ = ["ExperimentConfig", "RunReport", "run", "list_checks", "validate", "EXPERIMENT_IDS"]
+__all__ = [
+    "ExperimentConfig",
+    "RunReport",
+    "run",
+    "list_checks",
+    "validate",
+    "write_check_rows_csv",
+    "EXPERIMENT_IDS",
+]
 
 EXPERIMENT_IDS = (
     "norms",
@@ -755,6 +763,17 @@ def _row(config: ExperimentConfig, check_id: str, value: float, params: dict) ->
         "threshold": float(thr),
         "pass": bool(ok),
     }
+
+
+def write_check_rows_csv(path, rows: list[dict]) -> None:
+    """Frozen columns: (check_id, param_json, value, threshold, pass)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["check_id", "param_json", "value", "threshold", "pass"])
+        for r in rows:
+            params = json.dumps(r.get("params", {}), sort_keys=True)
+            value, threshold = f"{r['value']:.17g}", f"{r['threshold']:.17g}"
+            w.writerow([r["check_id"], params, value, threshold, str(bool(r["pass"])).lower()])
 
 
 def run(config: ExperimentConfig) -> RunReport:

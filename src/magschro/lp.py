@@ -30,6 +30,7 @@ __all__ = [
     "BandDecomposition",
     "build_cutoffs",
     "representable_bands",
+    "band_mask",
     "project_band",
     "project_leq",
     "project_below",
@@ -39,7 +40,6 @@ __all__ = [
     "mixed_bernstein_ratio",
     "besov_l2_norm",
     "sequence_bound_check",
-    "spectral_gradient",
 ]
 
 _DEFAULT_GLUE = 0.125
@@ -94,11 +94,12 @@ CUTOFFS = CutoffPair()  # the one pair behind every band, phase and error term
 
 
 @lru_cache(maxsize=32)
-def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+def _gauss_legendre(count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [a, b], computed once per rule."""
     x, w = np.polynomial.legendre.leggauss(count)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    nodes, weights = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -362,8 +363,3 @@ def _gradient(grid: Grid, spectrum: np.ndarray):
 def _advect(grid: Grid, a: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """a . grad f for a (t, n, x) field a, from the spectrum of f."""
     return sum(a[:, j] * d for j, d in enumerate(_gradient(grid, spectrum)))
-
-
-def spectral_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Gradient via multipliers 2*pi*i*xi_j; output gains a leading axis of size n."""
-    return np.stack(list(_gradient(grid, fourier_forward(grid, values))))

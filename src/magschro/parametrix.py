@@ -91,10 +91,10 @@ from .norms import time_lq
 from .potentials import VectorPotential
 
 __all__ = [
-    "AnnulusCutoff",  # defined in lp, kept importable from here
     "PhaseField",
     "build_sigma",
     "phase_identity_residual",
+    "annulus_data",
     "ParametrixOperator",
     "parametrix_residual",
     "error_term",
@@ -126,8 +126,8 @@ def _chi_prime(u: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _chi_area() -> float:
     """int_0^2 chi du by 256-node Gauss-Legendre: W0(0)."""
-    x, w = _gauss_legendre(256)
-    return float(np.sum(w * CUTOFFS.chi(x + 1.0)))
+    u, w = _gauss_legendre(256, 0.0, 2.0)
+    return float(np.sum(w * CUTOFFS.chi(u)))
 
 
 class _ChiKernels:
@@ -141,9 +141,7 @@ class _ChiKernels:
         d = CUTOFFS.glue_width
         a, b = 1.0 + d, 2.0 - d
         n_nodes = max(96, int(np.ceil(10.0 * max(sigma_max, 1.0) * (b - a))))
-        x, w = _gauss_legendre(n_nodes)
-        self.nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-        self.weights = 0.5 * (b - a) * w
+        self.nodes, self.weights = _gauss_legendre(n_nodes, a, b)
         self.dchi = _chi_prime(self.nodes)
 
     def __call__(self, s: np.ndarray) -> dict[str, np.ndarray]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SpaceTimeField, _mass_share, fourier_forward, fourier_inverse, spatial_norm
+from .grid import Grid, _mass_share, fourier_forward, fourier_inverse, spatial_norm
 from .lp import CUTOFFS, CutoffPair, _gradient, band_mask, representable_bands
 from .norms import time_lq
 from .rotate import RotationSampler, rotate_field
@@ -56,7 +56,6 @@ __all__ = [
     "y23_report",
     "corollary_norm",
     "rescale_potential",
-    "rescale_field",
 ]
 
 _REALITY_TOL = 1e-12
@@ -571,11 +570,3 @@ def rescale_potential(A: VectorPotential, lam: float) -> VectorPotential:
         divergence_free=A.divergence_free,
         band_limit=new_limit,
     )
-
-
-def rescale_field(u: SpaceTimeField, lam: float, power: float = 0.0) -> SpaceTimeField:
-    """u -> lam^power u(lam^2 t, lam x); power=2 is the forcing-term action."""
-    _check_pow2(lam)
-    g = u.grid
-    new_grid = Grid(g.n, g.N, g.L / lam, g.dt / lam**2, g.T / lam**2)
-    return SpaceTimeField(new_grid, lam**power * u.values)

@@ -20,7 +20,13 @@ import numpy as np
 
 from .grid import Grid
 
-__all__ = ["rotate_field", "rotation_angle_2d", "RotationSampler", "sup_over_rotations"]
+__all__ = [
+    "rotate_field",
+    "rotation_angle_2d",
+    "rotation_2d",
+    "RotationSampler",
+    "sup_over_rotations",
+]
 
 
 @lru_cache(maxsize=64)  # every shear of 32 planar rotations on one grid
@@ -151,6 +157,12 @@ class RotationSampler:
     refine_rounds: int = 2
     _samples: list = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"rotation count must be at least 1, got {self.count}")
+        if self.refine_rounds < 0:
+            raise ValueError(f"refine_rounds must be non-negative, got {self.refine_rounds}")
+
     def samples(self) -> list[np.ndarray]:
         if self._samples is not None:
             return self._samples
@@ -206,10 +218,7 @@ def sup_over_rotations(functional, sampler: RotationSampler) -> tuple[float, np.
         evals += 1
         if v > best_val:
             best_val, best_U = v, U
-    if sampler.n == 2:
-        radius = np.pi / max(sampler.count, 1)
-    else:
-        radius = np.pi / max(sampler.count ** (1.0 / 3.0), 1.0) / 2.0
+    radius = np.pi / (sampler.count if sampler.n == 2 else 2.0 * sampler.count ** (1.0 / 3.0))
     for round_idx in range(sampler.refine_rounds):
         for U in sampler.perturbations(best_U, radius, 5, round_idx):
             v = float(functional(U))

@@ -1,9 +1,10 @@
-"""Reference evaluations for the parametrix tests.
+"""Reference evaluations for the parametrix and dyadic-calculus tests.
 
 `ray_integral_trapezoid` and `gradient_identity_check` reach a ray field by a
 route that shares no kernel with `magschro.parametrix`: a trapezoid rule along
 the wrapped ray, and a chi'' kernel from the closed-form second derivative of
-the glue.  `sigma_at` reads sigma0 and sigma1 for one frequency vector.
+the glue.  `sigma_at` reads sigma0 and sigma1 for one frequency vector, and
+`spectral_gradient` is the gradient by Fourier multipliers.
 """
 
 import numpy as np
@@ -12,6 +13,12 @@ from magschro.grid import fourier_forward, fourier_inverse
 from magschro.lp import CUTOFFS, band_mask
 from magschro.parametrix import SIGMA0_FACTOR, PhaseField, _chi_prime
 from magschro.potentials import VectorPotential
+
+
+def spectral_gradient(grid, values: np.ndarray) -> np.ndarray:
+    """Gradient by the multipliers 2 pi i xi_j; the output gains a leading axis of size n."""
+    spec = fourier_forward(grid, values)
+    return np.stack([fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spec) for j in range(grid.n)])
 
 
 def sigma_at(phase: PhaseField, t_idx: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

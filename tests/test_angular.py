@@ -18,8 +18,7 @@ from magschro.angular import (
     _PhiKernel,
 )
 from magschro.grid import fourier_forward, fourier_inverse, make_grid
-from magschro.lp import CUTOFFS, CutoffPair
-from magschro.parametrix import AnnulusCutoff
+from magschro.lp import CUTOFFS, AnnulusCutoff, CutoffPair
 
 
 class TestNets:
@@ -162,6 +161,12 @@ class TestPointwiseRayBound:
         g = make_grid(2, 64, 16, 0.5, 1)
         out = pointwise_ray_bound_check(g, np.zeros(g.shape), 0)
         assert out["lhs"] == 0.0
+
+    def test_box_too_small_for_any_scale_rejected(self):
+        # 32^2, L = 8: the scales l > 2 start at 3, and the box holds l <= 1
+        g = make_grid(2, 32, 8, 0.5, 1)
+        with pytest.raises(ValueError, match="l_start 3 > l_truncated_at 1"):
+            pointwise_ray_bound_check(g, self.band_bump(g, -2, seed=1), -2)
 
     def test_translation_invariance(self):
         g = make_grid(2, 128, 32, 0.5, 1)

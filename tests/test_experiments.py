@@ -1,4 +1,4 @@
-"""Config validation, check catalog, check groups, report contract, CLI, snapshots."""
+"""Config validation, check catalog, check groups, report contract, CLI, report CSV."""
 
 import functools
 import json
@@ -16,16 +16,9 @@ from magschro.experiments import (
     list_checks,
     run,
     validate,
-)
-from magschro.grid import gaussian_wavepacket, make_grid
-from magschro.snapshots import (
-    read_field_snapshot,
-    write_band_mask_csv,
     write_check_rows_csv,
-    write_field_snapshot,
-    write_norm_report_csv,
-    write_y_report_csv,
 )
+from magschro.grid import make_grid
 
 
 def _stub_groups(monkeypatch, make_stub):
@@ -361,31 +354,6 @@ class TestCli:
 
 
 class TestSnapshots:
-    def test_field_roundtrip(self, tmp_path):
-        g = make_grid(2, 32, 16, 0.25, 1.0)
-        f = gaussian_wavepacket(g, (8, 8), 2.5, (0.1, -0.2))
-        path = tmp_path / "slice.field"
-        write_field_snapshot(path, g, f, slice_index=3)
-        header, back = read_field_snapshot(path)
-        assert header["n"] == 2 and header["N"] == 32 and header["slice_index"] == 3
-        assert np.array_equal(back, f)
-
-    def test_band_mask_csv(self, tmp_path):
-        g = make_grid(1, 16, 16, 0.25, 1.0)
-        path = tmp_path / "mask.csv"
-        write_band_mask_csv(path, g, -2)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "xi_1,mask"
-        assert len(lines) == 17
-
-    def test_norm_and_y_report_columns(self, tmp_path):
-        p1 = tmp_path / "norms.csv"
-        write_norm_report_csv(p1, [{"norm_id": "lqlr", "q": 4, "r": 4, "value": 1.25}])
-        assert p1.read_text().splitlines()[0] == "norm_id,q,r,p_inner,U_index,value"
-        p2 = tmp_path / "y.csv"
-        write_y_report_csv(p2, [{"norm": "y1", "component": "band", "k": -2, "value": 0.5}])
-        assert p2.read_text().splitlines()[0] == "norm,component,k,value"
-
     def test_check_rows_contract(self, tmp_path):
         p = tmp_path / "rows.csv"
         write_check_rows_csv(

@@ -1,6 +1,7 @@
 """Static scans of the package (stdlib ast only): every module uses every name
-it imports, every defaulted parameter of the public API is set by some call, and
-every public function and method is referenced by the package or the benchmark."""
+it imports, every module's ``__all__`` is exactly its public interface, every
+defaulted parameter of the public API is set by some call, and every public
+function and method is referenced by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,46 @@ def test_scan_reports_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom math import pi, tau\nsys.exit(pi)\n") == [
         "os (line 1)",
         "tau (line 3)",
+    ]
+
+
+def all_mismatches(source: str) -> list[str]:
+    """Each ``__all__`` entry that no module-level statement binds, then each
+    public def or class at module level that ``__all__`` leaves out."""
+    bound, public, listed = set(), [], []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+    stale = [f"stale __all__ entry {name}" for name in listed if name not in bound]
+    return stale + [f"{name} missing from __all__" for name in public if name not in listed]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_all_lists_the_public_interface(path):
+    # cli is the console entry point, imported by no one
+    assert all_mismatches(path.read_text()) == []
+
+
+def test_scan_reports_an_all_mismatch():
+    module = (
+        "import os\nfrom math import pi as PI\nX, Y = 1, 2\n"
+        "__all__ = ['f', 'PI', 'X', 'gone', 'K']\n"
+        "def f():\n    pass\ndef g():\n    pass\n"
+        "class K:\n    pass\nclass L:\n    pass\ndef _h():\n    pass\n"
+    )
+    assert all_mismatches(module) == [
+        "stale __all__ entry gone",
+        "g missing from __all__",
+        "L missing from __all__",
     ]
 
 
@@ -127,16 +168,9 @@ UNREFERENCED = {
     "lp.bernstein_ratio": "README Dyadic calculus: 'Bernstein ratios'",
     "lp.mixed_bernstein_ratio": "README Dyadic calculus: 'Bernstein ratios'",
     "lp.besov_l2_norm": "README Dyadic calculus: 'Besov-l2 sums'",
-    "lp.spectral_gradient": "test_projection_commutes_with_gradient",
     "norms.path_sup_time_norm": "README Notes: 'Suprema over measurable base paths factorize'",
     "norms.xdot_norm": "README Mixed norms: 'the Besov-type solution norm'",
     "potentials.corollary_norm": "README Vector potentials: '`corollary_norm` walk their bands'",
-    "potentials.rescale_field": "test_rescale_field_power",
-    "snapshots.write_field_snapshot": "README File formats: 'Field snapshot'",
-    "snapshots.read_field_snapshot": "README File formats: 'Field snapshot'",
-    "snapshots.write_band_mask_csv": "README File formats: 'Band masks'",
-    "snapshots.write_norm_report_csv": "README File formats: 'Norm reports'",
-    "snapshots.write_y_report_csv": "README File formats: 'the smallness-functional breakdown'",
     "solver.lp_reduced_equation_check": "README Parametrix: 'the band-k equation check'",
 }
 

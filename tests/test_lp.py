@@ -19,8 +19,8 @@ from magschro.lp import (
     project_fat,
     representable_bands,
     sequence_bound_check,
-    spectral_gradient,
 )
+from oracles import spectral_gradient
 
 
 def spectral_bump_field(grid, k, rng, vector=False):

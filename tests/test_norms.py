@@ -273,6 +273,12 @@ class TestSupOverRotations:
         v2, _, _ = sup_over_rotations(functional, RotationSampler(2, count=24))
         assert abs(v2 - v1) <= 0.01 * max(v1, v2)
 
+    @pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -1}, {"refine_rounds": -1}])
+    def test_sampler_rejects_empty_sample_and_negative_rounds(self, kwargs):
+        # count = 0 would make the sup a max over no rotation at all
+        with pytest.raises(ValueError, match="count|refine_rounds"):
+            RotationSampler(2, **kwargs)
+
 
 class TestXdot:
     def test_zero_field(self):

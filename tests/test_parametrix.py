@@ -20,17 +20,16 @@ from magschro.grid import (
 )
 from magschro import parametrix
 from magschro.lp import (
+    AnnulusCutoff,
     CutoffPair,
     project_band,
     project_leq,
     representable_bands,
-    spectral_gradient,
 )
 from magschro.norms import time_lq
 from magschro.potentials import VectorPotential, make_potential
 from magschro.parametrix import (
     SIGMA0_FACTOR,
-    AnnulusCutoff,
     ParametrixOperator,
     _detect_envelope,
     annulus_data,
@@ -42,7 +41,7 @@ from magschro.parametrix import (
     phase_identity_residual,
 )
 from magschro.solver import lp_reduced_equation_check
-from oracles import gradient_identity_check, ray_integral_trapezoid, sigma_at
+from oracles import gradient_identity_check, ray_integral_trapezoid, sigma_at, spectral_gradient
 
 
 def circle_directions(count):

@@ -13,7 +13,6 @@ from magschro.potentials import (
     YNormParams,
     corollary_norm,
     make_potential,
-    rescale_field,
     rescale_potential,
     y0_components,
     y0_norm,
@@ -177,14 +176,6 @@ class TestScaling:
         fn = (lambda a: y2_norm(a, p)) if j == 2 else (lambda a: y3_norm(a, p))
         r = fn(B) / fn(A)
         assert 0.97 <= r <= 1.03
-
-    def test_rescale_field_power(self, grid2):
-        rng = np.random.default_rng(0)
-        from magschro.grid import SpaceTimeField
-
-        u = SpaceTimeField(grid2, rng.normal(size=(grid2.n_steps + 1,) + grid2.shape).astype(complex))
-        F2 = rescale_field(u, 2.0, power=2.0)
-        assert np.allclose(F2.values, 4.0 * u.values)
 
 
 class TestKernels:
