@@ -15,7 +15,7 @@ from math import floor, isqrt, log2
 
 import numpy as np
 
-from .grid import Grid, fourier_forward, fourier_inverse, spatial_norm
+from .grid import Grid, _fft, fourier_forward, fourier_inverse, spatial_norm
 from .lp import CUTOFFS, AnnulusCutoff, _gauss_legendre
 
 __all__ = [
@@ -382,7 +382,7 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
             block[row_of[s1][sel], col_of[s2][ci[sel]]] = v
             live[row_of[s1][sel]] = True
         rows = np.flatnonzero(live)  # rows with no point in a cap stay zero pages
-        spec = np.fft.fft(block[rows], axis=1)
+        spec = _fft(block[rows], 1)
         g[dest[rows]] = spec
         if not caps:
             mirror = a[rows] > 0
@@ -390,7 +390,7 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
     sup = 0.0
     for j in range(0, N, step):
         # the axis-0 transform of columns j..j+step, taken along a contiguous copy
-        cols = np.fft.fft(g[:, j : j + step].T.copy(), axis=1)
+        cols = _fft(g[:, j : j + step].T.copy(), 1)
         sup = max(sup, float(np.max(np.abs(cols))))
     return sup
 

@@ -13,9 +13,13 @@ lattice (1/L)*{-N/2, ..., N/2-1}^n and are stored unshifted (FFT order).
 Two spectral rules live here once: ``_free_phase`` (exp(-4*pi^2*i*t*|xi|^2),
 shared by the free flow and the solver's Lawson steps) and ``_mass_share``
 (the share of a spectrum's L^2 mass under a weight, read by every spectral
-guard in the package).  ``_fftn`` and ``_ifftn`` are the unweighted
-transforms that write into a caller's buffer; the solver's step pairs them, so
-their dx^n weights cancel.
+guard in the package).  Every transform of the package is made here.
+``_fftn`` and ``_ifftn`` are the unweighted transforms that write into a
+caller's buffer; the solver's step pairs them, so their dx^n weights cancel.
+``_real_forward`` and ``_real_inverse`` are the unweighted pair for real
+fields: the half spectrum keeps the N/2 + 1 columns 0 .. N/2 of the last axis
+(``_half`` cuts a full-lattice mask to them), the other columns being mirror
+images.  ``_fft`` and ``_ifft`` are the 1-D transforms along one axis.
 """
 
 from __future__ import annotations
@@ -116,6 +120,15 @@ class Grid:
         return np.sqrt(np.sum(self.xi**2, axis=0))
 
     @cached_property
+    def _half_xi(self) -> np.ndarray:
+        """xi on a half spectrum's columns with the Nyquist frequency set to 0:
+        2 pi i times it is d_j of a real field.  The real part of the full
+        complex path drops the Nyquist lines of an odd multiplier the same way."""
+        freq = self.freq1d.copy()
+        freq[self.N // 2] = 0.0
+        return np.stack(np.meshgrid(*([freq] * self.n), indexing="ij"))[..., : self.N // 2 + 1]
+
+    @cached_property
     def modes(self) -> np.ndarray:
         """Integer mode vectors xi*L, shape (n,) + spatial shape, FFT order."""
         return np.rint(self.xi * self.L).astype(np.int64)
@@ -153,6 +166,31 @@ def _ifftn(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spectrum, out=out)
 
 
+def _fft(values: np.ndarray, axis: int) -> np.ndarray:
+    """Unweighted 1-D forward transform along ``axis``."""
+    return np.fft.fft(values, axis=axis)
+
+
+def _ifft(spectrum: np.ndarray, axis: int) -> np.ndarray:
+    """Unweighted 1-D inverse transform along ``axis``."""
+    return np.fft.ifft(spectrum, axis=axis)
+
+
+def _real_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unweighted half spectrum (``rfftn``) of a real array over its trailing n axes."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)))
+
+
+def _real_inverse(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The real array (``irfftn``) of a half spectrum; inverts `_real_forward`."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.n, 0)))
+
+
+def _half(grid: Grid, array: np.ndarray) -> np.ndarray:
+    """The N/2 + 1 columns of a full-lattice array that a half spectrum keeps."""
+    return array[..., : grid.N // 2 + 1]
+
+
 def slice_l2(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete L^2 norms over the trailing n spatial axes, one per leading index."""
     axes = tuple(range(-grid.n, 0))
@@ -186,9 +224,16 @@ def l2_norm(grid: Grid, values: np.ndarray) -> float:
     return float(slice_l2(grid, values))
 
 
-def _mass_share(spectrum: np.ndarray, weight: np.ndarray) -> float:
-    """Share of the spectrum's L^2 mass under ``weight`` (0 for a zero spectrum)."""
+def _mass_share(spectrum: np.ndarray, weight: np.ndarray, half: bool = False) -> float:
+    """Share of the spectrum's L^2 mass under ``weight`` (0 for a zero spectrum).
+
+    With ``half``, ``spectrum`` is a `_real_forward` half spectrum and ``weight``
+    an even weight cut by `_half`: columns 1 .. N/2 - 1 also stand for their
+    mirror images, so they count twice.
+    """
     power = np.abs(spectrum) ** 2
+    if half:
+        power[..., 1:-1] *= 2.0
     total = np.sum(power)
     if total == 0:
         return 0.0

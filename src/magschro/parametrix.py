@@ -54,7 +54,8 @@ equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
 call: `error_term`, `error_term_besov_ratio` and
 `solver.lp_reduced_equation_check` transform A and A.grad u once and then mask
 per band.  The four groups of E^k, for any set of bands, come from one walk down
-the pieces of u and A (`_error_group_pass`).  Nothing is cached beyond the call.
+the pieces of u and A (`_error_group_pass`).  A's pieces are read from its real
+half spectrum.  Nothing is cached beyond the call.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ import numpy as np
 from .grid import (
     Grid,
     SpaceTimeField,
+    _half,
     _mass_share,
+    _real_forward,
+    _real_inverse,
     fourier_forward,
     fourier_inverse,
     l2_norm,
@@ -683,12 +687,12 @@ class ParametrixOperator:
         """All truncations sum_{a<=order} (i sigma)^a / a! inside the integral for
         orders 0..max_order, and the L^inf_t L^2_x norm of each order's term."""
         grid = self.grid
-        terms = self._mode_sum(orders=max_order)
-        terms = terms.reshape((max_order + 1, -1) + grid.shape)
-        sums = np.cumsum(terms, axis=0)
-        fields = {a: SpaceTimeField(grid, sums[a]) for a in range(max_order + 1)}
-        term_sup = {a: float(np.max(slice_l2(grid, terms[a]))) for a in range(max_order + 1)}
-        return fields, term_sup
+        # views of the (n_t, orders + 1, P) sum: each order's term, then its partial sum in place
+        terms = [t.reshape((-1,) + grid.shape) for t in self._mode_sum(orders=max_order)]
+        term_sup = {a: float(np.max(slice_l2(grid, t))) for a, t in enumerate(terms)}
+        for a in range(1, max_order + 1):
+            terms[a] += terms[a - 1]
+        return {a: SpaceTimeField(grid, t) for a, t in enumerate(terms)}, term_sup
 
     def residual_analytic(self) -> SpaceTimeField:
         """L(Lambda f) via the cancelled integrand
@@ -768,11 +772,11 @@ def _band_error_terms(u: SpaceTimeField, A: VectorPotential, ks):
     """(E^k, u_hat phi_k, A_{<=k-4}) per band k in ks, from one transform of A and A . grad u."""
     grid = u.grid
     u_hat = u.spectrum()
-    a_hat = fourier_forward(grid, A.values)
+    a_hat = _real_forward(grid, A.values)
     adv_hat = fourier_forward(grid, _advect(grid, A.values, u_hat))
     for k in ks:
         mask = band_mask(grid, k)
-        a_low = fourier_inverse(grid, a_hat * _leq_mask(grid, k - 4)).real
+        a_low = _real_inverse(grid, a_hat * _half(grid, _leq_mask(grid, k - 4)))
         uk_hat = u_hat * mask
         yield fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat), uk_hat, a_low
 
@@ -813,13 +817,13 @@ def _error_group_pass(u: SpaceTimeField, A: VectorPotential, ks):
     _check_error_inputs(u, A, ks)
     grid = u.grid
     u_hat = u.spectrum()
-    a_hat = fourier_forward(grid, A.values)
+    a_hat = _real_forward(grid, A.values)
     _, k_max = representable_bands(grid)
     a_above, grad_above = np.zeros(A.values.shape), np.zeros(A.values.shape, dtype=complex)
     hh_a, hh_u = np.zeros(u.values.shape, dtype=complex), np.zeros(u.values.shape, dtype=complex)
     for j in range(k_max + 1, min(ks) - 4, -1):
         piece = band_mask(grid, j) if j <= k_max else 1.0 - _leq_mask(grid, k_max)
-        a_j = fourier_inverse(grid, a_hat * piece).real
+        a_j = _real_inverse(grid, a_hat * _half(grid, piece))
         grad_j = np.stack(list(_gradient(grid, u_hat * piece)), axis=1)  # (t, n, x)
         hh_a += np.sum(a_above * grad_j, axis=1)
         grad_above += grad_j
@@ -829,7 +833,7 @@ def _error_group_pass(u: SpaceTimeField, A: VectorPotential, ks):
         k = j + 3
         if k in ks:
             mask, low = band_mask(grid, k), _leq_mask(grid, k - 4)
-            a_low = fourier_inverse(grid, a_hat * low).real
+            a_low = _real_inverse(grid, a_hat * _half(grid, low))
             commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
             commutator -= _advect(grid, a_low, u_hat * mask)
             yield k, {

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, _fft, _ifft
 
 __all__ = [
     "rotate_field",
@@ -45,9 +45,9 @@ def _shear(grid: Grid, arr: np.ndarray, shift_axis: int, coord_axis: int, s: flo
         table = table.T
     shape = [1] * arr.ndim
     shape[shift_axis] = shape[coord_axis] = grid.N
-    spec = np.fft.fft(arr, axis=shift_axis)
+    spec = _fft(arr, shift_axis)
     spec *= table.reshape(shape)
-    return np.fft.ifft(spec, axis=shift_axis)
+    return _ifft(spec, shift_axis)
 
 
 def _quarter_turn(arr: np.ndarray, axis_a: int, axis_b: int, grid: Grid) -> np.ndarray:

@@ -100,3 +100,10 @@ def test_all_experiments_exit_clean(reports):
     for exp, rep in reports.items():
         assert rep.rows, f"experiment {exp} produced no checks"
         assert np.isfinite(rep.wall_seconds)
+
+
+def test_every_experiment_stays_far_from_the_machine_memory(reports):
+    # no experiment comes near an 8 GB desk machine: 1 GB each.  The value is
+    # the process's peak so far, so each report also bounds the ones before it
+    for exp, rep in reports.items():
+        assert rep.peak_rss_mb < 1024, f"experiment {exp} peaked at {rep.peak_rss_mb:.0f} MB"

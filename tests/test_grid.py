@@ -5,6 +5,10 @@ import pytest
 
 from magschro.grid import (
     SpaceTimeField,
+    _half,
+    _mass_share,
+    _real_forward,
+    _real_inverse,
     fourier_forward,
     fourier_inverse,
     free_evolution,
@@ -99,6 +103,28 @@ class TestFourier:
         )
         err = np.max(np.abs(spec - expected)) / np.max(np.abs(expected))
         assert err <= 1e-8
+
+    @pytest.mark.parametrize("n, N", [(1, 32), (2, 16), (3, 8)])
+    def test_half_spectrum_mass_share(self, n, N):
+        # the mean, a mode on the Nyquist column and one in the middle columns,
+        # over white noise; the weight is even in xi like every mask that reads it
+        g = make_grid(n, N, 4.0, 0.1, 1)
+        x = g.spatial_meshes()[-1]
+        f = 0.1 * np.random.default_rng(n).normal(size=(3,) + g.shape)
+        f += 2.0 + np.cos(2 * np.pi * (N // 2) * x / g.L) + 3.0 * np.sin(2 * np.pi * 3 * x / g.L)
+        for weight in (g.xi_norm >= 0.9 * g.nyquist, np.exp(-g.xi_norm)):
+            full = _mass_share(fourier_forward(g, f), weight)
+            half = _mass_share(_real_forward(g, f), _half(g, weight), half=True)
+            assert 0.0 < full < 1.0 and abs(half - full) <= 1e-14
+
+    def test_real_pair_is_the_real_part_of_the_complex_pair(self):
+        rng = np.random.default_rng(5)
+        g = make_grid(2, 32, 16, 0.1, 1)
+        f = rng.normal(size=(2,) + g.shape)
+        weight = np.exp(-g.xi_norm)
+        full = fourier_inverse(g, fourier_forward(g, f) * weight).real
+        back = _real_inverse(g, _real_forward(g, f) * _half(g, weight))
+        assert back.dtype == np.float64 and np.max(np.abs(back - full)) <= 1e-14 * np.max(np.abs(f))
 
     def test_parseval(self):
         rng = np.random.default_rng(3)

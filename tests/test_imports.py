@@ -43,6 +43,57 @@ def test_scan_reports_an_unused_import():
     ]
 
 
+FFT_TRANSFORMS = {
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+}
+
+
+def fft_transform_calls(source: str) -> list[str]:
+    """Each call of a ``numpy.fft`` transform, as ``x.fft.name(...)`` or as a
+    name imported from ``numpy.fft``; ``fftfreq`` and the like are not transforms."""
+    tree = ast.parse(source)
+    direct = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.fft"
+        for alias in node.names
+        if alias.name in FFT_TRANSFORMS
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        via_module = (
+            isinstance(f, ast.Attribute)
+            and f.attr in FFT_TRANSFORMS
+            and getattr(f.value, "attr", getattr(f.value, "id", None)) == "fft"
+        )
+        if via_module or (isinstance(f, ast.Name) and f.id in direct):
+            out.append(f"{ast.unparse(f)} (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_every_transform_is_made_in_grid(path):
+    # one place for the transforms, where a counter or a change of backend goes
+    assert fft_transform_calls(path.read_text()) == []
+
+
+def test_scan_reports_a_transform_call():
+    module = (
+        "import numpy as np\nfrom numpy import fft\nfrom numpy.fft import rfftn as r, fftfreq\n"
+        "np.fft.fft(a, axis=1)\nfft.ifftn(a)\nr(a)\nnp.fft.fftfreq(8)\nfftfreq(8)\n"
+        "grid._fft(a, 1)\n"
+    )
+    assert fft_transform_calls(module) == [
+        "np.fft.fft (line 4)",
+        "fft.ifftn (line 5)",
+        "r (line 6)",
+    ]
+
+
 def all_mismatches(source: str) -> list[str]:
     """Each ``__all__`` entry that no module-level statement binds, then each
     public def or class at module level that ``__all__`` leaves out."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from magschro.grid import fourier_forward, fourier_inverse, gaussian_wavepacket, l2_norm, make_grid
 from magschro.lp import (
     BandDecomposition,
+    _leq_mask,
     band_mask,
     bernstein_ratio,
     besov_l2_norm,
@@ -82,6 +83,17 @@ class TestProjections:
     def setup_method(self):
         self.grid = make_grid(2, 64, 32, 0.25, 1)
         self.rng = np.random.default_rng(11)
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+    def test_masks_are_even_in_xi(self, n, N):
+        # an even mask keeps a real field's spectrum Hermitian, so its band is
+        # real and a half spectrum carries it
+        g = make_grid(n, N, 16, 0.25, 1)
+        mirror = np.ix_(*[(N - np.arange(N)) % N] * n)
+        k_min, k_max = representable_bands(g)
+        for k in range(k_min, k_max + 1):
+            for mask in (band_mask(g, k), _leq_mask(g, k)):
+                assert np.array_equal(mask[mirror], mask)
 
     def test_plateau_band_is_identity(self):
         g = self.grid

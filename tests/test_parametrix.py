@@ -388,31 +388,33 @@ class TestErrorTerm:
         u, A = random_pair(g, seed=1)
         error_term_groups(u, A, -4)
         # u 1, A 1, A_{<=k-4} 1, commutator 2n + 2, high-low n + 2,
-        # the 7 high pieces (bands -7 .. -2 and the top) 1 + n each, two P_k 2 each
-        assert (len(fft_calls), sum(fft_calls)) == (38, 577536)
+        # the 7 high pieces (bands -7 .. -2 and the top) 1 + n each, two P_k 2 each;
+        # A's inverses read its half spectrum, 3 * 2 * 64 * 33 points where u's
+        # read 3 * 64 * 64
+        assert (len(fft_calls), sum(fft_calls)) == (38, 482304)
         fft_calls.clear()
         u, A = random_pair(g, seed=1)
         list(parametrix._error_group_pass(u, A, [-4, -3, -2]))
         # u 1, A 1, the same 7 high pieces 1 + n each, walked once; per band
         # A_{<=k-4} 1, commutator 2n + 2, high-low n + 2, two P_k 2 each
-        assert (len(fft_calls), sum(fft_calls)) == (68, 970752)
+        assert (len(fft_calls), sum(fft_calls)) == (68, 851712)
         fft_calls.clear()
         u, A = random_pair(g, seed=2)
         error_term(u, A, -4)
         # u 1, A 1, A . grad u n + 1, A_{<=k-4} 1, P_k 1, A_{<=k-4} . grad u_k n
-        assert (len(fft_calls), sum(fft_calls)) == (9, 135168)
+        assert (len(fft_calls), sum(fft_calls)) == (9, 123264)
         fft_calls.clear()
         u, A = random_pair(g, seed=3)
         error_term_besov_ratio(u, A, 0.1, 1.0, (-4, -2))
         # u 1, A 1, A . grad u n + 1 once; per band A_{<=k-4} 1, P_k 1,
         # A_{<=k-4} . grad u_k n and u_k 1
-        assert (len(fft_calls), sum(fft_calls)) == (20, 294912)
+        assert (len(fft_calls), sum(fft_calls)) == (20, 259200)
         fft_calls.clear()
         g = make_grid(2, 64, 64, 1.0 / 32.0, 0.25)  # 9 slices
         u, A = random_pair(g, seed=4)
         lp_reduced_equation_check(u, A, None, -3)
         # error_term's 9, then u_k 1, Lap u_k 1 and A_{<=k-4} . grad u_k n
-        assert (len(fft_calls), sum(fft_calls)) == (13, 552960)
+        assert (len(fft_calls), sum(fft_calls)) == (13, 517248)
 
     def test_besov_ratio_matches_public_oracle(self):
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
@@ -675,6 +677,18 @@ class TestModeSumKernel:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+    def test_taylor_study_peak_memory(self):
+        # the (n_t, 5, P) sum is 10.3 MiB; its orders are summed in place, with
+        # no reordered copy and no separate cumulative sum of the same size
+        op = benchmark_operator()
+        tracemalloc.start()
+        try:
+            op.taylor_study(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_operator_holds_no_ray_fields(self):
         # the fields of all 120 directions would take 39 MB

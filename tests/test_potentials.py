@@ -217,7 +217,13 @@ class TestKernels:
         assert len(fft_calls) == 1 + n * (n + 1) // 2
 
     def test_dt_band_one_transform_per_call(self, grid2, fft_calls):
-        from magschro.grid import fourier_forward, fourier_inverse
+        from magschro.grid import (
+            _half,
+            _real_forward,
+            _real_inverse,
+            fourier_forward,
+            fourier_inverse,
+        )
         from magschro.lp import band_mask
 
         A = make_potential("traveling_bump", 0.3, grid2, seed=2, width=5.0)
@@ -226,10 +232,54 @@ class TestKernels:
         fft_calls.clear()
         again = A.dt_band(k)
         assert len(fft_calls) == 1
-        direct = fourier_inverse(
-            grid2, fourier_forward(grid2, A.time_derivative()) * band_mask(grid2, k)
-        ).real
+        dt, mask = A.time_derivative(), band_mask(grid2, k)
+        direct = _real_inverse(grid2, _real_forward(grid2, dt) * _half(grid2, mask))
         assert np.array_equal(first, direct) and np.array_equal(again, direct)
+        # the complex path, to round-off on the scale of the transformed field
+        full = fourier_inverse(grid2, fourier_forward(grid2, dt) * mask).real
+        assert np.max(np.abs(first - full)) <= 1e-14 * np.max(np.abs(dt))
+
+    def test_cached_bands_own_their_data(self, grid2):
+        # a band that viewed a complex array would keep twice its memory alive
+        A = make_potential("gauss_bump", 0.2, grid2, width=3.0)
+        k_min, k_max = A.band_range()
+        for k in range(k_min, k_max + 1):
+            band = A.band(k)
+            assert band.base is None and band.dtype == np.float64 and A.band(k) is band
+
+    def test_derivatives_match_the_complex_path(self):
+        # a rough field has mass on the Nyquist lines, whose odd part the
+        # real part of the full complex path drops
+        from magschro.grid import fourier_forward, fourier_inverse
+
+        g = make_grid(2, 16, 8.0, 0.5, 1.0)
+        vals = np.random.default_rng(3).normal(size=(g.n_steps + 1, 2) + g.shape)
+        A = VectorPotential(g, vals)
+        spec = fourier_forward(g, vals)
+        grad = [fourier_inverse(g, 2j * np.pi * g.xi[i] * spec).real for i in range(2)]
+        jac, div = A.jacobian(), A.divergence()
+        scale = np.max(np.abs(grad))
+        assert np.max(np.abs(jac - np.stack(grad, axis=1))) <= 1e-14 * scale
+        assert np.max(np.abs(div - grad[0][:, 0] - grad[1][:, 1])) <= 1e-14 * scale
+
+    def test_y23_report_reads_dt_band_once_per_band(self, monkeypatch):
+        calls = {"dt_band": [], "hessian_of": []}
+        for name in calls:
+            original = getattr(VectorPotential, name)
+
+            def counted(self, arg, _name=name, _original=original):
+                calls[_name].append(arg)
+                return _original(self, arg)
+
+            monkeypatch.setattr(VectorPotential, name, counted)
+        A = make_potential("gauss_bump", 0.2, make_grid(2, 32, 16, 0.25, 1.0), width=2.0)
+        k_min, k_max = A.band_range()
+        y23_report(A, small_params(2))
+        bands = list(range(k_min, k_max + 1))
+        assert calls["dt_band"] == bands
+        # the Hessian stays one call per band and rotation, on the cached band
+        assert len(calls["hessian_of"]) == 6 * len(bands)
+        assert all(h is A.band(k) for h, k in zip(calls["hessian_of"], np.repeat(bands, 6)))
 
 
 _WALKERS = {  # each functional that walks the bands itself
