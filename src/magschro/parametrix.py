@@ -29,14 +29,21 @@ the exact integration-by-parts relation), so the phase identity holds to
 round-off.
 
 Every ray field is one entry of the table `RAY_FIELDS`, a triple (band
-coefficient, chi kernel, Fourier multiplier) summed over the bands by
-`PhaseField.ray`: S and T themselves, their time derivatives, Laplacians,
-gradients and derivatives along theta.
-Fields are assembled on demand, for any subset of the directions, and never
-cached.
+coefficient, chi kernel, Fourier multiplier): S and T themselves, their time
+derivatives, Laplacians, gradients and derivatives along theta.  The code
+needs only weighted sums of them (sigma, the residual's three factors, the
+phase identity), and `PhaseField.combine` assembles any such sum as one
+matrix product per band: weights, multipliers and envelope factor all enter
+the band's coefficient rows first.  The rows of a real field are Hermitian,
+row(-eta) = conj row(eta), so the reality audit runs on them, per named
+field and before the weights, against the mirror index that `build_sigma`
+stores with each band.  `build_sigma` reads A and dt A as real half
+spectra: a band's modes are its half-lattice modes plus the mirrors of
+those that the half spectrum leaves out.  Fields are assembled on demand,
+for any subset of the directions, and never cached.
 
 The operator's sums over the M data modes run through one kernel, chunked
-over modes, which assembles each chunk's ray fields for that chunk's
+over modes, which assembles each chunk's combinations for that chunk's
 directions only.  Under the smallness hypothesis the phase is small, and for
 a potential rank-1 in time it is env(t) times a static phase sigma, so
 e^{i env(t) sigma} is a short power series in env(t) - c about the centre c
@@ -195,6 +202,7 @@ class _BandData:
     eta: np.ndarray  # (m, n) frequencies
     plane: np.ndarray  # (m, P) mode waves e^{2 pi i eta.x}
     coef: dict  # "a", "dt", "tilde", "tilde_dt" -> (n_t, n_comp, m) band spectra, mask included
+    mirror: np.ndarray  # (m,) index of -eta among eta, up to the Nyquist wrap
     kernel: dict | None = None  # "chi", "chi_prime" -> (D, m) kernels at eta.theta
 
 
@@ -239,21 +247,37 @@ RAY_FIELDS = {
 }
 
 
+def _sigma_terms(r) -> list:
+    """sigma = sigma0 + sigma1 = S / 2 + 2 pi i |xi| T as a `PhaseField.combine`
+    combination; r is |xi|, a scalar or one row per direction."""
+    return [("S", SIGMA0_FACTOR), ("T", 2j * np.pi * r)]
+
+
 class PhaseField:
     """Per-direction ray fields of the phase correction, sampled in time.
 
-    ``ray(name, t_idx)`` evaluates one entry of `RAY_FIELDS` as a (D,) + shape
-    array, (n, D) + shape for ``grad_S`` and ``grad_T``.  The band
-    coefficients are A_k ("a"), dt A_k ("dt"), At_k = 2^{2k} Lap^{-1} A_k
-    ("tilde") and dt At_k ("tilde_dt"); the kernels are the chi and chi' ray
-    kernels; the multipliers are the Fourier symbols of Lap, theta . grad and
-    grad:
+    ``combine(terms, t_idx)`` evaluates a weighted sum of `RAY_FIELDS`
+    entries, sum of w * field over the (name, w) pairs of ``terms``, as a
+    complex (D, P) array, (n, D, P) for ``grad_S`` and ``grad_T``; ``ray(name,
+    t_idx)`` is one field alone, real, (D,) + shape or (n, D) + shape.  The
+    band coefficients are A_k ("a"), dt A_k ("dt"), At_k = 2^{2k} Lap^{-1}
+    A_k ("tilde") and dt At_k ("tilde_dt"); the kernels are the chi and chi'
+    ray kernels; the multipliers are the Fourier symbols of Lap, theta . grad
+    and grad:
 
         S, T            the displayed ray integral and the chi' ray of At_k
         dt_S, dt_T      their time derivatives
         lap_S, lap_T    their Laplacians
         theta_grad_S/T  their derivatives along theta
         grad_S, grad_T  their gradients
+
+    A combination is one matrix product per band: the weights, the
+    multipliers and the envelope factor all fold into the band's (rows, m)
+    coefficient rows before they meet the band's (m, P) plane waves.  Each
+    named field is real exactly when its rows are Hermitian, row(-eta) =
+    conj row(eta), so every call audits each term's rows against the band's
+    mirror index (`build_sigma`) before the weights enter, and raises
+    AssertionError naming the field that lost reality.
 
     The constructor builds the bands' kernels for ``directions``, so
     `phase_identity_residual` reuses the potential A and its band data on its
@@ -267,9 +291,8 @@ class PhaseField:
     alike, as for every analytic preset but the traveling bump, every ray
     field and A itself separate as env(t) * static field (see `time_groups`
     and `potential`).  Nothing is cached: every call assembles its field from
-    the band data, and the ``d_idx`` argument of `ray` restricts that work to
-    a subset of the directions, which is how the operator walks its mode
-    chunks.
+    the band data, and the ``d_idx`` argument restricts that work to a subset
+    of the directions, which is how the operator walks its mode chunks.
     """
 
     def __init__(self, A, k_f, directions, bands):
@@ -281,46 +304,74 @@ class PhaseField:
         self.n_points = int(np.prod(self.grid.shape))
         self._env, self._denv, self._t_ref = _detect_envelope(self.bands, A.values)
 
-    def _assemble(self, name: str, t_idx: int, d_idx) -> np.ndarray:
-        """The band sum of ``name`` at slice t_idx, one row per entry of d_idx
-        (entries may repeat), accumulated into the first band's product."""
-        coef, kernel, mult = RAY_FIELDS[name]
-        directions = self.directions[d_idx]
-        out = None
-        for b in self.bands:
-            theta_dot = np.einsum("dj,jm->dm", directions, b.coef[coef][t_idx])
-            kern = b.kernel[kernel][d_idx]
-            if mult is not None:
-                kern = kern * mult(directions, b)
-            term = (theta_dot * kern) @ b.plane
-            if out is None:
-                out = term
-            else:
-                out += term
-        if out is None:  # no bands: a zero phase
-            lead = (self.grid.n,) if mult is _grad else ()
-            out = np.zeros(lead + (len(directions), self.n_points), dtype=complex)
-        # against the whole field: a gradient component that nearly vanishes
-        # on the directions read keeps the round-off of the band coefficients
-        imag = float(np.max(np.abs(out.imag)))
-        if imag > 1e-10 * max(float(np.max(np.abs(out.real))), 1e-30):
-            raise AssertionError(f"ray field {name} lost reality: imag {imag:.2e}")
-        return out.real.reshape(out.shape[:-1] + self.grid.shape)
-
-    def ray(self, name: str, t_idx: int | None, d_idx=slice(None)) -> np.ndarray:
-        """The ray field ``name`` of `RAY_FIELDS` at slice t_idx for the
-        directions d_idx (an index into ``directions``, all by default; an
-        index array may repeat a direction, which then gets one row per
-        entry); t_idx None gives the static factor of a rank-1 field (see
-        `time_groups`)."""
+    def _slice(self, name: str, t_idx: int | None) -> tuple[int | None, float]:
+        """(slice read, factor): the field ``name`` at t_idx is the factor times
+        its band sum at the slice read, env[t_idx] / env[ref] for a rank-1
+        potential (denv for dt fields; 1 / env[ref] at t_idx None)."""
         if self._env is None:
-            return self._assemble(name, t_idx, d_idx)
+            return t_idx, 1.0
         env = self._denv if RAY_FIELDS[name][0].endswith("dt") else self._env
         ref = self._t_ref
         if abs(env[ref]) < 1e-300:
             ref = int(np.argmax(np.abs(env)))
-        static = self._assemble(name, ref, d_idx) / env[ref]
-        return static if t_idx is None else env[t_idx] * static
+        return ref, (1.0 if t_idx is None else env[t_idx]) / env[ref]
+
+    def _rows(self, name: str, t_read, directions, d_idx) -> list[np.ndarray]:
+        """Each band's coefficient rows (theta . coef[t_read]) kernel multiplier
+        of ``name``, (D', m) or (n, D', m), audited for reality against the
+        band's mirror index at 1e-10 of the largest row over all bands."""
+        coef, kernel, mult = RAY_FIELDS[name]
+        rows = []
+        for b in self.bands:
+            row = np.einsum("dj,jm->dm", directions, b.coef[coef][t_read]) * b.kernel[kernel][d_idx]
+            rows.append(row if mult is None else row * mult(directions, b))
+        defect = max(
+            float(np.max(np.abs(r[..., b.mirror] - r.conj()))) for r, b in zip(rows, self.bands)
+        )
+        scale = max(float(np.max(np.abs(r))) for r in rows)
+        if defect > 1e-10 * max(scale, 1e-30):
+            raise AssertionError(f"ray field {name} lost reality: Hermitian defect {defect:.2e}")
+        return rows
+
+    def combine(self, terms, t_idx: int | None, d_idx=slice(None), out=None) -> np.ndarray:
+        """sum of w * field ``name`` over the (name, w) pairs of ``terms`` at
+        slice t_idx (None: the static factor, see `time_groups`) for the
+        directions d_idx, complex: (D', P), or (n, D', P) when the fields are
+        gradients (all or none of them).  d_idx indexes ``directions``, all by
+        default; an index array may repeat a direction, which then gets one row
+        per entry.  A weight w is a scalar or a (D', 1) column, one entry per
+        direction row.  The weighted rows of every term are summed per band
+        first, so the combination costs one product per band.  ``out``
+        receives it: a (D', P) array, or (D', n, P) for gradients, returned as
+        its (n, D', P) transpose."""
+        directions = self.directions[d_idx]
+        grad = RAY_FIELDS[terms[0][0]][2] is _grad
+        if out is None:
+            lead = (self.grid.n,) if grad else ()
+            out = np.empty(lead + (len(directions), self.n_points), dtype=complex)
+        elif grad:
+            out = out.transpose(1, 0, 2)
+        if not self.bands:  # a zero phase
+            out[...] = 0.0
+            return out
+        summed = [0.0] * len(self.bands)
+        for name, w in terms:
+            t_read, factor = self._slice(name, t_idx)
+            for i, row in enumerate(self._rows(name, t_read, directions, d_idx)):
+                summed[i] = summed[i] + (factor * w) * row
+        for i, (b, rows) in enumerate(zip(self.bands, summed)):
+            if i == 0:
+                np.matmul(rows, b.plane, out=out)
+            else:
+                out += rows @ b.plane
+        return out
+
+    def ray(self, name: str, t_idx: int | None) -> np.ndarray:
+        """The ray field ``name`` of `RAY_FIELDS` at slice t_idx for every
+        direction, real; t_idx None gives the static factor of a rank-1 field
+        (see `time_groups`)."""
+        field = self.combine([(name, 1.0)], t_idx)
+        return field.real.reshape(field.shape[:-1] + self.grid.shape)
 
     def potential(self, t_idx: int | None) -> np.ndarray:
         """A at slice t_idx, (n,) + shape; t_idx None gives the static factor
@@ -350,13 +401,11 @@ class PhaseField:
 
     def max_sigma(self) -> float:
         """Monitored sup of |sigma0| + |sigma1| at |xi| = 2^{k_f}, over every
-        quarter of the time slices."""
-        r = 2.0**self.k_f
+        quarter of the time slices: the real and imaginary parts of sigma."""
         worst = 0.0
         for i in range(0, self.grid.n_steps + 1, max(self.grid.n_steps // 4, 1)):
-            s0 = SIGMA0_FACTOR * self.ray("S", i)
-            s1 = 2.0 * np.pi * r * self.ray("T", i)
-            worst = max(worst, float(np.max(np.abs(s0) + np.abs(s1))))
+            sigma = self.combine(_sigma_terms(2.0**self.k_f), i)
+            worst = max(worst, float(np.max(np.abs(sigma.real) + np.abs(sigma.imag))))
         return worst
 
 
@@ -392,6 +441,25 @@ def _is_rank1(rows: np.ndarray, env: np.ndarray, ref: np.ndarray) -> bool:
     return bool(resid <= 1e-12 * max(float(np.max(np.abs(rows))), 1e-300))
 
 
+def _half_modes(grid: Grid, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inner, mirror) for the half-lattice modes selected by the mask sel,
+    listed in order and followed by the mirrors -eta of those in the columns
+    0 < c < N/2 that the half spectrum leaves out: inner indexes those modes,
+    and mirror[i] is the index of mode i's mirror in the whole list.  Columns
+    0 and N/2 hold their own mirrors, at the other axes' indices negated."""
+    index = np.nonzero(sel)
+    column = index[-1]
+    inner = np.flatnonzero((column > 0) & (column < grid.N // 2))
+    m_half = len(column)
+    mirror = np.empty(m_half + len(inner), dtype=np.intp)
+    mirror[inner], mirror[m_half:] = m_half + np.arange(len(inner)), inner
+    edge = np.setdiff1d(np.arange(m_half), inner)
+    where = np.full(sel.shape, -1)
+    where[sel] = np.arange(m_half)
+    mirror[edge] = where[tuple(-i[edge] % grid.N for i in index[:-1]) + (column[edge],)]
+    return inner, mirror
+
+
 def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseField:
     """Assemble the phase data for a potential band-limited to k <= k_f - 4.
 
@@ -400,6 +468,12 @@ def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseFi
     of the data's annulus modes).  Warns when a band's ray support 2^{1-2k}
     exceeds L/2: the integral then wraps around the torus (the phase identity
     is unaffected; sizes acquire a wrap factor, recorded here).
+
+    A and dt A are read as real half spectra.  A band's modes eta are its
+    half-lattice modes, then the mirrors -eta of those in the columns
+    0 < c < N/2 that the half spectrum leaves out, with conjugate
+    coefficients and waves; each band stores the index of every mode's
+    mirror, which `PhaseField` audits the rows against.
     """
     grid = A.grid
     directions = np.asarray(directions, dtype=float)
@@ -407,29 +481,35 @@ def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseFi
     if not np.max(np.abs(norms - 1.0)) <= 1e-12:  # a NaN or Inf entry fails this too
         raise ValueError("directions must be finite unit vectors")
 
-    spec = fourier_forward(grid, A.values)
-    hi_mask = 1.0 - CUTOFFS.chi(grid.xi_norm * 2.0 ** -(k_f - 4))
-    hi_share = _mass_share(spec, hi_mask**2)
+    spec = _real_forward(grid, A.values)
+    hi_mask = 1.0 - CUTOFFS.chi(_half(grid, grid.xi_norm) * 2.0 ** -(k_f - 4))
+    hi_share = _mass_share(spec, hi_mask**2, half=True)
     if hi_share > 1e-10:
         raise ValueError(f"potential carries {hi_share:.2e} of spectral mass above band {k_f - 4}")
 
     k_min, _ = representable_bands(grid)
     k_top = k_f - 4
-    spec_dt = fourier_forward(grid, A.time_derivative())
+    spec_dt = _real_forward(grid, A.time_derivative())
     X = np.stack([m.ravel() for m in grid.spatial_meshes()])  # (n, P)
+    xi = _half(grid, grid.xi)
 
     bands = []
     for k in range(k_min - 1, k_top + 1):
-        mask = band_mask(grid, k)
+        mask = _half(grid, band_mask(grid, k))
         sel = mask > 1e-14
         if not np.any(sel):
             continue
-        coef = spec[..., sel] * mask[sel]  # (n_t, n, m)
+        weight = mask[sel] * grid.dx**grid.n
+        inner, mirror = _half_modes(grid, sel)
+        coef, coef_dt = (
+            np.concatenate([c, c[..., inner].conj()], axis=-1)  # (n_t, n, m)
+            for c in (spec[..., sel] * weight, spec_dt[..., sel] * weight)
+        )
         if np.max(np.abs(coef)) == 0.0:
             continue
-        eta = np.stack([grid.xi[j][sel] for j in range(grid.n)], axis=1)  # (m, n)
+        eta = np.stack([xi[j][sel] for j in range(grid.n)], axis=1)
+        eta = np.concatenate([eta, -eta[inner]])  # (m, n)
         plane = np.exp(2j * np.pi * (eta @ X)) / grid.L**grid.n  # (m, P)
-        coef_dt = spec_dt[..., sel] * mask[sel]
         inv_lap = -(4.0**k) / (4.0 * np.pi**2 * np.sum(eta**2, axis=1))  # 2^{2k} Lap^{-1}
         z_support = 2.0 ** (1 - 2 * k)
         if z_support > grid.L / 2.0:
@@ -439,7 +519,7 @@ def build_sigma(A: VectorPotential, k_f: int, directions: np.ndarray) -> PhaseFi
                 stacklevel=2,
             )
         coefs = {"a": coef, "dt": coef_dt, "tilde": coef * inv_lap, "tilde_dt": coef_dt * inv_lap}
-        bands.append(_BandData(k, eta, plane, coefs))
+        bands.append(_BandData(k, eta, plane, coefs, mirror))
     return PhaseField(A, k_f, directions, bands)
 
 
@@ -491,12 +571,10 @@ def phase_identity_residual(
     worst = 0.0
     scale = 1.0
     for i in t_indices:
-        lapT = sub.ray("lap_T", i)
-        gradS_theta = sub.ray("theta_grad_S", i)
-        a_t = A.values[i]
-        a_theta = np.einsum("dj,j...->d...", dirs, a_t)
+        a_theta = np.einsum("dj,j...->d...", dirs, A.values[i])
         # residual_d = 2 pi |xi| * (lap T + grad S . theta + A . theta)
-        res = lapT + gradS_theta + a_theta
+        res = sub.combine([("lap_T", 1.0), ("theta_grad_S", 1.0)], i).real.reshape(a_theta.shape)
+        res += a_theta
         for d, r in enumerate(radii):
             worst = max(worst, 2.0 * np.pi * r * float(np.max(np.abs(res[d]))))
             scale = max(scale, 2.0 * np.pi * r * float(np.max(np.abs(a_theta[d]))))
@@ -544,17 +622,19 @@ class ParametrixOperator:
     ``apply``, ``residual_analytic`` and ``taylor_study`` are thin callers of
     one kernel, `_mode_sum`.  It walks the data modes in chunks sized so that
     one (chunk, P) complex temporary takes `_CHUNK_BYTES`, and assembles each
-    chunk's plane waves and ray fields (for the chunk's own directions only)
-    as it goes.  For a potential rank-1 in time (see
-    `PhaseField.time_groups`) the phase is sigma(t) = env(t) sigma with sigma
-    static, so e^{i env(t) sigma} is a short power series in env(t) - c about
-    the centre c of a group of slices with nearby envelope values: every
-    order is one matrix product AMP @ (Z sigma^a plane) over the modes whose
-    own series reaches that order, AMP the (slices, chunk) amplitude matrix,
-    with a single exponential Z = e^{i c sigma} per group and chunk.  A potential that is not rank-1 gives one slice per
-    group, where the series stops at order 0.  The residual folds A(t, x)
-    into its integrand, A = env(t) a with a static in the group, so it is
-    three static factors for any n, and their slice weights fold into the
+    chunk's plane waves, sigma and integrand factors (each one
+    `PhaseField.combine`, for the chunk's own directions only) as it goes.
+    For a potential rank-1 in time (see `PhaseField.time_groups`) the phase is
+    sigma(t) = env(t) sigma with sigma static, so e^{i env(t) sigma} is a
+    short power series in env(t) - c about the centre c of a group of slices
+    with nearby envelope values: every order is one matrix product
+    AMP @ (wave sigma^a) over the modes whose own series reaches that order,
+    AMP the (slices, chunk) amplitude matrix, with a single wave
+    = plane e^{i c sigma} per group and chunk.  A potential that is not rank-1
+    gives one slice per group, where the series stops at order 0.  The
+    residual folds A(t, x) into its integrand, A = env(t) a with a static in
+    the group, so it is three static factors for any n, and their slice
+    weights fold into the
     rows: one (slices, 3 chunk) @ (3 chunk, P) product per order.
     """
 
@@ -590,19 +670,22 @@ class ParametrixOperator:
         self.phase = build_sigma(A, omega.k_f, dirs)
         self.A = A
 
-    def _plane(self, modes: np.ndarray) -> np.ndarray:
-        """(chunk, P) waves e^{2 pi i xi.x} of the modes (indices), a product of 1-D factors."""
-        out = np.ones((len(modes), 1))
+    def _plane(self, modes: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The (chunk, P) waves e^{2 pi i xi.x} of the modes (indices), a
+        product of 1-D factors, written into ``out``."""
+        head = np.ones((len(modes), 1))
         for j in range(self.grid.n):
             wave = np.exp(2j * np.pi * np.multiply.outer(self.xi[modes, j], self.grid.x1d))
-            out = (out[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
+            if j < self.grid.n - 1:
+                head = (head[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
+        np.multiply(head[:, :, None], wave[:, None, :], out=out.reshape(head.shape + (-1,)))
         return out
 
-    def _ray(self, t_field, modes: np.ndarray, name: str) -> np.ndarray:
-        """The `RAY_FIELDS` entry ``name`` on each of the modes' directions, one
-        (P,) row per mode: (chunk, P), or (n, chunk, P) for a gradient."""
-        values = self.phase.ray(name, t_field, self.dir_of_mode[modes])
-        return values.reshape(values.shape[: -self.grid.n] + (-1,))
+    def _combine(self, t_field, modes: np.ndarray, terms, out=None) -> np.ndarray:
+        """The `PhaseField.combine` combination ``terms`` on each of the modes'
+        directions, one (P,) row per mode: (chunk, P), or (n, chunk, P) for
+        gradients, written into ``out`` when given."""
+        return self.phase.combine(terms, t_field, self.dir_of_mode[modes], out)
 
     def _mode_sum(self, integrand=None, weights=None, orders: int | None = None) -> np.ndarray:
         """out[k, t] = sum_m amp_m(t) sum_f w_f(t) F_fm(x) e^{i env(t) sigma_m(x)}
@@ -610,23 +693,25 @@ class ParametrixOperator:
         (1, n_t, P), or (orders + 1, n_t, P) with ``orders``.
 
         sigma = sigma0 + sigma1 is the static phase of each time group (see
-        `PhaseField.time_groups`).  integrand(ray, r, t_field) returns the
-        static factors F_f as a list of (chunk, P) arrays, None meaning the one
-        factor F = 1: ray(name) reads a `RAY_FIELDS` entry on the chunk's
-        modes ((chunk, P) or (n, chunk, P)), r is the chunk's |xi| as a column
-        and t_field the group's field slice.  ``weights`` is the (factors, n_t)
-        array of slice weights w_f, ones by default.
+        `PhaseField.time_groups`), one `PhaseField.combine` of S and T per
+        chunk.  integrand(combine, r, t_field, F) writes the static factors F_f
+        into the (chunk, factors, P) buffer F and returns it, None meaning the
+        one factor F = 1: combine(terms, out) is `PhaseField.combine` on the
+        chunk's modes, r is the chunk's |xi| as a column and t_field the
+        group's field slice.  ``weights`` is the (factors, n_t) array of slice
+        weights w_f, ones by default.  Every large array of a chunk lives in a
+        work array allocated once per call.
 
         Per chunk, the group's slices split into `_envelope_groups` of centre
         c, and each mode m adds sum_{a<=K_m} ((i (env - c))^a / a!) sum_f w_f
         amp_m (F_fm e^{i c sigma_m} sigma_m^a), its own series tail below
         `_TAYLOR_TAIL`.  When some K_m > 0 the chunk's modes are first sorted by
         sup|sigma_m|, largest first, so that in every group the modes that
-        reach order a are a prefix: Z is held as (chunk, factors, P), and order
-        a is one (slices, prefix * factors) @ (prefix * factors, P) product
-        with the weights folded into the rows.  With ``orders`` (F = 1) every
-        mode of every slice takes c = 0 and K = orders, and out[a] is the
-        order-a term alone.
+        reach order a are a prefix: Z = F wave, wave = plane e^{i c sigma}, is
+        held as (chunk, factors, P), and order a is one (slices, prefix *
+        factors) @ (prefix * factors, P) product with the weights folded into
+        the rows.  With ``orders`` (F = 1) every mode of every slice takes c = 0
+        and K = orders, and out[a] is the order-a term alone.
         """
         grid = self.grid
         n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
@@ -637,45 +722,66 @@ class ParametrixOperator:
         if weights is None:
             weights = np.ones((1, n_t))
         chunk = max(1, _CHUNK_BYTES // (16 * P))
+        # work arrays for the largest chunk, reused by every chunk and group:
+        # fresh ones of this size are mapped and faulted in again on each use
+        sigma_buf, plane_buf = np.empty((2, chunk, P), dtype=complex)
+        wave_buf = np.empty((max(chunk, n_t), P), dtype=complex)
+        if integrand is None:  # Z is the wave itself, so the products need rows of their own
+            prod_buf = np.empty((n_t, P), dtype=complex)
+        else:  # Z = F wave, and the wave is spent before the products
+            F_buf = np.empty((chunk, len(weights), P), dtype=complex)
+            prod_buf, copy_buf = wave_buf, None  # copy_buf: Z for all groups but the last
         for lo in range(0, len(self.xi), chunk):
             modes = np.arange(lo, min(lo + chunk, len(self.xi)))
-            plane = None
+            sigma, wave, plane = sigma_buf[: len(modes)], wave_buf[: len(modes)], None
             for slices, t_field in self.phase.time_groups():
-                ray, r = partial(self._ray, t_field, modes), self.radii[modes, None]
-                sigma = SIGMA0_FACTOR * ray("S") + 2j * np.pi * r * ray("T")
+                r = self.radii[modes, None]
+                self._combine(t_field, modes, _sigma_terms(r), out=sigma)
                 if orders is None:
-                    sups = np.max(np.abs(sigma), axis=1)
+                    sups = np.max(np.abs(sigma, out=wave.real), axis=1)  # the wave is free here
                     by_sup = np.argsort(-sups, kind="stable")
                     groups = _envelope_groups(env[slices], sups[by_sup])
                     if max(K[0] for _, _, K in groups) > 0:
-                        modes, r, sigma, plane = modes[by_sup], r[by_sup], sigma[by_sup], None
-                        ray = partial(self._ray, t_field, modes)
+                        modes, r, plane = modes[by_sup], r[by_sup], None
+                        # "clip" writes straight into out; the indices are a permutation
+                        sigma[...] = np.take(sigma, by_sup, axis=0, out=wave, mode="clip")
                 else:
                     groups = [(np.arange(len(slices)), 0.0, np.full(len(modes), orders))]
                 if plane is None:
-                    plane = self._plane(modes)
-                F = plane[:, None]  # (chunk, factors, P)
+                    plane = self._plane(modes, plane_buf[: len(modes)])
+                F = None
                 if integrand is not None:
-                    F = np.stack(integrand(ray, r, t_field), axis=1)
-                    F *= plane[:, None]
+                    combine = partial(self._combine, t_field, modes)
+                    F = integrand(combine, r, t_field, F_buf[: len(modes)])
                 for i, (rows, c, K) in enumerate(groups):
                     t = slices[rows]  # ascending, so a run of slices is a view of out
                     dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
-                    # an integrand's F is this group's own: the last group scales it in place
-                    Z = F if integrand is not None and i == len(groups) - 1 else F.copy()
                     if c:  # e^0 = 1
-                        Z *= np.exp(1j * c * sigma)[:, None]
+                        np.exp(np.multiply(sigma, 1j * c, out=wave), out=wave)
+                        wave *= plane
+                    else:
+                        wave[...] = plane
+                    if F is None:
+                        Z = wave[:, None]
+                    elif i == len(groups) - 1:  # an integrand's F is this group's own
+                        Z = F
+                        Z *= wave[:, None]
+                    else:
+                        if copy_buf is None:
+                            copy_buf = np.empty_like(F_buf)
+                        Z = np.multiply(F, wave[:, None], out=copy_buf[: len(modes)])
                     shift = 1j * (env[t] - c)
                     amp_t = amp[np.ix_(t, modes)]  # (slices, chunk)
                     w_rows = weights[:, t].T[:, None, :]  # (slices, 1, factors)
+                    prod = prod_buf[: len(t)]
                     for a in range(K[0] + 1):
                         n_a = int(np.count_nonzero(K >= a))  # the modes reaching order a
                         if a:
                             Z[:n_a] *= sigma[:n_a, None]
                         w = (shift**a / math.factorial(a))[:, None] * amp_t[:, :n_a]
                         w = (w[:, :, None] * w_rows).reshape(len(t), -1)
-                        out[dest, a if orders is not None else 0] += w @ Z[:n_a].reshape(-1, P)
-                    del Z  # not held while the next group's Z or integrand is built
+                        np.matmul(w, Z[:n_a].reshape(-1, P), out=prod)
+                        out[dest, a if orders is not None else 0] += prod
         return np.moveaxis(out, 1, 0)
 
     def apply(self) -> SpaceTimeField:
@@ -704,19 +810,29 @@ class ParametrixOperator:
         field (see `PhaseField.time_groups`), A = env a, so the slice integrand
         is three static factors with A folded into the third:
         denv (i dt sigma) + env (Lap sigma0 + 4 pi i <grad sigma1, xi>)
-        + env^2 (i sum_j g_j (g_j + a_j)).  One mode sum takes them, with the
-        slice weights denv, env and env^2.
+        + env^2 (i sum_j g_j (g_j + a_j)).  Each is one `PhaseField.combine`
+        written into its slot of the chunk's (chunk, 3, P) factors, the third
+        summed one gradient component at a time; one mode sum takes them, with
+        the slice weights denv, env and env^2.
         """
         grid = self.grid
 
-        def integrand(ray, r, t_field):
+        def integrand(combine, r, t_field, F):
             a = self.phase.potential(t_field).reshape(grid.n, 1, -1)  # (n, 1, P)
-            dt_term = 1j * (SIGMA0_FACTOR * ray("dt_S") + 2j * np.pi * r * ray("dt_T"))
-            lap_term = SIGMA0_FACTOR * ray("lap_S") + 4j * np.pi * (
-                2j * np.pi * r**2 * ray("theta_grad_T")
-            )
-            g = SIGMA0_FACTOR * ray("grad_S") + 2j * np.pi * r * ray("grad_T")  # (n, chunk, P)
-            return [dt_term, lap_term, 1j * np.sum(g * (g + a), axis=0)]
+            # the gradient stack in slots 0 .. n-1, g_j (g_j + a_j) in place as
+            # (g_j + a_j / 2)^2 - a_j^2 / 4, and their sum times i into slot 2
+            g = combine([("grad_S", SIGMA0_FACTOR), ("grad_T", 2j * np.pi * r)], out=F[:, : grid.n])
+            g += a / 2
+            g *= g
+            g -= a**2 / 4
+            for j in range(grid.n - 1):
+                g[-1] += g[j]
+            np.multiply(g[-1], 1j, out=F[:, 2])
+            # i dt sigma, and Lap sigma0 + 4 pi i |xi|^2 theta . grad sigma1 / (2 pi i |xi|)
+            combine([("dt_S", 1j * SIGMA0_FACTOR), ("dt_T", -2.0 * np.pi * r)], out=F[:, 0])
+            lap = [("lap_S", SIGMA0_FACTOR), ("theta_grad_T", -8.0 * np.pi**2 * r**2)]
+            combine(lap, out=F[:, 1])
+            return F
 
         env, denv = self.phase.envelope()
         out = self._mode_sum(integrand, np.stack([denv, env, env**2]))[0]

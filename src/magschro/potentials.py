@@ -194,15 +194,23 @@ class VectorPotential:
 
         One real-input transform; only the pairs i <= j are inverted, and each
         is copied to (j, i).  The Riemann weights of the two transforms cancel.
+        A pair's multiplier xi_i xi_j is split at the Nyquist frequency: the
+        factors of `Grid._half_xi` (Nyquist set to 0) pair with each other and
+        the Nyquist parts with each other.  The products of one with the other,
+        on the lines where exactly one of xi_i, xi_j sits at the Nyquist
+        frequency, are odd under the lattice mirror, and the real part of the
+        full complex path drops them the same way; a diagonal pair loses none.
         """
         g = self.grid
         n = g.n
         spec = _real_forward(g, sampled)
-        xi = _half(g, g.xi)
+        odd = g._half_xi
+        nyquist = _half(g, g.xi) - odd  # the Nyquist frequency on its own lines, 0 elsewhere
+        c = -4 * np.pi**2
         out = np.empty((sampled.shape[0], n, n, n) + g.shape)
         for i in range(n):
             for j in range(i, n):
-                mult = -4 * np.pi**2 * xi[i] * xi[j]
+                mult = c * odd[i] * odd[j] + c * nyquist[i] * nyquist[j]
                 out[:, i, j] = _real_inverse(g, mult * spec)
                 out[:, j, i] = out[:, i, j]
         return out

@@ -209,6 +209,20 @@ class TestKernels:
             for j in range(n):
                 assert np.array_equal(out[:, i, j], out[:, j, i])
 
+    def test_hessian_of_white_noise_matches_complex_path(self):
+        # white noise fills the Nyquist lines, where an off-diagonal multiplier
+        # xi_i xi_j is odd: the real part of the complex path drops them
+        g = make_grid(2, 16, 8.0, 0.5, 1.0)
+        sampled = np.random.default_rng(11).normal(size=(3, 2, 16, 16))
+        A = VectorPotential(g, np.zeros((3, 2, 16, 16)))
+        out = A.hessian_of(sampled)
+        spec = np.fft.fftn(sampled, axes=(-2, -1))
+        for i in range(2):
+            for j in range(2):
+                mult = -4 * np.pi**2 * g.xi[i] * g.xi[j]
+                ref = np.fft.ifftn(mult * spec, axes=(-2, -1)).real
+                assert np.max(np.abs(out[:, i, j] - ref)) <= 1e-12 * np.max(np.abs(ref)), (i, j)
+
     @pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
     def test_hessian_transform_count(self, n, N, fft_calls):
         g = make_grid(n, N, 8.0, 0.5, 1.0)
