@@ -342,6 +342,10 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
     step = max(1, _BLOCK_POINTS // N)
     g = np.zeros((N, N), dtype=np.complex64)
     half = max(1, step // 2)  # rows a per block: with their images -a, a block of step rows
+    # each row or column block is transformed in place in this double-precision
+    # array: numpy would cast a complex64 block through buffers into its
+    # double-precision loop anyway, and round the result the same way
+    work = np.empty((max(step, 2 * half), N), dtype=complex)
     for a0 in range(0, len(xi_q), half):
         x1 = xi_q[a0 : a0 + half]
         a = np.arange(a0, a0 + len(x1))
@@ -362,7 +366,8 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
         # rows +a, then rows -a; without caps row -a repeats row a and is not built
         images = _SIGN_IMAGES if caps else _SIGN_IMAGES[:2]
         dest = np.concatenate([a, (N - a) % N]) if caps else a
-        block = np.zeros((len(dest), N), dtype=np.complex64)
+        block = work[: len(dest)]
+        block[...] = 0.0
         live = np.zeros(len(dest), dtype=bool)
         row_of = {1: ri, -1: ri + len(x1)}
         for s1, s2 in images:
@@ -382,16 +387,22 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
             block[row_of[s1][sel], col_of[s2][ci[sel]]] = v
             live[row_of[s1][sel]] = True
         rows = np.flatnonzero(live)  # rows with no point in a cap stay zero pages
-        spec = _fft(block[rows], 1)
+        spec = work[: len(rows)]
+        if len(rows) < len(dest):
+            spec[...] = block[rows]
+        _fft(spec, 1, out=spec)
         g[dest[rows]] = spec
         if not caps:
             mirror = a[rows] > 0
             g[N - a[rows][mirror]] = spec[mirror]
     sup = 0.0
     for j in range(0, N, step):
-        # the axis-0 transform of columns j..j+step, taken along a contiguous copy
-        cols = _fft(g[:, j : j + step].T.copy(), 1)
-        sup = max(sup, float(np.max(np.abs(cols))))
+        # the axis-0 transform of columns j..j+step, taken along a contiguous
+        # copy; |.| of its values rounded to complex64, as fft2 of g returns them
+        cols = work[: min(step, N - j)]
+        cols[...] = g[:, j : j + step].T
+        _fft(cols, 1, out=cols)
+        sup = max(sup, float(np.max(np.abs(cols.astype(np.complex64)))))
     return sup
 
 

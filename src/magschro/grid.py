@@ -166,9 +166,10 @@ def _ifftn(spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spectrum, out=out)
 
 
-def _fft(values: np.ndarray, axis: int) -> np.ndarray:
-    """Unweighted 1-D forward transform along ``axis``."""
-    return np.fft.fft(values, axis=axis)
+def _fft(values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Unweighted 1-D forward transform along ``axis``, into ``out`` when given
+    (which may be ``values`` itself)."""
+    return np.fft.fft(values, axis=axis, out=out)
 
 
 def _ifft(spectrum: np.ndarray, axis: int) -> np.ndarray:

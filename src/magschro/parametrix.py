@@ -48,13 +48,16 @@ directions only.  Under the smallness hypothesis the phase is small, and for
 a potential rank-1 in time it is env(t) times a static phase sigma, so
 e^{i env(t) sigma} is a short power series in env(t) - c about the centre c
 of each group of slices with nearby envelope values (`_envelope_groups`).
-Each mode's series stops where its own tail bound does, and each order is
-one matrix product over the modes that still need it, for all of the group's
-slices, with one exponential e^{i c sigma} per group and chunk; a potential
-that is not rank-1 gives one slice per group and the series stops at order 0
-(see `ParametrixOperator`).  Rank-1 covers A's samples too, so the analytic
-residual folds A into its integrand: three static factors for any n, whose
-slice weights denv, env and env^2 enter the rows of that one product.
+Each mode's series stops where its own tail bound does, with one exponential
+e^{i c sigma} per group and chunk; a potential that is not rank-1 gives one
+slice per group and the series stops at order 0 (see `ParametrixOperator`).
+The free phase e^{-4 pi^2 i t |xi|^2} depends on the shell |m|^2 alone, and
+the modes are kept in shell order, so a chunk spans few shells: each order
+first sums the modes that still need it into their shells, then takes one
+matrix product over (shell, factor) pairs for all of the group's slices.
+Rank-1 covers A's samples too, so the analytic residual folds A into its
+integrand: three static factors for any n, whose slice weights denv, env and
+env^2 enter the rows of that one product.
 
 The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
 equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
@@ -307,13 +310,17 @@ class PhaseField:
     def _slice(self, name: str, t_idx: int | None) -> tuple[int | None, float]:
         """(slice read, factor): the field ``name`` at t_idx is the factor times
         its band sum at the slice read, env[t_idx] / env[ref] for a rank-1
-        potential (denv for dt fields; 1 / env[ref] at t_idx None)."""
+        potential (denv for dt fields; 1 / env[ref] at t_idx None).  A field
+        whose envelope is 0 at every slice, as dt S of a potential constant in
+        time, has the factor 0."""
         if self._env is None:
             return t_idx, 1.0
         env = self._denv if RAY_FIELDS[name][0].endswith("dt") else self._env
         ref = self._t_ref
         if abs(env[ref]) < 1e-300:
             ref = int(np.argmax(np.abs(env)))
+        if abs(env[ref]) < 1e-300:
+            return ref, 0.0
         return ref, (1.0 if t_idx is None else env[t_idx]) / env[ref]
 
     def _rows(self, name: str, t_read, directions, d_idx) -> list[np.ndarray]:
@@ -600,7 +607,12 @@ def _envelope_groups(
     """Split the slices into (rows, c, K) groups of nearby envelope values: the
     rows with |env - c| sups[0] <= 1, where sups holds each mode's sup|sigma_m|,
     largest first.  K[m] is the order at which the series of
-    e^{i (env - c) sigma_m} meets `_TAYLOR_TAIL` there, so K falls along sups."""
+    e^{i (env - c) sigma_m} meets `_TAYLOR_TAIL` there, so K falls along sups.
+
+    A group whose values lie within a few ulps of c (the slices t and T - t of
+    a symmetric envelope) is taken as exact, K = 0: env is itself known only
+    to its rounding, and the order-1 term is below the rounding of e^{i c
+    sigma_m}."""
     order = np.argsort(env, kind="stable")
     ends = env[order]
     width = 2.0 / sups[0] if sups[0] > 0 else np.inf
@@ -610,6 +622,8 @@ def _envelope_groups(
         hi = int(np.searchsorted(ends, ends[lo] + width, side="right"))
         c = 0.5 * (ends[lo] + ends[hi - 1])
         x = float(np.max(np.abs(ends[lo:hi] - c)))
+        if x <= 4.0 * np.spacing(abs(c)):
+            x = 0.0
         K = np.array([_taylor_order(x * sup) for sup in sups])
         groups.append((np.sort(order[lo:hi]), c, K))
         lo = hi
@@ -627,15 +641,20 @@ class ParametrixOperator:
     For a potential rank-1 in time (see `PhaseField.time_groups`) the phase is
     sigma(t) = env(t) sigma with sigma static, so e^{i env(t) sigma} is a
     short power series in env(t) - c about the centre c of a group of slices
-    with nearby envelope values: every order is one matrix product
-    AMP @ (wave sigma^a) over the modes whose own series reaches that order,
-    AMP the (slices, chunk) amplitude matrix, with a single wave
-    = plane e^{i c sigma} per group and chunk.  A potential that is not rank-1
-    gives one slice per group, where the series stops at order 0.  The
-    residual folds A(t, x) into its integrand, A = env(t) a with a static in
-    the group, so it is three static factors for any n, and their slice
-    weights fold into the
-    rows: one (slices, 3 chunk) @ (3 chunk, P) product per order.
+    with nearby envelope values, with a single wave = plane e^{i c sigma} per
+    group and chunk.  A potential that is not rank-1 gives one slice per
+    group, where the series stops at order 0.
+
+    The constructor keeps the data modes in order of their shell |m|^2
+    (``shell_of_mode`` indexes the distinct shells), and ``free`` holds the
+    free factor e^{-4 pi^2 i t |xi|^2} as one (n_t,) column per shell.  Every
+    order is then two small products: S @ (wave sigma^a) sums the modes whose
+    own series reaches that order into their shells, S holding coef_m at
+    (shell of m, m), and the (slices, shells) rows of (i (env - c))^a / a!
+    times the free factor meet that sum.  The residual folds A(t, x) into its
+    integrand, A = env(t) a with a static in the group, so it is three static
+    factors for any n, and their slice weights fold into the same rows: one
+    (slices, 3 shells) @ (3 shells, P) product per order.
     """
 
     def __init__(
@@ -657,10 +676,16 @@ class ParametrixOperator:
         om = omega.profile(grid.xi_norm[sel])
         if np.min(om) < 1.0 - 1e-12:
             raise ValueError("data spectrum must sit where the annulus cutoff is identically 1")
-        self.xi = np.stack([grid.xi[j][sel] for j in range(grid.n)], axis=1)  # (M, n)
-        self.radii = np.linalg.norm(self.xi, axis=1)
-        self.coef = fhat[sel] * om / grid.L**grid.n  # (M,)
         int_modes = np.stack([grid.modes[j][sel] for j in range(grid.n)], axis=1)
+        m2 = np.sum(int_modes**2, axis=1)  # the shell |m|^2 of each mode
+        by_shell = np.argsort(m2, kind="stable")  # shell order, so a chunk spans few shells
+        int_modes = int_modes[by_shell]
+        self.xi = np.stack([grid.xi[j][sel] for j in range(grid.n)], axis=1)[by_shell]  # (M, n)
+        self.radii = np.linalg.norm(self.xi, axis=1)
+        self.coef = (fhat[sel] * om)[by_shell] / grid.L**grid.n  # (M,)
+        shells, self.shell_of_mode = np.unique(m2[by_shell], return_inverse=True)
+        # e^{-4 pi^2 i t |xi|^2}, one column per shell |xi|^2 = |m|^2 / L^2
+        self.free = np.exp(-4j * np.pi**2 * np.multiply.outer(grid.times, shells / grid.L**2))
         dirs, self.dir_of_mode = _primitive_directions(int_modes)
         n_products = (grid.n_steps + 1) * len(self.xi) * np.prod(grid.shape)
         if n_products > product_budget:
@@ -688,8 +713,8 @@ class ParametrixOperator:
         return self.phase.combine(terms, t_field, self.dir_of_mode[modes], out)
 
     def _mode_sum(self, integrand=None, weights=None, orders: int | None = None) -> np.ndarray:
-        """out[k, t] = sum_m amp_m(t) sum_f w_f(t) F_fm(x) e^{i env(t) sigma_m(x)}
-        e^{2 pi i xi_m.x}, amp_m(t) = coef_m e^{-4 pi^2 i t |xi_m|^2}, as
+        """out[k, t] = sum_m coef_m free_m(t) sum_f w_f(t) F_fm(x) e^{i env(t)
+        sigma_m(x)} e^{2 pi i xi_m.x}, free_m(t) = e^{-4 pi^2 i t |xi_m|^2}, as
         (1, n_t, P), or (orders + 1, n_t, P) with ``orders``.
 
         sigma = sigma0 + sigma1 is the static phase of each time group (see
@@ -704,23 +729,29 @@ class ParametrixOperator:
 
         Per chunk, the group's slices split into `_envelope_groups` of centre
         c, and each mode m adds sum_{a<=K_m} ((i (env - c))^a / a!) sum_f w_f
-        amp_m (F_fm e^{i c sigma_m} sigma_m^a), its own series tail below
-        `_TAYLOR_TAIL`.  When some K_m > 0 the chunk's modes are first sorted by
-        sup|sigma_m|, largest first, so that in every group the modes that
-        reach order a are a prefix: Z = F wave, wave = plane e^{i c sigma}, is
-        held as (chunk, factors, P), and order a is one (slices, prefix *
-        factors) @ (prefix * factors, P) product with the weights folded into
-        the rows.  With ``orders`` (F = 1) every mode of every slice takes c = 0
-        and K = orders, and out[a] is the order-a term alone.
+        coef_m free_m (F_fm e^{i c sigma_m} sigma_m^a), its own series tail
+        below `_TAYLOR_TAIL`.  When some K_m > 0 the chunk's modes are first
+        sorted by sup|sigma_m|, largest first, so that in every group the modes
+        that reach order a are a prefix: Z = F wave, wave = plane e^{i c
+        sigma}, is held as (chunk, factors, P).  The free factor depends on the
+        shell |m|^2 alone, and the modes are in shell order, so a chunk spans
+        few shells h: order a first sums the prefix into its shells, Y = S @
+        Z[:n_a] with S[h, m] = coef_m on m's shell, then takes one (slices,
+        shells * factors) @ (shells * factors, P) product whose rows hold
+        (i (env - c))^a / a!, free_h and the weights.  Where the group has so
+        few slices that this costs more, the rows take coef_m free_m per mode
+        and meet Z[:n_a] directly.  With ``orders`` (F = 1) every mode of
+        every slice takes c = 0 and K = orders, and out[a] is the order-a term
+        alone.
         """
         grid = self.grid
         n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
         n_out = 1 if orders is None else orders + 1
         out = np.zeros((n_t, n_out, P), dtype=complex)  # one contiguous row per slice
-        amp = self.coef * np.exp(-4j * np.pi**2 * np.multiply.outer(grid.times, self.radii**2))
         env = self.phase.envelope()[0]
         if weights is None:
             weights = np.ones((1, n_t))
+        n_f = len(weights)
         chunk = max(1, _CHUNK_BYTES // (16 * P))
         # work arrays for the largest chunk, reused by every chunk and group:
         # fresh ones of this size are mapped and faulted in again on each use
@@ -729,12 +760,16 @@ class ParametrixOperator:
         if integrand is None:  # Z is the wave itself, so the products need rows of their own
             prod_buf = np.empty((n_t, P), dtype=complex)
         else:  # Z = F wave, and the wave is spent before the products
-            F_buf = np.empty((chunk, len(weights), P), dtype=complex)
+            F_buf = np.empty((chunk, n_f, P), dtype=complex)
             prod_buf, copy_buf = wave_buf, None  # copy_buf: Z for all groups but the last
+        Y_buf = None  # Y where neither the products' spare rows nor the spent plane hold it
+        time_groups = self.phase.time_groups()
         for lo in range(0, len(self.xi), chunk):
             modes = np.arange(lo, min(lo + chunk, len(self.xi)))
             sigma, wave, plane = sigma_buf[: len(modes)], wave_buf[: len(modes)], None
-            for slices, t_field in self.phase.time_groups():
+            h0 = self.shell_of_mode[lo]
+            n_h = self.shell_of_mode[modes[-1]] - h0 + 1  # the chunk's shells, in order
+            for j, (slices, t_field) in enumerate(time_groups):
                 r = self.radii[modes, None]
                 self._combine(t_field, modes, _sigma_terms(r), out=sigma)
                 if orders is None:
@@ -753,6 +788,9 @@ class ParametrixOperator:
                 if integrand is not None:
                     combine = partial(self._combine, t_field, modes)
                     F = integrand(combine, r, t_field, F_buf[: len(modes)])
+                shell = self.shell_of_mode[modes] - h0
+                S = np.zeros((n_h, len(modes)), dtype=complex)
+                S[shell, np.arange(len(modes))] = self.coef[modes]
                 for i, (rows, c, K) in enumerate(groups):
                     t = slices[rows]  # ascending, so a run of slices is a view of out
                     dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
@@ -770,17 +808,35 @@ class ParametrixOperator:
                         if copy_buf is None:
                             copy_buf = np.empty_like(F_buf)
                         Z = np.multiply(F, wave[:, None], out=copy_buf[: len(modes)])
+                    # Y, the (shells * factors, P) shell sums, in rows that are free
+                    prod, spare, n_y = prod_buf[: len(t)], prod_buf[len(t) :], n_h * n_f
+                    last = (j, i) == (len(time_groups) - 1, len(groups) - 1)
+                    if n_h * (len(modes) + len(t)) >= len(modes) * len(t):
+                        Y = None  # the shells cost more than the modes at every order
+                    elif len(spare) >= n_y:
+                        Y = spare[:n_y]
+                    elif last and n_y <= chunk:
+                        Y = plane_buf[:n_y]  # the chunk's last wave is made
+                    else:
+                        if Y_buf is None or len(Y_buf) < n_y:
+                            Y_buf = np.empty((n_y, P), dtype=complex)
+                        Y = Y_buf[:n_y]
                     shift = 1j * (env[t] - c)
-                    amp_t = amp[np.ix_(t, modes)]  # (slices, chunk)
+                    free_t = self.free[t, h0 : h0 + n_h]  # (slices, shells)
                     w_rows = weights[:, t].T[:, None, :]  # (slices, 1, factors)
-                    prod = prod_buf[: len(t)]
                     for a in range(K[0] + 1):
                         n_a = int(np.count_nonzero(K >= a))  # the modes reaching order a
                         if a:
                             Z[:n_a] *= sigma[:n_a, None]
-                        w = (shift**a / math.factorial(a))[:, None] * amp_t[:, :n_a]
+                        if Y is not None and n_h * (n_a + len(t)) < n_a * len(t):
+                            np.matmul(S[:, :n_a], Z[:n_a].reshape(n_a, -1), out=Y.reshape(n_h, -1))
+                            w, rhs = free_t, Y
+                        else:
+                            w = free_t[:, shell[:n_a]] * self.coef[modes[:n_a]]
+                            rhs = Z[:n_a].reshape(-1, P)
+                        w = (shift**a / math.factorial(a))[:, None] * w
                         w = (w[:, :, None] * w_rows).reshape(len(t), -1)
-                        np.matmul(w, Z[:n_a].reshape(-1, P), out=prod)
+                        np.matmul(w, rhs, out=prod)
                         out[dest, a if orders is not None else 0] += prod
         return np.moveaxis(out, 1, 0)
 

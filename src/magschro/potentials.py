@@ -144,7 +144,8 @@ class VectorPotential:
     # -- derived fields -------------------------------------------------------
 
     def time_derivative(self) -> np.ndarray:
-        """Sampled dt A, analytic when available, else centered differences."""
+        """Sampled dt A, analytic when available, else centred differences
+        (one-sided second-order ones at the ends)."""
         if self._dt_values is not None:
             return self._dt_values
         if self.dt_evaluator is not None:
@@ -153,8 +154,9 @@ class VectorPotential:
             v, dt = self.values, self.grid.dt
             out = np.empty_like(v)
             out[1:-1] = (v[2:] - v[:-2]) / (2 * dt)
-            out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * dt)
-            out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * dt)
+            # the one-sided stencils as differences: constant samples give exactly 0
+            out[0] = (4 * (v[1] - v[0]) - (v[2] - v[0])) / (2 * dt)
+            out[-1] = (4 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / (2 * dt)
         self._dt_values = out
         return out
 

@@ -656,6 +656,20 @@ class TestModeSumKernel:
         assert len(groups) == 2 * len(chunks) * 9
         assert all(len(split) == 1 and not split[0][2].any() for _, split in groups)
 
+    def test_sampled_constant_potential_is_one_time_group(self, short_grid):
+        # no dt evaluator: dt A comes from the difference stencils, which give
+        # exactly 0 on constant samples, so the potential is rank-1 in time
+        g, f = short_grid
+        base = make_potential("low_band", 0.02, g, seed=1, single_band=-6).values[:1]
+        A = VectorPotential(g, np.repeat(base, g.n_steps + 1, axis=0), band_limit=-6)
+        assert A.dt_evaluator is None and g.n_steps + 1 == 9
+        assert not np.any(A.time_derivative())
+        op = ParametrixOperator(g, f, A, AnnulusCutoff(-2))
+        assert len(op.phase.time_groups()) == 1
+        v, res, _ = dense_oracle(op, 0)
+        assert rel_err(op.apply().values, v) <= 1e-12
+        assert rel_err(op.residual_analytic().values, res) <= 1e-12
+
     def test_rank1_bands_with_samples_not_rank1(self, short_grid):
         # a spatially constant, time-varying vector lies in no band <= k_f - 4,
         # so the bands stay rank-1 in time while A's samples do not: the
@@ -729,12 +743,32 @@ class TestModeSumKernel:
         op.apply()
         orders = [K for _, split in groups for _, _, K in split]
         assert len(groups) == 4 and all(np.all(np.diff(K) <= 0) for K in orders)
-        # in some groups the slices' envelope values agree to round-off
-        # (|env - c| <= 2.3e-16), and whether a mode there needs order 1
-        # follows that round-off
-        assert sum(int(np.sum(K + 1)) for K in orders) == 2484
+        # the modes are in shell order, so a chunk's sups are alike, and the
+        # groups whose slices' envelope values agree to round-off
+        # (|env - c| <= 2.3e-16) take order 0
+        assert sum(int(np.sum(K + 1)) for K in orders) == 1662
         # the per-chunk rule: every mode of a chunk to the chunk's largest K
-        assert sum(len(K) * (int(K[0]) + 1) for K in orders) == 5096
+        assert sum(len(K) * (int(K[0]) + 1) for K in orders) == 2664
+
+    def test_modes_in_shell_order(self):
+        # 120 modes on 13 shells |m|^2; the free factor e^{-4 pi^2 i t |xi|^2}
+        # is one column per shell
+        op = benchmark_operator()
+        g = op.grid
+        shell = np.rint(np.sum((op.xi * g.L) ** 2, axis=1)).astype(int)
+        assert len(op.xi) == 120 and np.all(np.diff(shell) >= 0)
+        assert len(np.unique(shell)) == 13 and op.free.shape == (g.n_steps + 1, 13)
+        assert np.array_equal(np.unique(shell)[op.shell_of_mode], shell)
+        free = np.exp(-4j * np.pi**2 * np.multiply.outer(g.times, op.radii**2))
+        assert np.max(np.abs(op.free[:, op.shell_of_mode] - free)) <= 1e-13
+
+    def test_envelope_groups_round_off_takes_order_zero(self):
+        # slices t and T - t of a symmetric envelope agree to a few ulps
+        env = np.array([0.3086582838174551, 0.30865828381745514, 0.9, 0.5])
+        sups = np.array([40.0, 10.0])
+        groups = parametrix._envelope_groups(env, sups)
+        pair = [K for rows, _, K in groups if list(rows) == [0, 1]]
+        assert len(pair) == 1 and not pair[0].any()
 
     def test_residual_peak_memory(self):
         # each chunk's three factors fill one (chunk, 3, P) work array, where the
