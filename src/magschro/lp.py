@@ -45,18 +45,17 @@ __all__ = [
 _DEFAULT_GLUE = 0.125
 
 
-def _glue(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x, dtype=float)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
 def _smoothstep(x: np.ndarray) -> np.ndarray:
-    """C^infinity monotone step: 0 for x<=0, 1 for x>=1."""
+    """C^infinity monotone step g(x) / (g(x) + g(1 - x)), g(x) = exp(-1/x): 0 for
+    x <= 0, 1 for x >= 1 and NaN at NaN, with g evaluated on the ramp 0 < x < 1
+    alone."""
     x = np.asarray(x, dtype=float)
-    g = _glue(x)
-    return g / (g + _glue(1.0 - x))
+    out = np.heaviside(x - 1.0, 1.0, out=np.empty(x.shape))
+    ramp = (x > 0.0) & (x < 1.0)
+    r = x[ramp]
+    g = np.exp(-1.0 / r)
+    out[ramp] = g / (g + np.exp(-1.0 / (1.0 - r)))
+    return out
 
 
 @dataclass(frozen=True)

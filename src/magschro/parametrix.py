@@ -53,11 +53,15 @@ e^{i c sigma} per group and chunk; a potential that is not rank-1 gives one
 slice per group and the series stops at order 0 (see `ParametrixOperator`).
 The free phase e^{-4 pi^2 i t |xi|^2} depends on the shell |m|^2 alone, and
 the modes are kept in shell order, so a chunk spans few shells: each order
-first sums the modes that still need it into their shells, then takes one
-matrix product over (shell, factor) pairs for all of the group's slices.
-Rank-1 covers A's samples too, so the analytic residual folds A into its
-integrand: three static factors for any n, whose slice weights denv, env and
-env^2 enter the rows of that one product.
+sums the modes that still need it into their shells and stacks the sums, and
+one matrix product over (order, shell, factor) triples adds all of a group's
+orders for all of its slices.  The stack takes rows that are free while the
+group is summed: the product buffer's spare rows, or the spent plane waves
+and the spare rows after them, which hold the integrand times the wave for
+the other groups and grow to what the stack needs.  Rank-1 covers
+A's samples too, so the analytic residual folds A into its integrand: three
+static factors for any n, whose slice weights denv, env and env^2 enter the
+rows of that one product.
 
 The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
 equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
@@ -648,13 +652,15 @@ class ParametrixOperator:
     The constructor keeps the data modes in order of their shell |m|^2
     (``shell_of_mode`` indexes the distinct shells), and ``free`` holds the
     free factor e^{-4 pi^2 i t |xi|^2} as one (n_t,) column per shell.  Every
-    order is then two small products: S @ (wave sigma^a) sums the modes whose
-    own series reaches that order into their shells, S holding coef_m at
-    (shell of m, m), and the (slices, shells) rows of (i (env - c))^a / a!
-    times the free factor meet that sum.  The residual folds A(t, x) into its
-    integrand, A = env(t) a with a static in the group, so it is three static
-    factors for any n, and their slice weights fold into the same rows: one
-    (slices, 3 shells) @ (3 shells, P) product per order.
+    order then makes one small product, S @ (wave sigma^a), which sums the
+    modes whose own series reaches that order into their shells, S holding
+    coef_m at (shell of m, m), and stacks that sum under the previous orders'
+    sums; the (slices, orders * shells) rows of (i (env - c))^a / a! times
+    the free factor meet the whole stack in one product per envelope group.
+    The residual folds A(t, x) into its integrand, A = env(t) a with a static
+    in the group, so it is three static factors for any n, and their slice
+    weights fold into the same rows: one (slices, orders * 3 shells) @
+    (orders * 3 shells, P) product per group.
     """
 
     def __init__(
@@ -735,14 +741,22 @@ class ParametrixOperator:
         that reach order a are a prefix: Z = F wave, wave = plane e^{i c
         sigma}, is held as (chunk, factors, P).  The free factor depends on the
         shell |m|^2 alone, and the modes are in shell order, so a chunk spans
-        few shells h: order a first sums the prefix into its shells, Y = S @
-        Z[:n_a] with S[h, m] = coef_m on m's shell, then takes one (slices,
-        shells * factors) @ (shells * factors, P) product whose rows hold
-        (i (env - c))^a / a!, free_h and the weights.  Where the group has so
-        few slices that this costs more, the rows take coef_m free_m per mode
-        and meet Z[:n_a] directly.  With ``orders`` (F = 1) every mode of
-        every slice takes c = 0 and K = orders, and out[a] is the order-a term
-        alone.
+        few shells h: order a sums the prefix into its shells, S @ Z[:n_a]
+        with S[h, m] = coef_m on m's shell, into the next (shells * factors)
+        row block of a stack, and its weight rows (i (env - c))^a / a!, free_h
+        and the slice weights into the matching column block of W; one
+        product W @ stack then adds the group's orders into ``out``.  The
+        stack takes the longest rows that are free while the group is
+        summed: the product buffer's rows past the group's slices, or, once
+        the chunk's last wave is made, the plane's rows and the spare rows
+        after them.  The spare rows hold Z of an integrand's groups but the
+        last, and they grow to the rows that the last group's stack needs,
+        at most one more Z; a full stack is added early.  Where the group has so few
+        slices that the shells cost more, or the stack cannot hold one order,
+        the rows take coef_m free_m per mode and meet Z[:n_a] directly, one
+        product per order.  With ``orders`` (F = 1) every mode of every slice
+        takes c = 0 and K = orders, out[a] is the order-a term alone, and the
+        stack holds one order.
         """
         grid = self.grid
         n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
@@ -755,20 +769,20 @@ class ParametrixOperator:
         chunk = max(1, _CHUNK_BYTES // (16 * P))
         # work arrays for the largest chunk, reused by every chunk and group:
         # fresh ones of this size are mapped and faulted in again on each use
-        sigma_buf, plane_buf = np.empty((2, chunk, P), dtype=complex)
+        sigma_buf = np.empty((chunk, P), dtype=complex)
         wave_buf = np.empty((max(chunk, n_t), P), dtype=complex)
+        pool = np.empty((0, P), dtype=complex)  # the plane waves, then spare rows
         if integrand is None:  # Z is the wave itself, so the products need rows of their own
             prod_buf = np.empty((n_t, P), dtype=complex)
         else:  # Z = F wave, and the wave is spent before the products
-            F_buf = np.empty((chunk, n_f, P), dtype=complex)
-            prod_buf, copy_buf = wave_buf, None  # copy_buf: Z for all groups but the last
-        Y_buf = None  # Y where neither the products' spare rows nor the spent plane hold it
+            F_buf, prod_buf = np.empty((chunk, n_f, P), dtype=complex), wave_buf
         time_groups = self.phase.time_groups()
         for lo in range(0, len(self.xi), chunk):
             modes = np.arange(lo, min(lo + chunk, len(self.xi)))
             sigma, wave, plane = sigma_buf[: len(modes)], wave_buf[: len(modes)], None
             h0 = self.shell_of_mode[lo]
             n_h = self.shell_of_mode[modes[-1]] - h0 + 1  # the chunk's shells, in order
+            n_y = n_h * n_f  # rows of one order's shell sums
             for j, (slices, t_field) in enumerate(time_groups):
                 r = self.radii[modes, None]
                 self._combine(t_field, modes, _sigma_terms(r), out=sigma)
@@ -782,8 +796,25 @@ class ParametrixOperator:
                         sigma[...] = np.take(sigma, by_sup, axis=0, out=wave, mode="clip")
                 else:
                     groups = [(np.arange(len(slices)), 0.0, np.full(len(modes), orders))]
+                # each group's orders: the modes that reach it, and whether their
+                # shell sums cost fewer multiply-adds than the modes themselves
+                plans = [
+                    [(n_a, n_h * (n_a + len(rows)) < n_a * len(rows))
+                     for n_a in (int(np.count_nonzero(K >= a)) for a in range(K[0] + 1))]
+                    for rows, _, K in groups
+                ]
+                # the spare rows after the plane's hold Z of an integrand's groups
+                # but the last, and the rest of the last group's stack once the
+                # chunk's last wave is made, at most the rows of one Z
+                n_spare = len(modes) * n_f if integrand is not None and len(groups) > 1 else 0
+                if j == len(time_groups) - 1:
+                    n_stack = n_y * (1 if orders is not None else sum(c for _, c in plans[-1]))
+                    n_spare = max(n_spare, min(n_stack - chunk, chunk * n_f))
+                if len(pool) < chunk + n_spare:  # grown, with the plane made again
+                    pool = plane = stack = Y = None  # its last views: it is freed first
+                    pool = np.empty((chunk + n_spare, P), dtype=complex)
                 if plane is None:
-                    plane = self._plane(modes, plane_buf[: len(modes)])
+                    plane = self._plane(modes, pool[: len(modes)])
                 F = None
                 if integrand is not None:
                     combine = partial(self._combine, t_field, modes)
@@ -791,7 +822,7 @@ class ParametrixOperator:
                 shell = self.shell_of_mode[modes] - h0
                 S = np.zeros((n_h, len(modes)), dtype=complex)
                 S[shell, np.arange(len(modes))] = self.coef[modes]
-                for i, (rows, c, K) in enumerate(groups):
+                for i, ((rows, c, K), plan) in enumerate(zip(groups, plans)):
                     t = slices[rows]  # ascending, so a run of slices is a view of out
                     dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
                     if c:  # e^0 = 1
@@ -805,39 +836,44 @@ class ParametrixOperator:
                         Z = F
                         Z *= wave[:, None]
                     else:
-                        if copy_buf is None:
-                            copy_buf = np.empty_like(F_buf)
-                        Z = np.multiply(F, wave[:, None], out=copy_buf[: len(modes)])
-                    # Y, the (shells * factors, P) shell sums, in rows that are free
-                    prod, spare, n_y = prod_buf[: len(t)], prod_buf[len(t) :], n_h * n_f
+                        Z = pool[chunk : chunk + len(modes) * n_f].reshape(len(modes), n_f, P)
+                        np.multiply(F, wave[:, None], out=Z)
+                    # the stack takes the shell sums of successive orders: the
+                    # longest rows that are free while the group is summed, past
+                    # the group's slices in the product buffer, or the pool's once
+                    # the chunk's last wave is made (Z is then F), else its spare
+                    # rows when they hold no Z
                     last = (j, i) == (len(time_groups) - 1, len(groups) - 1)
-                    if n_h * (len(modes) + len(t)) >= len(modes) * len(t):
-                        Y = None  # the shells cost more than the modes at every order
-                    elif len(spare) >= n_y:
-                        Y = spare[:n_y]
-                    elif last and n_y <= chunk:
-                        Y = plane_buf[:n_y]  # the chunk's last wave is made
-                    else:
-                        if Y_buf is None or len(Y_buf) < n_y:
-                            Y_buf = np.empty((n_y, P), dtype=complex)
-                        Y = Y_buf[:n_y]
+                    prod, stack = prod_buf[: len(t)], max(
+                        prod_buf[len(t) :], pool if last else pool[chunk:] if Z is F else pool[:0], key=len
+                    )
+                    blocks = []  # the weight rows of the orders on the stack
                     shift = 1j * (env[t] - c)
                     free_t = self.free[t, h0 : h0 + n_h]  # (slices, shells)
                     w_rows = weights[:, t].T[:, None, :]  # (slices, 1, factors)
-                    for a in range(K[0] + 1):
-                        n_a = int(np.count_nonzero(K >= a))  # the modes reaching order a
+                    for a, (n_a, cheap) in enumerate(plan):
                         if a:
                             Z[:n_a] *= sigma[:n_a, None]
-                        if Y is not None and n_h * (n_a + len(t)) < n_a * len(t):
-                            np.matmul(S[:, :n_a], Z[:n_a].reshape(n_a, -1), out=Y.reshape(n_h, -1))
-                            w, rhs = free_t, Y
-                        else:
-                            w = free_t[:, shell[:n_a]] * self.coef[modes[:n_a]]
-                            rhs = Z[:n_a].reshape(-1, P)
+                        by_shell = cheap and n_y <= len(stack)
+                        col = 0 if orders is None else a
+                        w = free_t if by_shell else free_t[:, shell[:n_a]] * self.coef[modes[:n_a]]
                         w = (shift**a / math.factorial(a))[:, None] * w
                         w = (w[:, :, None] * w_rows).reshape(len(t), -1)
-                        np.matmul(w, rhs, out=prod)
-                        out[dest, a if orders is not None else 0] += prod
+                        if by_shell:  # into the stack's next n_y rows
+                            at = len(blocks) * n_y
+                            Y = stack[at : at + n_y].reshape(n_h, -1)
+                            np.matmul(S[:, :n_a], Z[:n_a].reshape(n_a, -1), out=Y)
+                            blocks.append(w)
+                        else:
+                            np.matmul(w, Z[:n_a].reshape(-1, P), out=prod)
+                            out[dest, col] += prod
+                        # one product for the stack: at the group's end, when the
+                        # next order would not fit, and after each separate order
+                        full = (len(blocks) + 1) * n_y > len(stack)
+                        if blocks and (a == K[0] or full or orders is not None):
+                            np.matmul(np.concatenate(blocks, axis=1), stack[: len(blocks) * n_y], out=prod)
+                            out[dest, col] += prod
+                            blocks = []
         return np.moveaxis(out, 1, 0)
 
     def apply(self) -> SpaceTimeField:

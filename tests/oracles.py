@@ -4,15 +4,19 @@
 route that shares no kernel with `magschro.parametrix`: a trapezoid rule along
 the wrapped ray, and a chi'' kernel from the closed-form second derivative of
 the glue.  `sigma_at` reads sigma0 and sigma1 for one frequency vector, and
-`spectral_gradient` is the gradient by Fourier multipliers.
+`spectral_gradient` is the gradient by Fourier multipliers.  `smoothstep`,
+`time_derivative_4th` and `equation_residual` write out as plain expressions
+what the program evaluates on the glue ramp alone or in place; the tests hold
+the program to them bit for bit.
 """
 
 import numpy as np
 
 from magschro.grid import fourier_forward, fourier_inverse
-from magschro.lp import CUTOFFS, band_mask
+from magschro.lp import CUTOFFS, _advect, band_mask
 from magschro.parametrix import SIGMA0_FACTOR, PhaseField, _chi_prime
 from magschro.potentials import VectorPotential
+from magschro.solver import _time_derivative_4th
 
 
 def spectral_gradient(grid, values: np.ndarray) -> np.ndarray:
@@ -121,3 +125,42 @@ def ray_integral_trapezoid(
             continue
         out += (w * kv) * fourier_inverse(grid, dot * np.exp(2j * np.pi * z * s_field))
     return out.real
+
+
+# -- plain expressions of kernels evaluated in place or on part of the input --------
+
+
+def _glue(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x, dtype=float)
+    pos = x > 0
+    out[pos] = np.exp(-1.0 / x[pos])
+    return out
+
+
+def smoothstep(x: np.ndarray) -> np.ndarray:
+    """The exp(-1/x) glue step with both glue factors over every entry."""
+    x = np.asarray(x, dtype=float)
+    g = _glue(x)
+    return g / (g + _glue(1.0 - x))
+
+
+def time_derivative_4th(values: np.ndarray, dt: float) -> np.ndarray:
+    """`solver._time_derivative_4th` with its interior as one expression of
+    full-size temporaries."""
+    out = _time_derivative_4th(values, dt)
+    out[2:-2] = (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3] + values[:-4]) / (12 * dt)
+    return out
+
+
+def equation_residual(u, A, F) -> np.ndarray:
+    """`solver.equation_residual`'s field, each step a new array."""
+    grid = u.grid
+    ut = time_derivative_4th(u.values, grid.dt)
+    spec = u.spectrum()
+    lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * spec)
+    res = ut - 1j * lap
+    if A is not None:
+        res += _advect(grid, A.values, spec)
+    if F is not None:
+        res -= np.stack([F(t) for t in grid.times])
+    return res

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from magschro import lp
 from magschro.grid import fourier_forward, fourier_inverse, gaussian_wavepacket, l2_norm, make_grid
 from magschro.lp import (
+    CUTOFFS,
     BandDecomposition,
     _leq_mask,
     band_mask,
@@ -77,6 +80,25 @@ class TestCutoffs:
     def test_rejects_bad_glue(self):
         with pytest.raises(ValueError):
             build_cutoffs(0.3)
+
+    def test_profiles_match_glue_over_every_entry(self, monkeypatch):
+        # the step evaluates its glue factors on the ramp 0 < x < 1 alone; off
+        # it the step is exactly 0 or 1, and NaN stays NaN
+        edges = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, 5e-324, np.inf, -np.inf, np.nan]
+        r = np.concatenate([np.linspace(-2.0, 3.0, 2 * 10**6), edges])
+
+        def profiles():
+            bump = CUTOFFS.plateau_bump(r, 0.5, 0.75, 1.5, 2.0)
+            return [lp._smoothstep(r), CUTOFFS.chi(r), CUTOFFS.phi(r), bump]
+
+        ramp_only = profiles()
+        monkeypatch.setattr(lp, "_smoothstep", oracles.smoothstep)
+        with np.errstate(invalid="ignore"):  # the glue over NaN divides 0 by 0
+            every_entry = profiles()
+        for a, b in zip(ramp_only, every_entry):
+            assert np.array_equal(a, b, equal_nan=True)
+            number = ~np.isnan(a)  # and the zeros keep their sign
+            assert np.array_equal(np.signbit(a[number]), np.signbit(b[number]))
 
 
 class TestProjections:

@@ -728,6 +728,33 @@ class TestModeSumKernel:
         op.residual_analytic()
         assert (op.grid.n, len(chunks), len(products)) == (2, 4, 4 * 4)
 
+    def test_one_output_product_per_envelope_group(self):
+        # a group's orders on the shell path stack their shell sums and meet
+        # their weight rows in one product, a new one only when the stack is
+        # full; an order on the per-mode path keeps its own.  Every weight row
+        # is made from the free factor, so a product that takes one is counted
+        op = benchmark_operator()
+        products = []
+
+        class CountedFree(np.ndarray):
+            __array_priority__ = 1.0  # np.concatenate of weight rows keeps the class
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(ufunc)
+                inputs = [x.view(np.ndarray) if isinstance(x, CountedFree) else x for x in inputs]
+                result = getattr(ufunc, method)(*inputs, **kwargs)
+                return result if "out" in kwargs else result.view(CountedFree)
+
+        op.free = op.free.view(CountedFree)
+        counts = []
+        for call in (op.apply, op.residual_analytic):
+            products.clear()
+            call()
+            counts.append(len(products))
+        # 86 for each when every order took a product of its own
+        assert counts == [45, 47]
+
     def test_kernels_evaluate_each_distinct_projection_once(self, monkeypatch):
         # 120 directions and the 8 modes of band -6: 960 projections, 117 distinct
         v0 = recorded(monkeypatch, parametrix._ChiKernels, "_v0")
@@ -783,6 +810,20 @@ class TestModeSumKernel:
         finally:
             tracemalloc.stop()
         assert peak < 21 * 2**20
+
+    def test_apply_peak_memory(self):
+        # a group's stack of shell sums takes rows that are free while it is
+        # summed: the products' spare rows, or the spent plane's and, past
+        # them, spare rows of at most one more (chunk, P): 12.5 MiB here,
+        # 10.6 MiB when every order took a product of its own
+        op = benchmark_operator()
+        tracemalloc.start()
+        try:
+            op.apply()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
     def test_taylor_study_peak_memory(self):
         # the (n_t, 5, P) sum is 10.3 MiB; its orders are summed in place, with

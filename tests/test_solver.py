@@ -6,7 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+import oracles
 from magschro.grid import (
+    SpaceTimeField,
     _free_phase,
     fourier_forward,
     fourier_inverse,
@@ -113,6 +115,22 @@ class TestSolveOracles:
         A = constant_potential(grid2, (80.0, 0.0))
         with pytest.raises(CFLError):
             solve(grid2, packet2, A, None)
+
+    # 64^2 with 33 slices is the parametrix benchmark's size, where NumPy
+    # reuses temporaries (see solver._ELIDE_BYTES); 16^2 with 9 slices is below
+    @pytest.mark.parametrize("N, dt", [(64, 1.0 / 64.0), (16, 1.0 / 16.0)])
+    def test_residual_in_place_matches_expression(self, N, dt):
+        g = make_grid(2, N, 16.0, dt, 0.5)
+        rng = np.random.default_rng(5)
+        shape = (g.n_steps + 1,) + g.shape
+        u = SpaceTimeField(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        A = make_potential("gauss_bump", 0.1, g, width=5.0)
+
+        def F(t):
+            return np.cos(t) * u.values[0]
+
+        for a, f in [(None, None), (A, F)]:
+            assert np.array_equal(equation_residual(u, a, f)[0], oracles.equation_residual(u, a, f))
 
 
 def handle_march(grid, f, A, F, config=None):
