@@ -844,9 +844,9 @@ class ParametrixOperator:
                     # the chunk's last wave is made (Z is then F), else its spare
                     # rows when they hold no Z
                     last = (j, i) == (len(time_groups) - 1, len(groups) - 1)
-                    prod, stack = prod_buf[: len(t)], max(
-                        prod_buf[len(t) :], pool if last else pool[chunk:] if Z is F else pool[:0], key=len
-                    )
+                    prod, stack = prod_buf[: len(t)], prod_buf[len(t) :]
+                    if last or Z is F:
+                        stack = max(stack, pool if last else pool[chunk:], key=len)
                     blocks = []  # the weight rows of the orders on the stack
                     shift = 1j * (env[t] - c)
                     free_t = self.free[t, h0 : h0 + n_h]  # (slices, shells)
@@ -871,7 +871,8 @@ class ParametrixOperator:
                         # next order would not fit, and after each separate order
                         full = (len(blocks) + 1) * n_y > len(stack)
                         if blocks and (a == K[0] or full or orders is not None):
-                            np.matmul(np.concatenate(blocks, axis=1), stack[: len(blocks) * n_y], out=prod)
+                            W = np.concatenate(blocks, axis=1)
+                            np.matmul(W, stack[: W.shape[1]], out=prod)
                             out[dest, col] += prod
                             blocks = []
         return np.moveaxis(out, 1, 0)
