@@ -42,26 +42,18 @@ spectra: a band's modes are its half-lattice modes plus the mirrors of
 those that the half spectrum leaves out.  Fields are assembled on demand,
 for any subset of the directions, and never cached.
 
-The operator's sums over the M data modes run through one kernel, chunked
-over modes, which assembles each chunk's combinations for that chunk's
-directions only.  Under the smallness hypothesis the phase is small, and for
-a potential rank-1 in time it is env(t) times a static phase sigma, so
-e^{i env(t) sigma} is a short power series in env(t) - c about the centre c
-of each group of slices with nearby envelope values (`_envelope_groups`).
-Each mode's series stops where its own tail bound does, with one exponential
-e^{i c sigma} per group and chunk; a potential that is not rank-1 gives one
-slice per group and the series stops at order 0 (see `ParametrixOperator`).
-The free phase e^{-4 pi^2 i t |xi|^2} depends on the shell |m|^2 alone, and
-the modes are kept in shell order, so a chunk spans few shells: each order
-sums the modes that still need it into their shells and stacks the sums, and
-one matrix product over (order, shell, factor) triples adds all of a group's
-orders for all of its slices.  The stack takes rows that are free while the
-group is summed: the product buffer's spare rows, or the spent plane waves
-and the spare rows after them, which hold the integrand times the wave for
-the other groups and grow to what the stack needs.  Rank-1 covers
-A's samples too, so the analytic residual folds A into its integrand: three
-static factors for any n, whose slice weights denv, env and env^2 enter the
-rows of that one product.
+The operator's sums over the M data modes are laid out by one planner and run
+by one executor, chunk by chunk of modes, assembling each chunk's combinations
+for its own directions.  For a potential rank-1 in time the phase is env(t)
+times a static phase sigma, so e^{i env(t) sigma} is a short power series in
+env(t) - c about the centre c of each group of slices with nearby envelope
+values (`_envelope_groups`), each mode's series stopping at its own tail bound.
+The free phase e^{-4 pi^2 i t |xi|^2} depends on the shell |m|^2 alone and the
+modes are kept in shell order, so each order sums the modes that still need it
+into their shells, and one product over the stacked (order, shell, factor)
+rows adds a group's orders for all of its slices.  The plan fixes each order's
+path and products and the one work array a call allocates.  The analytic
+residual folds A into its integrand: three static factors for any n.
 
 The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
 equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
@@ -265,8 +257,7 @@ class PhaseField:
 
     ``combine(terms, t_idx)`` evaluates a weighted sum of `RAY_FIELDS`
     entries, sum of w * field over the (name, w) pairs of ``terms``, as a
-    complex (D, P) array, (n, D, P) for ``grad_S`` and ``grad_T``; ``ray(name,
-    t_idx)`` is one field alone, real, (D,) + shape or (n, D) + shape.  The
+    complex (D, P) array, (n, D, P) for ``grad_S`` and ``grad_T``.  The
     band coefficients are A_k ("a"), dt A_k ("dt"), At_k = 2^{2k} Lap^{-1}
     A_k ("tilde") and dt At_k ("tilde_dt"); the kernels are the chi and chi'
     ray kernels; the multipliers are the Fourier symbols of Lap, theta . grad
@@ -376,13 +367,6 @@ class PhaseField:
             else:
                 out += rows @ b.plane
         return out
-
-    def ray(self, name: str, t_idx: int | None) -> np.ndarray:
-        """The ray field ``name`` of `RAY_FIELDS` at slice t_idx for every
-        direction, real; t_idx None gives the static factor of a rank-1 field
-        (see `time_groups`)."""
-        field = self.combine([(name, 1.0)], t_idx)
-        return field.real.reshape(field.shape[:-1] + self.grid.shape)
 
     def potential(self, t_idx: int | None) -> np.ndarray:
         """A at slice t_idx, (n,) + shape; t_idx None gives the static factor
@@ -574,9 +558,12 @@ def phase_identity_residual(
 
     S is the displayed (unhalved) ray integral, for which the cancellation
     identity is exact; the residual measures construction consistency only.
+    Rejects rows of ``xi_samples`` that are zero or not finite.
     """
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     radii = np.linalg.norm(xi_samples, axis=1)
+    if not np.all((radii > 0) & (radii < np.inf)):  # a NaN entry fails this too
+        raise ValueError("xi_samples must be finite and nonzero")
     dirs = xi_samples / radii[:, None]
     sub = PhaseField(phase.A, phase.k_f, dirs, phase.bands)
     worst = 0.0
@@ -638,29 +625,18 @@ class ParametrixOperator:
     """Direct-summation application of the phase-corrected oscillatory integral.
 
     ``apply``, ``residual_analytic`` and ``taylor_study`` are thin callers of
-    one kernel, `_mode_sum`.  It walks the data modes in chunks sized so that
-    one (chunk, P) complex temporary takes `_CHUNK_BYTES`, and assembles each
-    chunk's plane waves, sigma and integrand factors (each one
-    `PhaseField.combine`, for the chunk's own directions only) as it goes.
-    For a potential rank-1 in time (see `PhaseField.time_groups`) the phase is
-    sigma(t) = env(t) sigma with sigma static, so e^{i env(t) sigma} is a
-    short power series in env(t) - c about the centre c of a group of slices
-    with nearby envelope values, with a single wave = plane e^{i c sigma} per
-    group and chunk.  A potential that is not rank-1 gives one slice per
-    group, where the series stops at order 0.
-
-    The constructor keeps the data modes in order of their shell |m|^2
-    (``shell_of_mode`` indexes the distinct shells), and ``free`` holds the
-    free factor e^{-4 pi^2 i t |xi|^2} as one (n_t,) column per shell.  Every
-    order then makes one small product, S @ (wave sigma^a), which sums the
-    modes whose own series reaches that order into their shells, S holding
-    coef_m at (shell of m, m), and stacks that sum under the previous orders'
-    sums; the (slices, orders * shells) rows of (i (env - c))^a / a! times
-    the free factor meet the whole stack in one product per envelope group.
-    The residual folds A(t, x) into its integrand, A = env(t) a with a static
-    in the group, so it is three static factors for any n, and their slice
-    weights fold into the same rows: one (slices, orders * 3 shells) @
-    (orders * 3 shells, P) product per group.
+    one executor, `_mode_sum`, which runs the walk that `_plan` lays out.  The
+    data modes are kept in order of their shell |m|^2 (``shell_of_mode``
+    indexes the distinct shells, and ``free`` holds e^{-4 pi^2 i t |xi|^2} as
+    one (n_t,) column per shell) and walked in chunks whose (chunk, P)
+    complex arrays take `_CHUNK_BYTES`.  For a potential rank-1 in time (see
+    `PhaseField.time_groups`) the phase is env(t) sigma with sigma static,
+    and e^{i env(t) sigma} is a short power series in env(t) - c about the
+    centre c of each group of slices with nearby envelope values; each mode's
+    series stops at its own tail bound, which ``sups`` (each mode's sup |sigma|,
+    computed here once) fixes.  A potential that is not rank-1 gives one
+    slice per group, where the series stops at order 0.  The residual folds
+    A = env(t) a into its integrand, three static factors for any n.
     """
 
     def __init__(
@@ -700,6 +676,16 @@ class ParametrixOperator:
             )
         self.phase = build_sigma(A, omega.k_f, dirs)
         self.A = A
+        self.sups = np.zeros(len(self.xi))  # sup over x and the time groups of |sigma_m|
+        for modes in self._chunks():
+            for _, t_field in self.phase.time_groups():
+                sigma = self._combine(t_field, modes, _sigma_terms(self.radii[modes, None]))
+                self.sups[modes] = np.maximum(self.sups[modes], np.max(np.abs(sigma), axis=1))
+
+    def _chunks(self) -> list[np.ndarray]:
+        """The data modes in chunks whose (chunk, P) complex arrays take `_CHUNK_BYTES`."""
+        size, M = max(1, _CHUNK_BYTES // (16 * self.phase.n_points)), len(self.xi)
+        return [np.arange(lo, min(lo + size, M)) for lo in range(0, M, size)]
 
     def _plane(self, modes: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The (chunk, P) waves e^{2 pi i xi.x} of the modes (indices), a
@@ -709,7 +695,9 @@ class ParametrixOperator:
             wave = np.exp(2j * np.pi * np.multiply.outer(self.xi[modes, j], self.grid.x1d))
             if j < self.grid.n - 1:
                 head = (head[:, :, None] * wave[:, None, :]).reshape(len(wave), -1)
-        np.multiply(head[:, :, None], wave[:, None, :], out=out.reshape(head.shape + (-1,)))
+        rows = out.reshape(head.shape + (-1,))
+        for m in range(len(modes)):  # row by row: numpy's broadcast buffer holds one row
+            np.multiply(head[m, :, None], wave[m], out=rows[m])
         return out
 
     def _combine(self, t_field, modes: np.ndarray, terms, out=None) -> np.ndarray:
@@ -718,113 +706,114 @@ class ParametrixOperator:
         gradients, written into ``out`` when given."""
         return self.phase.combine(terms, t_field, self.dir_of_mode[modes], out)
 
+    def _plan(self, n_f: int, integrand: bool, orders: int | None):
+        """The walk of `_mode_sum`, from ``sups``: (chunks, rows, z_rows, columns).
+
+        A chunk is (modes, h0, n_h, [(t_field, groups)]): its modes, sorted by
+        sup |sigma_m| when some series reaches order 1 (the modes reaching order
+        a are then a prefix), its first shell and its shell count.  A group is
+        (t, c, live, steps): its slices (a slice object for a run), its centre,
+        the rows still live at the end of the work array, and per order a
+        (n_a, shell, flush, col): the prefix, whether its shell sums cost fewer
+        multiply-adds than its modes, n_h (n_a + slices) < n_a slices, and
+        whether the stack is added into output column col after it.
+
+        The ``rows`` of the work array hold a group's products, its stack, then
+        the live rows: the Z copy of an integrand's groups but the last of a
+        time group, and the plane while a later group of the chunk needs it.
+        The largest group sizes it: its whole stack, at most a plane and one Z
+        past its products or one order past its live rows; a stack with no room
+        for one more order is added early.  With ``orders``, c = 0, K = orders,
+        and each order has its own product and column.
+        """
+        n_t, env, chunks = self.grid.n_steps + 1, self.phase.envelope()[0], self._chunks()
+        size, each = len(chunks[0]), orders is not None
+        plan, stacks, rows, z_rows = [], [], 0, 0
+        for modes in chunks:
+            h0 = self.shell_of_mode[modes[0]]
+            n_h = int(self.shell_of_mode[modes[-1]] - h0 + 1)
+            by_sup, walk = np.argsort(-self.sups[modes], kind="stable"), []
+            for slices, t_field in self.phase.time_groups():
+                if each:
+                    split = [(np.arange(len(slices)), 0.0, np.full(len(modes), orders))]
+                else:
+                    split = _envelope_groups(env[slices], self.sups[modes[by_sup]])
+                walk.append((t_field, slices, split))
+            if not each and max(K[0] for _, _, split in walk for _, _, K in split) > 0:
+                modes = modes[by_sup]
+            later, chunk_walk = sum(len(split) for _, _, split in walk), []
+            for t_field, slices, split in walk:
+                groups = []
+                for i, (r, c, K) in enumerate(split):
+                    t, later = slices[r], later - 1  # later: the chunk's groups after this one
+                    steps = [(n_a, n_h * (n_a + len(t)) < n_a * len(t))
+                             for n_a in (int(np.count_nonzero(K >= a)) for a in range(K[0] + 1))]
+                    copy = integrand and i < len(split) - 1
+                    live = size * (later > 0) + size * n_f * copy
+                    n_y = n_h * n_f  # the rows of one order's shell sums
+                    need = n_y * sum(shell for _, shell in steps[: 1 if each else None])
+                    rows = max(rows, len(t) + min(live + need, max(live + n_y, size * (1 + n_f))))
+                    z_rows = max(z_rows, size * n_f * copy)
+                    run = t[-1] - t[0] == len(t) - 1
+                    groups.append((slice(t[0], t[-1] + 1) if run else t, c, live, steps))
+                    stacks.append((steps, len(t) + live, n_y))
+                chunk_walk.append((t_field, groups))
+            plan.append((modes, h0, n_h, chunk_walk))
+        rows = max(rows, max(n_t, size) + size + z_rows)
+        for steps, used, n_y in stacks:  # the orders that each product adds
+            blocks = 0
+            for a, (n_a, shell) in enumerate(steps):
+                blocks += shell
+                full = (blocks + 1) * n_y > rows - used
+                flush = blocks > 0 and (a == len(steps) - 1 or each or full)
+                steps[a] = (n_a, shell, flush, a if each else 0)
+                blocks = 0 if flush else blocks
+        return plan, rows, z_rows, orders + 1 if each else 1
+
     def _mode_sum(self, integrand=None, weights=None, orders: int | None = None) -> np.ndarray:
         """out[k, t] = sum_m coef_m free_m(t) sum_f w_f(t) F_fm(x) e^{i env(t)
         sigma_m(x)} e^{2 pi i xi_m.x}, free_m(t) = e^{-4 pi^2 i t |xi_m|^2}, as
-        (1, n_t, P), or (orders + 1, n_t, P) with ``orders``.
+        (1, n_t, P), or with ``orders`` (orders + 1, n_t, P) of each order's term.
 
-        sigma = sigma0 + sigma1 is the static phase of each time group (see
-        `PhaseField.time_groups`), one `PhaseField.combine` of S and T per
-        chunk.  integrand(combine, r, t_field, F) writes the static factors F_f
-        into the (chunk, factors, P) buffer F and returns it, None meaning the
-        one factor F = 1: combine(terms, out) is `PhaseField.combine` on the
-        chunk's modes, r is the chunk's |xi| as a column and t_field the
-        group's field slice.  ``weights`` is the (factors, n_t) array of slice
-        weights w_f, ones by default.  Every large array of a chunk lives in a
-        work array allocated once per call.
-
-        Per chunk, the group's slices split into `_envelope_groups` of centre
-        c, and each mode m adds sum_{a<=K_m} ((i (env - c))^a / a!) sum_f w_f
-        coef_m free_m (F_fm e^{i c sigma_m} sigma_m^a), its own series tail
-        below `_TAYLOR_TAIL`.  When some K_m > 0 the chunk's modes are first
-        sorted by sup|sigma_m|, largest first, so that in every group the modes
-        that reach order a are a prefix: Z = F wave, wave = plane e^{i c
-        sigma}, is held as (chunk, factors, P).  The free factor depends on the
-        shell |m|^2 alone, and the modes are in shell order, so a chunk spans
-        few shells h: order a sums the prefix into its shells, S @ Z[:n_a]
-        with S[h, m] = coef_m on m's shell, into the next (shells * factors)
-        row block of a stack, and its weight rows (i (env - c))^a / a!, free_h
-        and the slice weights into the matching column block of W; one
-        product W @ stack then adds the group's orders into ``out``.  The
-        stack takes the longest rows that are free while the group is
-        summed: the product buffer's rows past the group's slices, or, once
-        the chunk's last wave is made, the plane's rows and the spare rows
-        after them.  The spare rows hold Z of an integrand's groups but the
-        last, and they grow to the rows that the last group's stack needs,
-        at most one more Z; a full stack is added early.  Where the group has so few
-        slices that the shells cost more, or the stack cannot hold one order,
-        the rows take coef_m free_m per mode and meet Z[:n_a] directly, one
-        product per order.  With ``orders`` (F = 1) every mode of every slice
-        takes c = 0 and K = orders, out[a] is the order-a term alone, and the
-        stack holds one order.
+        It runs `_plan` with work arrays allocated once.  sigma is one
+        `PhaseField.combine` per chunk and time group; integrand(combine, r,
+        t_field, F) writes the static factors into the (chunk, factors, P)
+        buffer F (None: F = 1), combine being `PhaseField.combine` on the
+        chunk's modes and r their |xi|; ``weights`` holds the (factors, n_t)
+        slice weights w_f.  A group's Z = F plane e^{i c sigma} is multiplied
+        by sigma per order a: S @ Z[:n_a], S[h, m] = coef_m on m's shell,
+        stacks its shell sums under weight rows (i (env - c))^a / a! free_h w_f,
+        and one product W @ stack adds them into the output; an order on the
+        per-mode path meets its own weight rows.
         """
         grid = self.grid
-        n_t, P = grid.n_steps + 1, int(np.prod(grid.shape))
-        n_out = 1 if orders is None else orders + 1
-        out = np.zeros((n_t, n_out, P), dtype=complex)  # one contiguous row per slice
-        env = self.phase.envelope()[0]
+        n_t, P = grid.n_steps + 1, self.phase.n_points
         if weights is None:
             weights = np.ones((1, n_t))
-        n_f = len(weights)
-        chunk = max(1, _CHUNK_BYTES // (16 * P))
-        # work arrays for the largest chunk, reused by every chunk and group:
-        # fresh ones of this size are mapped and faulted in again on each use
-        sigma_buf = np.empty((chunk, P), dtype=complex)
-        wave_buf = np.empty((max(chunk, n_t), P), dtype=complex)
-        pool = np.empty((0, P), dtype=complex)  # the plane waves, then spare rows
+        n_f, env = len(weights), self.phase.envelope()[0]
+        plan, rows, z_rows, columns = self._plan(n_f, integrand is not None, orders)
+        size = len(plan[0][0])
+        out = np.zeros((n_t, columns, P), dtype=complex)
+        sigma_buf = np.empty((size, P), dtype=complex)
+        work = np.empty((rows, P), dtype=complex)  # products and stack, Z copy, plane
+        z_copy = work[rows - size - z_rows : rows - size].reshape(-1, n_f, P)
         if integrand is None:  # Z is the wave itself, so the products need rows of their own
-            prod_buf = np.empty((n_t, P), dtype=complex)
+            wave_buf = np.empty((size, P), dtype=complex)
         else:  # Z = F wave, and the wave is spent before the products
-            F_buf, prod_buf = np.empty((chunk, n_f, P), dtype=complex), wave_buf
-        time_groups = self.phase.time_groups()
-        for lo in range(0, len(self.xi), chunk):
-            modes = np.arange(lo, min(lo + chunk, len(self.xi)))
-            sigma, wave, plane = sigma_buf[: len(modes)], wave_buf[: len(modes)], None
-            h0 = self.shell_of_mode[lo]
-            n_h = self.shell_of_mode[modes[-1]] - h0 + 1  # the chunk's shells, in order
-            n_y = n_h * n_f  # rows of one order's shell sums
-            for j, (slices, t_field) in enumerate(time_groups):
-                r = self.radii[modes, None]
+            F_buf, wave_buf = np.empty((size, n_f, P), dtype=complex), work
+        for modes, h0, n_h, walk in plan:
+            n, n_y, r = len(modes), n_h * n_f, self.radii[modes, None]
+            sigma, wave = sigma_buf[:n], wave_buf[:n]
+            plane = self._plane(modes, work[rows - size : rows - size + n])
+            shell = self.shell_of_mode[modes] - h0
+            S = np.zeros((n_h, n), dtype=complex)
+            S[shell, np.arange(n)] = self.coef[modes]
+            for t_field, groups in walk:
                 self._combine(t_field, modes, _sigma_terms(r), out=sigma)
-                if orders is None:
-                    sups = np.max(np.abs(sigma, out=wave.real), axis=1)  # the wave is free here
-                    by_sup = np.argsort(-sups, kind="stable")
-                    groups = _envelope_groups(env[slices], sups[by_sup])
-                    if max(K[0] for _, _, K in groups) > 0:
-                        modes, r, plane = modes[by_sup], r[by_sup], None
-                        # "clip" writes straight into out; the indices are a permutation
-                        sigma[...] = np.take(sigma, by_sup, axis=0, out=wave, mode="clip")
-                else:
-                    groups = [(np.arange(len(slices)), 0.0, np.full(len(modes), orders))]
-                # each group's orders: the modes that reach it, and whether their
-                # shell sums cost fewer multiply-adds than the modes themselves
-                plans = [
-                    [(n_a, n_h * (n_a + len(rows)) < n_a * len(rows))
-                     for n_a in (int(np.count_nonzero(K >= a)) for a in range(K[0] + 1))]
-                    for rows, _, K in groups
-                ]
-                # the spare rows after the plane's hold Z of an integrand's groups
-                # but the last, and the rest of the last group's stack once the
-                # chunk's last wave is made, at most the rows of one Z
-                n_spare = len(modes) * n_f if integrand is not None and len(groups) > 1 else 0
-                if j == len(time_groups) - 1:
-                    n_stack = n_y * (1 if orders is not None else sum(c for _, c in plans[-1]))
-                    n_spare = max(n_spare, min(n_stack - chunk, chunk * n_f))
-                if len(pool) < chunk + n_spare:  # grown, with the plane made again
-                    pool = plane = stack = Y = None  # its last views: it is freed first
-                    pool = np.empty((chunk + n_spare, P), dtype=complex)
-                if plane is None:
-                    plane = self._plane(modes, pool[: len(modes)])
                 F = None
                 if integrand is not None:
-                    combine = partial(self._combine, t_field, modes)
-                    F = integrand(combine, r, t_field, F_buf[: len(modes)])
-                shell = self.shell_of_mode[modes] - h0
-                S = np.zeros((n_h, len(modes)), dtype=complex)
-                S[shell, np.arange(len(modes))] = self.coef[modes]
-                for i, ((rows, c, K), plan) in enumerate(zip(groups, plans)):
-                    t = slices[rows]  # ascending, so a run of slices is a view of out
-                    dest = slice(t[0], t[-1] + 1) if t[-1] - t[0] == len(t) - 1 else t
+                    F = integrand(partial(self._combine, t_field, modes), r, t_field, F_buf[:n])
+                for i, (t, c, live, steps) in enumerate(groups):
                     if c:  # e^0 = 1
                         np.exp(np.multiply(sigma, 1j * c, out=wave), out=wave)
                         wave *= plane
@@ -836,29 +825,18 @@ class ParametrixOperator:
                         Z = F
                         Z *= wave[:, None]
                     else:
-                        Z = pool[chunk : chunk + len(modes) * n_f].reshape(len(modes), n_f, P)
+                        Z = z_copy[:n]
                         np.multiply(F, wave[:, None], out=Z)
-                    # the stack takes the shell sums of successive orders: the
-                    # longest rows that are free while the group is summed, past
-                    # the group's slices in the product buffer, or the pool's once
-                    # the chunk's last wave is made (Z is then F), else its spare
-                    # rows when they hold no Z
-                    last = (j, i) == (len(time_groups) - 1, len(groups) - 1)
-                    prod, stack = prod_buf[: len(t)], prod_buf[len(t) :]
-                    if last or Z is F:
-                        stack = max(stack, pool if last else pool[chunk:], key=len)
-                    blocks = []  # the weight rows of the orders on the stack
                     shift = 1j * (env[t] - c)
+                    prod, stack, blocks = work[: len(shift)], work[len(shift) : rows - live], []
                     free_t = self.free[t, h0 : h0 + n_h]  # (slices, shells)
                     w_rows = weights[:, t].T[:, None, :]  # (slices, 1, factors)
-                    for a, (n_a, cheap) in enumerate(plan):
+                    for a, (n_a, by_shell, flush, col) in enumerate(steps):
                         if a:
                             Z[:n_a] *= sigma[:n_a, None]
-                        by_shell = cheap and n_y <= len(stack)
-                        col = 0 if orders is None else a
                         w = free_t if by_shell else free_t[:, shell[:n_a]] * self.coef[modes[:n_a]]
                         w = (shift**a / math.factorial(a))[:, None] * w
-                        w = (w[:, :, None] * w_rows).reshape(len(t), -1)
+                        w = (w[:, :, None] * w_rows).reshape(len(shift), -1)
                         if by_shell:  # into the stack's next n_y rows
                             at = len(blocks) * n_y
                             Y = stack[at : at + n_y].reshape(n_h, -1)
@@ -866,14 +844,11 @@ class ParametrixOperator:
                             blocks.append(w)
                         else:
                             np.matmul(w, Z[:n_a].reshape(-1, P), out=prod)
-                            out[dest, col] += prod
-                        # one product for the stack: at the group's end, when the
-                        # next order would not fit, and after each separate order
-                        full = (len(blocks) + 1) * n_y > len(stack)
-                        if blocks and (a == K[0] or full or orders is not None):
+                            out[t, col] += prod
+                        if flush:
                             W = np.concatenate(blocks, axis=1)
                             np.matmul(W, stack[: W.shape[1]], out=prod)
-                            out[dest, col] += prod
+                            out[t, col] += prod
                             blocks = []
         return np.moveaxis(out, 1, 0)
 
@@ -884,7 +859,10 @@ class ParametrixOperator:
 
     def taylor_study(self, max_order: int) -> tuple[dict[int, SpaceTimeField], dict[int, float]]:
         """All truncations sum_{a<=order} (i sigma)^a / a! inside the integral for
-        orders 0..max_order, and the L^inf_t L^2_x norm of each order's term."""
+        orders 0..max_order, and the L^inf_t L^2_x norm of each order's term.
+        Rejects a max_order that is negative or not an integer."""
+        if not isinstance(max_order, (int, np.integer)) or max_order < 0:
+            raise ValueError(f"max_order must be an integer >= 0, got {max_order!r}")
         grid = self.grid
         # views of the (n_t, orders + 1, P) sum: each order's term, then its partial sum in place
         terms = [t.reshape((-1,) + grid.shape) for t in self._mode_sum(orders=max_order)]

@@ -3,11 +3,12 @@
 `ray_integral_trapezoid` and `gradient_identity_check` reach a ray field by a
 route that shares no kernel with `magschro.parametrix`: a trapezoid rule along
 the wrapped ray, and a chi'' kernel from the closed-form second derivative of
-the glue.  `sigma_at` reads sigma0 and sigma1 for one frequency vector, and
-`spectral_gradient` is the gradient by Fourier multipliers.  `smoothstep`,
-`time_derivative_4th` and `equation_residual` write out as plain expressions
-what the program evaluates on the glue ramp alone or in place; the tests hold
-the program to them bit for bit.
+the glue.  `ray` reads one ray field alone, real; `sigma_at` reads sigma0 and
+sigma1 for one frequency vector, and `spectral_gradient` is the gradient by
+Fourier multipliers.  `smoothstep`, `time_derivative_4th` and
+`equation_residual` write out as plain expressions what the program evaluates
+on the glue ramp alone or in place; the tests hold the program to them bit for
+bit.
 """
 
 import numpy as np
@@ -25,14 +26,22 @@ def spectral_gradient(grid, values: np.ndarray) -> np.ndarray:
     return np.stack([fourier_inverse(grid, 2j * np.pi * grid.xi[j] * spec) for j in range(grid.n)])
 
 
+def ray(phase: PhaseField, name: str, t_idx: int | None) -> np.ndarray:
+    """The ray field ``name`` of `RAY_FIELDS` at slice t_idx for every direction
+    of ``phase``, real, (D,) + shape or (n, D) + shape; t_idx None gives the
+    static factor of a rank-1 field (see `PhaseField.time_groups`)."""
+    field = phase.combine([(name, 1.0)], t_idx)
+    return field.real.reshape(field.shape[:-1] + phase.grid.shape)
+
+
 def sigma_at(phase: PhaseField, t_idx: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sigma0, sigma1) fields of ``phase`` for one frequency vector."""
     xi = np.asarray(xi, dtype=float)
     r = float(np.linalg.norm(xi))
     theta = xi / r
     sub = PhaseField(phase.A, phase.k_f, theta[None], phase.bands)
-    s0 = SIGMA0_FACTOR * sub.ray("S", t_idx)[0]
-    s1 = 2j * np.pi * r * sub.ray("T", t_idx)[0]
+    s0 = SIGMA0_FACTOR * ray(sub, "S", t_idx)[0]
+    s1 = 2j * np.pi * r * ray(sub, "T", t_idx)[0]
     return s0, s1
 
 
@@ -75,7 +84,7 @@ def gradient_identity_check(phase: PhaseField, xi_samples: np.ndarray) -> float:
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     dirs = xi_samples / np.linalg.norm(xi_samples, axis=1)[:, None]
     sub = PhaseField(phase.A, phase.k_f, dirs, phase.bands)
-    lhs = sub.ray("theta_grad_T", 0)
+    lhs = ray(sub, "theta_grad_T", 0)
     rhs = np.zeros((len(dirs), sub.n_points), dtype=complex)
     for b in phase.bands:
         theta_dot = np.einsum("dj,jm->dm", dirs, b.coef["tilde"][0])

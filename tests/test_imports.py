@@ -221,7 +221,6 @@ UNREFERENCED = {
     "lp.besov_l2_norm": "README Dyadic calculus: 'Besov-l2 sums'",
     "norms.path_sup_time_norm": "README Notes: 'Suprema over measurable base paths factorize'",
     "norms.xdot_norm": "README Mixed norms: 'the Besov-type solution norm'",
-    "parametrix.ray": "PhaseField.ray, one real field alone: tests/oracles.py and dense_oracle",
     "potentials.corollary_norm": "README Vector potentials: '`corollary_norm` walk their bands'",
     "solver.lp_reduced_equation_check": "README Parametrix: 'the band-k equation check'",
 }

@@ -42,7 +42,13 @@ from magschro.parametrix import (
     phase_identity_residual,
 )
 from magschro.solver import lp_reduced_equation_check
-from oracles import gradient_identity_check, ray_integral_trapezoid, sigma_at, spectral_gradient
+from oracles import (
+    gradient_identity_check,
+    ray,
+    ray_integral_trapezoid,
+    sigma_at,
+    spectral_gradient,
+)
 
 
 def circle_directions(count):
@@ -117,9 +123,9 @@ class TestPhase:
         ph = build_sigma(calibrated_potential(g, k_f, scale, 0.1), k_f, circle_directions(6))
         for b in ph.bands:
             b.kernel["chi_prime"] = b.kernel["chi_prime"] * np.exp(0.1j)
-        ph.ray("grad_S", 0)
+        ray(ph, "grad_S", 0)
         with pytest.raises(AssertionError, match="grad_T lost reality"):
-            ph.ray("grad_T", 0)
+            ray(ph, "grad_T", 0)
 
     def test_band_modes_pair_with_their_mirrors(self, setup2d):
         # the half-lattice modes and their mirrors are the full lattice's band
@@ -159,7 +165,7 @@ class TestPhase:
             (("lap_T", 1.0), ("theta_grad_S", 1.0)),
         ]:
             got = ph.combine([(a, w_a), (b, w_b)], t_idx, d_idx)
-            rows = [ph.ray(name, t_idx)[..., d_idx, :, :] for name in (a, b)]
+            rows = [ray(ph, name, t_idx)[..., d_idx, :, :] for name in (a, b)]
             want = w_a * rows[0].reshape(got.shape) + w_b * rows[1].reshape(got.shape)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (a, b)
 
@@ -171,6 +177,17 @@ class TestPhase:
         xi = 2.0**k_f * dirs
         res = phase_identity_residual(ph, A, xi, t_indices=(0, g.n_steps // 2, g.n_steps))
         assert res <= 1e-6
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_phase_identity_rejects_bad_frequencies(self, setup2d, bad):
+        # such a row has no direction; unchecked, its NaN direction also set the
+        # chi quadrature of the other directions and dropped out of the max
+        g, k_f, scale = setup2d
+        A = calibrated_potential(g, k_f, scale, 0.1)
+        dirs = circle_directions(16)
+        xi = np.vstack([2.0**k_f * dirs, bad])
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            phase_identity_residual(build_sigma(A, k_f, dirs), A, xi)
 
     def test_gradient_ray_identity(self, setup2d):
         g, k_f, scale = setup2d
@@ -250,7 +267,7 @@ class TestPhase:
         A = VectorPotential(g, vals, band_limit=-1)
         dirs = np.array([[1.0]])
         ph = build_sigma(A, 3, dirs)
-        S_kernel = ph.ray("S", 0)[0]
+        S_kernel = ray(ph, "S", 0)[0]
         quad = sum(
             ray_integral_trapezoid(A, 0, k, np.array([1.0]), kernel="chi", dz=2e-4)
             for k in (-2, -1)  # the mode straddles both band masks
@@ -348,6 +365,15 @@ class TestOperator:
         out = parametrix_residual(op, v)
         assert out["dual_gap"] <= 1e-3
         assert out["l1l2_analytic"] <= 1.0 * 0.1  # C eps ||f||
+
+    def test_taylor_study_rejects_bad_order(self, setup2d):
+        # a negative order used to return ({}, {}) without complaint
+        g, k_f, scale = setup2d
+        A = calibrated_potential(g, k_f, scale, 0.1)
+        op = ParametrixOperator(g, annulus_data(g, k_f, seed=3), A, AnnulusCutoff(k_f))
+        for bad in (-1, 2.0, 1.5, None):
+            with pytest.raises(ValueError, match="max_order"):
+                op.taylor_study(bad)
 
     @pytest.mark.slow
     def test_taylor_structure(self, setup2d):
@@ -554,7 +580,7 @@ def dense_oracle(op, max_order):
     plane = np.exp(2j * np.pi * (op.xi @ X))
 
     def modes(field, t):
-        return ph.ray(field, t).reshape(-1, D, X.shape[1])[:, dmap]
+        return ray(ph, field, t).reshape(-1, D, X.shape[1])[:, dmap]
 
     v, res, terms = [], [], []
     for i, t in enumerate(g.times):
@@ -810,6 +836,25 @@ class TestModeSumKernel:
         finally:
             tracemalloc.stop()
         assert peak < 21 * 2**20
+
+    def test_residual_peak_memory_at_experiment_size(self):
+        # the parametrix experiment's eps = 0.1 operator at seed 2026: 1092 modes
+        # on 113 shells, whose largest stack takes 90 rows.  The work array is
+        # sized once per call from the plan: 18.09 MiB here, where a pool that
+        # regrew within the call (81 -> 90 rows) peaked at 18.13 MiB
+        from magschro.experiments import _parametrix_setup
+
+        g, k_f, scale = _parametrix_setup(2026)
+        A = make_potential("low_band", 0.1 / scale, g, seed=2026, single_band=-6)
+        op = ParametrixOperator(g, annulus_data(g, k_f, seed=2028), A, AnnulusCutoff(k_f))
+        assert (len(op.xi), op.free.shape[1]) == (1092, 113)
+        tracemalloc.start()
+        try:
+            op.residual_analytic()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 18.5 * 2**20
 
     def test_apply_peak_memory(self):
         # a group's stack of shell sums takes rows that are free while it is
