@@ -16,11 +16,12 @@ Each experiment id covers a set of acceptance checks:
   nets             cap partitions, net cardinality, the pointwise ray bound,
                    and the dyadic sequence inequality
 
-The checks are computed by check groups, listed in ``_GROUPS``: a group owns
-one or more checks of one experiment and does the work they share.  A run calls
-only the groups of its enabled checks, in table order, and times each one (the
-``stages`` of the summary).  A group's keyword parameters are the ``params``
-keys it reads.
+The checks are computed by check groups, listed in ``_GROUPS`` with each
+check's default threshold and comparator (``CHECK_CATALOG`` is read from it): a
+group owns one or more checks of one experiment and does the work they share.
+A run calls only the groups of its enabled checks, in table order, and times
+each one (the ``stages`` of the summary).  A group's keyword parameters are the
+``params`` keys it reads.
 
 Configs are JSON with a versioned schema; unknown keys, and check ids,
 tolerance ids and params keys the experiment does not read, are rejected, for
@@ -160,46 +161,6 @@ _SCHEMA = {
     "additionalProperties": False,
 }
 
-# check id -> (experiment, default threshold, comparator)
-CHECK_CATALOG = {
-    "fft-roundtrip": ("norms", 1e-12, "le"),
-    "parseval": ("norms", 1e-12, "le"),
-    "free-gaussian-n1": ("norms", 1e-6, "le"),
-    "free-gaussian-n2": ("norms", 1e-6, "le"),
-    "lp-partition-unity": ("norms", 1e-12, "le"),
-    "lp-band-reconstruction": ("norms", 1e-10, "le"),
-    "lp-paraproduct-identity": ("norms", 1e-10, "le"),
-    "y-scale-invariance-y0": ("norms", 0.02, "le"),
-    "y-scale-invariance-y1": ("norms", 0.02, "le"),
-    "y-scale-invariance-y2": ("norms", 0.03, "le"),
-    "y-scale-invariance-y3": ("norms", 0.03, "le"),
-    "solve-transport-oracle": ("solve", 1e-6, "le"),
-    "solve-order": ("solve", 3.5, "ge"),
-    "solve-charge-drift": ("solve", 1e-8, "le"),
-    "solve-duhamel-agreement": ("solve", 1e-6, "le"),
-    "solve-compose": ("solve", 1e-6, "le"),
-    "solve-reversal": ("solve", 1e-6, "le"),
-    "solve-energy-bound": ("solve", 1.0, "le"),
-    "phase-identity": ("parametrix", 1e-6, "le"),
-    "parametrix-v0-linearity": ("parametrix", 0.9, "ge"),
-    "parametrix-residual-linearity": ("parametrix", 0.9, "ge"),
-    "parametrix-lqlr-factor": ("parametrix", 2.0, "le"),
-    "dual-path-residual": ("parametrix", 1e-3, "le"),
-    "parametrix-taylor-error": ("parametrix", 1e-4, "le"),
-    "strichartz-ratio-excess": ("strichartz-sweep", 0.5, "le"),
-    "dispersive-slope-mu0": ("dispersive", 0.15, "le"),
-    "dispersive-slope-mu1": ("dispersive", 0.15, "le"),
-    "dispersive-slope-mu2": ("dispersive", 0.15, "le"),
-    "dispersive-fixed-axis-slope": ("dispersive", 0.15, "le"),
-    "error-term-identity": ("error-terms", 1e-10, "le"),
-    "error-term-besov-stability-s0": ("error-terms", 2.0, "le"),
-    "error-term-besov-stability-s1": ("error-terms", 2.0, "le"),
-    "cap-partition-sum": ("nets", 1e-10, "le"),
-    "net-cardinality-constant": ("nets", 40.0, "le"),
-    "ray-bound-stability": ("nets", 2.0, "le"),
-    "sequence-lemma-stability": ("nets", 4.0, "le"),
-}
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -276,8 +237,9 @@ def validate(raw: dict) -> list[str]:
     if diags:
         return diags
     exp = raw["experiment"]
-    own = {cid for cid, (e, _, _) in CHECK_CATALOG.items() if e == exp}
-    params = {key for _, body in _groups_of(exp) for key in _group_params(body)}
+    groups = _groups_of(exp)
+    own = {cid for ids, _ in groups for cid in ids}
+    params = {key for _, body in groups for key in _group_params(body)}
     allowed = {"checks": own, "tolerances": own, "params": params}
     diags = []
     for key, names in allowed.items():
@@ -712,35 +674,61 @@ def _sequence_lemma(seed):
         )
 
 
-# (check ids, group) in run order; every id belongs to one experiment
+# (experiment, group, {check id: (default threshold, comparator)}) in run order
 _GROUPS = (
-    (("fft-roundtrip", "parseval", "free-gaussian-n1", "free-gaussian-n2"), _spectral_core),
-    (("lp-partition-unity", "lp-band-reconstruction", "lp-paraproduct-identity"), _dyadic_calculus),
-    (tuple(f"y-scale-invariance-y{j}" for j in range(4)), _y_scale_invariance),
-    (("solve-order",), _solve_order),
-    (("solve-transport-oracle",), _solve_transport),
-    (("solve-charge-drift",), _solve_charge),
-    (("solve-duhamel-agreement",), _solve_duhamel),
-    (("solve-compose",), _solve_compose),
-    (("solve-reversal",), _solve_reversal),
-    (("solve-energy-bound",), _solve_energy),
-    (("phase-identity",), _phase_identity),
-    (("parametrix-v0-linearity", "parametrix-residual-linearity", "dual-path-residual",
-      "parametrix-lqlr-factor", "parametrix-taylor-error"), _eps_sweep),
-    (("strichartz-ratio-excess",), _strichartz_sweep),
-    *(((f"dispersive-slope-mu{mu}",), partial(_dispersive_slope, mu)) for mu in (0, 1, 2)),
-    (("dispersive-fixed-axis-slope",), _fixed_axis_slope),
-    (("error-term-identity", "error-term-besov-stability-s0", "error-term-besov-stability-s1"),
-     _error_terms),
-    (("cap-partition-sum",), _cap_partition_sum),
-    (("net-cardinality-constant",), _net_cardinality),
-    (("ray-bound-stability",), _ray_bound),
-    (("sequence-lemma-stability",), _sequence_lemma),
+    ("norms", _spectral_core, {
+        "fft-roundtrip": (1e-12, "le"),
+        "parseval": (1e-12, "le"),
+        "free-gaussian-n1": (1e-6, "le"),
+        "free-gaussian-n2": (1e-6, "le"),
+    }),
+    ("norms", _dyadic_calculus, {
+        "lp-partition-unity": (1e-12, "le"),
+        "lp-band-reconstruction": (1e-10, "le"),
+        "lp-paraproduct-identity": (1e-10, "le"),
+    }),
+    ("norms", _y_scale_invariance, {
+        "y-scale-invariance-y0": (0.02, "le"),
+        "y-scale-invariance-y1": (0.02, "le"),
+        "y-scale-invariance-y2": (0.03, "le"),
+        "y-scale-invariance-y3": (0.03, "le"),
+    }),
+    ("solve", _solve_order, {"solve-order": (3.5, "ge")}),
+    ("solve", _solve_transport, {"solve-transport-oracle": (1e-6, "le")}),
+    ("solve", _solve_charge, {"solve-charge-drift": (1e-8, "le")}),
+    ("solve", _solve_duhamel, {"solve-duhamel-agreement": (1e-6, "le")}),
+    ("solve", _solve_compose, {"solve-compose": (1e-6, "le")}),
+    ("solve", _solve_reversal, {"solve-reversal": (1e-6, "le")}),
+    ("solve", _solve_energy, {"solve-energy-bound": (1.0, "le")}),
+    ("parametrix", _phase_identity, {"phase-identity": (1e-6, "le")}),
+    ("parametrix", _eps_sweep, {
+        "parametrix-v0-linearity": (0.9, "ge"),
+        "parametrix-residual-linearity": (0.9, "ge"),
+        "parametrix-lqlr-factor": (2.0, "le"),
+        "dual-path-residual": (1e-3, "le"),
+        "parametrix-taylor-error": (1e-4, "le"),
+    }),
+    ("strichartz-sweep", _strichartz_sweep, {"strichartz-ratio-excess": (0.5, "le")}),
+    *(("dispersive", partial(_dispersive_slope, mu), {f"dispersive-slope-mu{mu}": (0.15, "le")})
+      for mu in (0, 1, 2)),
+    ("dispersive", _fixed_axis_slope, {"dispersive-fixed-axis-slope": (0.15, "le")}),
+    ("error-terms", _error_terms, {
+        "error-term-identity": (1e-10, "le"),
+        "error-term-besov-stability-s0": (2.0, "le"),
+        "error-term-besov-stability-s1": (2.0, "le"),
+    }),
+    ("nets", _cap_partition_sum, {"cap-partition-sum": (1e-10, "le")}),
+    ("nets", _net_cardinality, {"net-cardinality-constant": (40.0, "le")}),
+    ("nets", _ray_bound, {"ray-bound-stability": (2.0, "le")}),
+    ("nets", _sequence_lemma, {"sequence-lemma-stability": (4.0, "le")}),
 )
+
+# check id -> (experiment, default threshold, comparator)
+CHECK_CATALOG = {cid: (exp, *rule) for exp, _, checks in _GROUPS for cid, rule in checks.items()}
 
 
 def _groups_of(experiment: str) -> list:
-    return [(ids, body) for ids, body in _GROUPS if CHECK_CATALOG[ids[0]][0] == experiment]
+    return [(tuple(checks), body) for exp, body, checks in _GROUPS if exp == experiment]
 
 
 def _group_params(body) -> list[str]:

@@ -194,8 +194,7 @@ def _half(grid: Grid, array: np.ndarray) -> np.ndarray:
 
 def slice_l2(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete L^2 norms over the trailing n spatial axes, one per leading index."""
-    axes = tuple(range(-grid.n, 0))
-    return np.sqrt(np.sum(np.abs(values) ** 2, axis=axes) * grid.dx**grid.n)
+    return spatial_norm(grid, values, 2.0)
 
 
 def spatial_norm(grid: Grid, values: np.ndarray, p: float, inner: float | None = None) -> np.ndarray:
@@ -209,7 +208,9 @@ def spatial_norm(grid: Grid, values: np.ndarray, p: float, inner: float | None =
     def reduce(a, q, axes):
         if np.isinf(q):
             return np.max(a, axis=axes)
-        return (np.sum(a**q, axis=axes) * grid.dx ** len(axes)) ** (1.0 / q)
+        total = np.sum(a**q, axis=axes) * grid.dx ** len(axes)
+        # a numpy scalar's ** 0.5 is libm's pow, which can miss sqrt by an ulp
+        return np.sqrt(total) if q == 2 else total ** (1.0 / q)
 
     a = np.abs(values)
     n = grid.n

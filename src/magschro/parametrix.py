@@ -57,11 +57,12 @@ residual folds A into its integrand: three static factors for any n.
 
 The error terms E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k of the reduced
 equation (d_t - i Lap + A_{<=k-4}.grad) u_k = F_k - E^k come from one pass per
-call: `error_term`, `error_term_besov_ratio` and
-`solver.lp_reduced_equation_check` transform A and A.grad u once and then mask
-per band.  The four groups of E^k, for any set of bands, come from one walk down
-the pieces of u and A (`_error_group_pass`).  A's pieces are read from its real
-half spectrum.  Nothing is cached beyond the call.
+call: `error_term` and `error_term_besov_ratio` transform A and A.grad u once
+and then mask per band.  That equation is the band k of the magnetic equation,
+so `solver.lp_reduced_equation_check` reads it from the solver residual.  The
+four groups of E^k, for any set of bands, come from one walk down the pieces of
+u and A (`_error_group_pass`).  A's pieces are read from its real half
+spectrum.  Nothing is cached beyond the call.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ from .lp import (
     AnnulusCutoff,
     _advect,
     _apply_mask,
-    _check_band,
     _gauss_legendre,
     _gradient,
     _leq_mask,
@@ -99,6 +99,7 @@ from .lp import (
 )
 from .norms import time_lq
 from .potentials import VectorPotential
+from .solver import _check_error_inputs, equation_residual
 
 __all__ = [
     "PhaseField",
@@ -712,11 +713,11 @@ class ParametrixOperator:
         A chunk is (modes, h0, n_h, [(t_field, groups)]): its modes, sorted by
         sup |sigma_m| when some series reaches order 1 (the modes reaching order
         a are then a prefix), its first shell and its shell count.  A group is
-        (t, c, live, steps): its slices (a slice object for a run), its centre,
-        the rows still live at the end of the work array, and per order a
-        (n_a, shell, flush, col): the prefix, whether its shell sums cost fewer
-        multiply-adds than its modes, n_h (n_a + slices) < n_a slices, and
-        whether the stack is added into output column col after it.
+        (t, c, live, steps): its slices, its centre, the rows still live at the
+        end of the work array, and per order a (n_a, shell, flush, col): the
+        prefix, whether its shell sums cost fewer multiply-adds than its modes,
+        n_h (n_a + slices) < n_a slices, and whether the stack is added into
+        output column col after it.
 
         The ``rows`` of the work array hold a group's products, its stack, then
         the live rows: the Z copy of an integrand's groups but the last of a
@@ -754,8 +755,7 @@ class ParametrixOperator:
                     need = n_y * sum(shell for _, shell in steps[: 1 if each else None])
                     rows = max(rows, len(t) + min(live + need, max(live + n_y, size * (1 + n_f))))
                     z_rows = max(z_rows, size * n_f * copy)
-                    run = t[-1] - t[0] == len(t) - 1
-                    groups.append((slice(t[0], t[-1] + 1) if run else t, c, live, steps))
+                    groups.append((t, c, live, steps))
                     stacks.append((steps, len(t) + live, n_y))
                 chunk_walk.append((t_field, groups))
             plan.append((modes, h0, n_h, chunk_walk))
@@ -844,11 +844,13 @@ class ParametrixOperator:
                             blocks.append(w)
                         else:
                             np.matmul(w, Z[:n_a].reshape(-1, P), out=prod)
-                            out[t, col] += prod
+                            for i, row in zip(t, prod):  # each row in place: no temporary
+                                out[i, col] += row
                         if flush:
                             W = np.concatenate(blocks, axis=1)
                             np.matmul(W, stack[: W.shape[1]], out=prod)
-                            out[t, col] += prod
+                            for i, row in zip(t, prod):
+                                out[i, col] += row
                             blocks = []
         return np.moveaxis(out, 1, 0)
 
@@ -920,8 +922,6 @@ def parametrix_residual(
     (a) numeric: discrete derivatives of v;  (b) the analytic integrand.
     Aborts (ValueError) when the two paths disagree beyond ``dual_tol``.
     """
-    from .solver import equation_residual
-
     grid = op.grid
     res_numeric, l1l2_numeric = equation_residual(v, op.A, None)
     res_analytic = op.residual_analytic()
@@ -944,19 +944,8 @@ def parametrix_residual(
 # -- frequency-localized error terms ----------------------------------------------
 
 
-def _check_error_inputs(u: SpaceTimeField, A: VectorPotential | None, ks) -> None:
-    """Reject a potential on another grid than u, non-finite u and bands outside
-    ``representable_bands``; one pass over u, no transforms."""
-    if A is not None and A.grid != u.grid:
-        raise ValueError(f"potential grid {A.grid} differs from the field grid {u.grid}")
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("u must be finite")
-    for k in ks:
-        _check_band(u.grid, k)
-
-
 def _band_error_terms(u: SpaceTimeField, A: VectorPotential, ks):
-    """(E^k, u_hat phi_k, A_{<=k-4}) per band k in ks, from one transform of A and A . grad u."""
+    """(E^k, u_hat phi_k) per band k in ks, from one transform of A and A . grad u."""
     grid = u.grid
     u_hat = u.spectrum()
     a_hat = _real_forward(grid, A.values)
@@ -965,7 +954,7 @@ def _band_error_terms(u: SpaceTimeField, A: VectorPotential, ks):
         mask = band_mask(grid, k)
         a_low = _real_inverse(grid, a_hat * _half(grid, _leq_mask(grid, k - 4)))
         uk_hat = u_hat * mask
-        yield fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat), uk_hat, a_low
+        yield fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat), uk_hat
 
 
 def error_term(
@@ -1059,7 +1048,7 @@ def _besov_band_norms(u: SpaceTimeField, A: VectorPotential, k_range: tuple[int,
     return (
         (k, time_lq(grid.times, slice_l2(grid, e_k), 1.0),
          float(np.max(slice_l2(grid, fourier_inverse(grid, uk_hat)))), e_k)
-        for k, (e_k, uk_hat, _) in zip(ks, _band_error_terms(u, A, ks))
+        for k, (e_k, uk_hat) in zip(ks, _band_error_terms(u, A, ks))
     )
 
 

@@ -304,19 +304,16 @@ def make_potential(
     c = np.asarray(center if center is not None else (grid.L / 2.0,) * n, dtype=float)
     env, denv = _envelope(grid.T)
     meshes = grid.spatial_meshes()
-    band_limit = None
+    # rank1: the static (u, w) of a preset A = eps env(t) u w; u = 1.0 for a
+    # static field w, so an evaluation makes one pass over it
+    band_limit = rank1 = None
 
     if preset == "gauss_bump":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
         bump = np.exp(-sum((m - ci) ** 2 for m, ci in zip(meshes, c)) / w**2)
-
-        def evaluator(t, _b=bump, _v=v):
-            return eps * env(t) * _v[(slice(None),) + (None,) * n] * _b[None]
-
-        def dt_evaluator(t, _b=bump, _v=v):
-            return eps * denv(t) * _v[(slice(None),) + (None,) * n] * _b[None]
+        rank1 = (v[(slice(None),) + (None,) * n], bump[None])
 
     elif preset == "traveling_bump":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 102)))
@@ -345,13 +342,7 @@ def make_potential(
             comps = np.stack([-dpsi[1], dpsi[0]])
         else:
             comps = np.stack([dpsi[1], -dpsi[0], np.zeros_like(psi)])
-
-        def evaluator(t, _c=comps):
-            return eps * env(t) * _c
-
-        def dt_evaluator(t, _c=comps):
-            return eps * denv(t) * _c
-
+        rank1 = (1.0, comps)
         divergence_free = True
 
     elif preset == "low_band":
@@ -383,15 +374,19 @@ def make_potential(
         half = fourier_inverse(grid, spec)
         static = half.real + half.imag
         static /= max(np.max(np.abs(static)), 1e-30)
-
-        def evaluator(t, _s=static):
-            return eps * env(t) * _s
-
-        def dt_evaluator(t, _s=static):
-            return eps * denv(t) * _s
+        rank1 = (1.0, static)
 
     else:
         raise ValueError(f"unknown preset '{preset}'")
+
+    if rank1 is not None:
+        u_x, w_x = rank1
+
+        def evaluator(t):
+            return eps * env(t) * u_x * w_x
+
+        def dt_evaluator(t):
+            return eps * denv(t) * u_x * w_x
 
     values = np.stack([evaluator(t) for t in grid.times])
     return VectorPotential(
@@ -438,12 +433,16 @@ def _walk_bands(A: VectorPotential, label: str):
 # -- Y0, Y1 --------------------------------------------------------------------
 
 
+def _grad_l1_linf(A: VectorPotential) -> float:
+    """||grad A||_{L^1_t L^inf_x}, |grad A| the Frobenius norm of the Jacobian."""
+    grad_mag = np.sqrt(np.sum(A.jacobian() ** 2, axis=(1, 2)))
+    return time_lq(A.grid.times, spatial_norm(A.grid, grad_mag, np.inf), 1.0)
+
+
 def y0_components(A: VectorPotential, params: YNormParams | None = None) -> dict:
     params = params or YNormParams()
     grid = A.grid
-    jac = A.jacobian()
-    grad_mag = np.sqrt(np.sum(jac**2, axis=(1, 2)))
-    grad_term = time_lq(grid.times, spatial_norm(grid, grad_mag, np.inf), 1.0)
+    grad_term = _grad_l1_linf(A)
     a_term = time_lq(grid.times, spatial_norm(grid, _vec_mag(A.values), np.inf), 2.0)
     p = grid.n / params.h
     per_band = {}

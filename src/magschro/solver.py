@@ -35,9 +35,9 @@ from .grid import (
     slice_l2,
     spatial_norm,
 )
-from .lp import _advect, band_mask
+from .lp import _advect, _check_band, project_band
 from .norms import time_lq
-from .potentials import VectorPotential
+from .potentials import VectorPotential, _grad_l1_linf, _vec_mag
 
 __all__ = [
     "SolverConfig",
@@ -80,12 +80,6 @@ class SolverConfig:
                 f"dt={self.dt} violates the advective CFL bound {bound:.3e} "
                 f"(dx={grid.dx}, |A|_inf={a_max:.3e})"
             )
-
-
-def _a_sup(A) -> float:
-    if A is None:
-        return 0.0
-    return float(np.max(np.sqrt(np.sum(A.values**2, axis=1))))
 
 
 def _dealias_mask(grid: Grid) -> np.ndarray:
@@ -209,7 +203,7 @@ def _check_step(grid: Grid, f: np.ndarray, A, config: SolverConfig):
         raise ValueError(f"potential grid {A.grid} differs from the solver grid {grid}")
     if not np.all(np.isfinite(f)):
         raise ValueError("initial data must be finite")
-    config.check_cfl(grid, _a_sup(A))
+    config.check_cfl(grid, 0.0 if A is None else float(np.max(_vec_mag(A.values))))
 
 
 def _check_inputs(grid: Grid, f: np.ndarray, A):
@@ -291,8 +285,7 @@ def energy_bound_check(grid: Grid, f: np.ndarray, A: VectorPotential | None, F) 
     out = {}
     if A is not None:
         div_l1linf = time_lq(grid.times, spatial_norm(grid, A.divergence(), np.inf), 1.0)
-        grad_mag = np.sqrt(np.sum(A.jacobian() ** 2, axis=(1, 2)))
-        grad_l1linf = time_lq(grid.times, spatial_norm(grid, grad_mag, np.inf), 1.0)
+        grad_l1linf = _grad_l1_linf(A)
     else:
         div_l1linf = 0.0
         grad_l1linf = 0.0
@@ -358,6 +351,17 @@ def equation_residual(u: SpaceTimeField, A, F) -> tuple[np.ndarray, float]:
     return res, time_lq(grid.times, slice_l2(grid, res), 1.0)
 
 
+def _check_error_inputs(u: SpaceTimeField, A: VectorPotential | None, ks) -> None:
+    """Reject a potential on another grid than u, non-finite u and bands outside
+    ``representable_bands``; one pass over u, no transforms."""
+    if A is not None and A.grid != u.grid:
+        raise ValueError(f"potential grid {A.grid} differs from the field grid {u.grid}")
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("u must be finite")
+    for k in ks:
+        _check_band(u.grid, k)
+
+
 def lp_reduced_equation_check(
     u: SpaceTimeField,
     A: VectorPotential | None,
@@ -366,24 +370,9 @@ def lp_reduced_equation_check(
 ) -> float:
     """L1 L2 of d_t u_k - i Lap u_k + A_{<=k-4}.grad u_k + E^k - F_k.
 
-    E^k comes from the frequency-localized commutator identity, so this
-    reduces to the band-k part of the solver residual.
+    With E^k = P_k(A.grad u) - A_{<=k-4}.grad u_k this is P_k of the solver
+    residual `equation_residual`: P_k commutes with d_t and Lap.
     """
-    from .parametrix import _band_error_terms, _check_error_inputs
-
-    grid = u.grid
     _check_error_inputs(u, A, [k])
-    mask = band_mask(grid, k)
-    uk_hat = u.spectrum() * mask
-    ut = _time_derivative_4th(fourier_inverse(grid, uk_hat), grid.dt)
-    lap = fourier_inverse(grid, -4.0 * np.pi**2 * grid.xi_norm**2 * uk_hat)
-    res = ut - 1j * lap
-    if A is not None:
-        # with E^k = P_k(A.grad u) - A_low.grad u_k the band equation reads
-        # d_t u_k - i Lap u_k + A_low.grad u_k + E^k = F_k
-        e_k, _, a_low = next(_band_error_terms(u, A, [k]))
-        res = res + _advect(grid, a_low, uk_hat) + e_k
-    if F is not None:
-        f_k = fourier_forward(grid, np.stack([F(t) for t in grid.times])) * mask
-        res -= fourier_inverse(grid, f_k)
-    return time_lq(grid.times, slice_l2(grid, res), 1.0)
+    res, _ = equation_residual(u, A, F)
+    return time_lq(u.grid.times, slice_l2(u.grid, project_band(u.grid, res, k)), 1.0)

@@ -2,10 +2,14 @@
 
 Runs each experiment group once (shared fixtures) and asserts the per-check
 rows; one [PASS]/[FAIL] line per criterion is printed so `pytest -s
-tests/test_acceptance.py` reads as the acceptance report.
+tests/test_acceptance.py` reads as the acceptance report.  The rows and
+diagnostics of every experiment must also match the golden file
+`golden/seed2026.json`, which `golden/pin.py` rewrites.
 """
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from magschro.experiments import EXPERIMENT_IDS, ExperimentConfig, run
 pytestmark = pytest.mark.slow  # seven full experiments
 
 SEED = 2026
+GOLDEN = Path(__file__).parent / "golden" / "seed2026.json"
+# a run on another numpy than the pin's may move every row by its own round-off
+FOREIGN_RTOL = 1e-6
 
 CRITERIA = {
     1: ("spectral core", ["fft-roundtrip", "parseval", "free-gaussian-n1", "free-gaussian-n2"]),
@@ -107,3 +114,50 @@ def test_every_experiment_stays_far_from_the_machine_memory(reports):
     # the process's peak so far, so each report also bounds the ones before it
     for exp, rep in reports.items():
         assert rep.peak_rss_mb < 1024, f"experiment {exp} peaked at {rep.peak_rss_mb:.0f} MB"
+
+
+def _close(old, new, rtol: float) -> bool:
+    """Equal JSON values, floats within ``rtol`` relative (0: the same bits)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return old.keys() == new.keys() and all(_close(old[k], new[k], rtol) for k in old)
+    if isinstance(old, list) and isinstance(new, list):
+        return len(old) == len(new) and all(_close(a, b, rtol) for a, b in zip(old, new))
+    if isinstance(old, float) and isinstance(new, float):
+        return old.hex() == new.hex() or abs(new - old) <= rtol * abs(old)
+    return type(old) is type(new) and old == new
+
+
+def test_rows_match_golden(reports):
+    golden = json.loads(GOLDEN.read_text())
+    notes, moved = [], []
+    for exp, rep in reports.items():
+        pin, rtol = golden[exp], 0.0
+        if rep.environment["numpy"] != pin["environment"]["numpy"]:
+            rtol = FOREIGN_RTOL
+            notes.append(
+                f"{exp}: numpy {rep.environment['numpy']} here, {pin['environment']['numpy']} "
+                f"at the pin, so values and params are compared at relative tolerance {rtol:g}"
+            )
+        if [list(d) for d in rep.diagnostics] != pin["diagnostics"]:
+            moved.append(f"{exp} diagnostics: {pin['diagnostics']} -> {rep.diagnostics}")
+        if [r["check_id"] for r in rep.rows] != [p["check_id"] for p in pin["rows"]]:
+            moved.append(f"{exp} check ids: {[p['check_id'] for p in pin['rows']]} -> "
+                         f"{[r['check_id'] for r in rep.rows]}")
+            continue
+        for row, p in zip(rep.rows, pin["rows"]):
+            old, new = float.fromhex(p["value"]), row["value"]
+            params = json.loads(json.dumps(row["params"]))
+            same_params = _close(p["params"], params, rtol)
+            if _close(old, new, rtol) and same_params and row["pass"] == p["pass"]:
+                continue
+            move = abs(new - old) / abs(old) if old else abs(new)
+            extra = "" if same_params else f"  params {p['params']} -> {params}"
+            extra += "" if row["pass"] == p["pass"] else f"  pass {p['pass']} -> {row['pass']}"
+            moved.append(f"{row['check_id']:<30} {old!r:<24} {new!r:<24} {move:<9.2e} "
+                         f"{p['envelope']:.2e}{extra}")
+    for note in notes:
+        print(note)
+    header = f"{'check':<30} {'old':<24} {'new':<24} {'move':<9} envelope"
+    assert not moved, "\n".join(
+        notes + [f"moved from {GOLDEN.name} (re-pin with golden/pin.py):", header, *moved]
+    )

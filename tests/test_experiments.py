@@ -25,7 +25,8 @@ def _stub_groups(monkeypatch, make_stub):
     """Replace each group by ``make_stub(ids)``, which keeps the group's signature
     and so the params keys the experiment accepts."""
     stubs = tuple(
-        (ids, functools.wraps(body)(make_stub(ids))) for ids, body in experiments._GROUPS
+        (exp, functools.wraps(body)(make_stub(tuple(checks))), checks)
+        for exp, body, checks in experiments._GROUPS
     )
     monkeypatch.setattr(experiments, "_GROUPS", stubs)
 
@@ -160,10 +161,8 @@ class TestValidate:
             assert cmp_ in ("le", "ge")
 
     def test_every_check_in_one_group_of_its_experiment(self):
-        grouped = [cid for ids, _ in experiments._GROUPS for cid in ids]
-        assert sorted(grouped) == sorted(CHECK_CATALOG)
-        for ids, _ in experiments._GROUPS:
-            assert len({CHECK_CATALOG[cid][0] for cid in ids}) == 1, ids
+        grouped = [(cid, exp) for exp, _, checks in experiments._GROUPS for cid in checks]
+        assert sorted(grouped) == sorted((cid, exp) for cid, (exp, _, _) in CHECK_CATALOG.items())
 
 
 class TestRun:
@@ -235,7 +234,8 @@ class TestRun:
             warnings.warn("mass near Nyquist", RuntimeWarning)
             yield "cap-partition-sum", 0.0, {}
 
-        monkeypatch.setattr(experiments, "_GROUPS", ((("cap-partition-sum",), group),))
+        table = (("nets", group, {"cap-partition-sum": CHECK_CATALOG["cap-partition-sum"][1:]}),)
+        monkeypatch.setattr(experiments, "_GROUPS", table)
         report = run(ExperimentConfig(experiment="nets", out_dir=str(tmp_path)))
         expected = [
             ("mass near Nyquist", "RuntimeWarning", 1),

@@ -482,8 +482,9 @@ class TestErrorTerm:
         g = make_grid(2, 64, 64, 1.0 / 32.0, 0.25)  # 9 slices
         u, A = random_pair(g, seed=4)
         lp_reduced_equation_check(u, A, None, -3)
-        # error_term's 9, then u_k 1, Lap u_k 1 and A_{<=k-4} . grad u_k n
-        assert (len(fft_calls), sum(fft_calls)) == (13, 517248)
+        # the solver residual's u 1, Lap u 1 and grad u n, then P_k 2 of the
+        # residual, each of 9 * 64 * 64 points
+        assert (len(fft_calls), sum(fft_calls)) == (6, 221184)
 
     def test_besov_ratio_matches_public_oracle(self):
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
