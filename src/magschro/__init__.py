@@ -43,7 +43,7 @@ from .norms import (
     lqlr_norm,
     xdot_norm,
 )
-from .rotate import RotationSampler, rotate_field, sup_over_rotations
+from .rotate import RotationSampler, rotate_field
 from .potentials import (
     VectorPotential,
     YNormParams,

@@ -135,7 +135,7 @@ class CapPartition:
         # chi vanishes from 2 - glue width on, so only pairs nearer than that
         # (plus a round-off margin) are evaluated; the thetas are unit vectors,
         # so |theta - omega|^2 = 1 + |omega|^2 - 2 theta.omega picks them out
-        reach = (2.0 - CUTOFFS.glue_width) / scale
+        reach = CUTOFFS.chi_edge / scale
         d2_est = 1.0 + np.sum(omega**2, axis=1) - 2.0 * (thetas @ omega.T)
         j, q = np.nonzero(d2_est < reach**2 + 1e-9)
         d = np.sqrt(np.maximum(np.sum((thetas[j] - omega[q]) ** 2, axis=1), 0.0))
@@ -258,7 +258,7 @@ def pointwise_ray_bound_check(
     inverse FFT, and the Phi0 table (see ``_PhiKernel``) forms no
     (points, nodes) matrix.
     """
-    hi = 2.0 - CUTOFFS.glue_width
+    hi = CUTOFFS.chi_edge
     truncated = floor(log2(grid.L / 2.0 / hi))
     if truncated < 1 - k:
         raise ValueError(f"no scale fits the box: l_start {1 - k} > l_truncated_at {truncated}")
@@ -337,7 +337,7 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
     b = np.arange(len(xi_q))
     col_of = {1: b, -1: (N - b) % N}
     # each cap's centre and squared support radius, widened past rounding
-    reach = 2.0 - CUTOFFS.glue_width
+    reach = CUTOFFS.chi_edge
     support = [(np.asarray(th, float), (reach / 2.0**kj) ** 2 * (1.0 + 1e-9)) for th, kj in caps]
     step = max(1, _BLOCK_POINTS // N)
     g = np.zeros((N, N), dtype=np.complex64)

@@ -632,8 +632,7 @@ def _ray_bound_draws(seed):
     draws = []
     for k in (-2, -1, 0, 1, 2):
         g = make_grid(2, 256, 64.0 * 2.0**-k, 0.5, 1.0)
-        lo = (2.0 - CUTOFFS.glue_width) * 2.0 ** (k - 1)
-        hi = (1.0 + CUTOFFS.glue_width) * 2.0**k
+        lo, hi = CUTOFFS.plateau(k)
         sel = (g.xi_norm > lo) & (g.xi_norm < hi)
         spec = np.zeros(g.shape, dtype=complex)
         spec[sel] = rng.normal(size=int(sel.sum())) + 1j * rng.normal(size=int(sel.sum()))

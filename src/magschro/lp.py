@@ -77,6 +77,16 @@ class CutoffPair:
         r = np.asarray(r, dtype=float)
         return self.chi(r) - self.chi(2.0 * r)
 
+    @property
+    def chi_edge(self) -> float:
+        """Where chi reaches 0: 2 - glue width."""
+        return 2.0 - self.glue_width
+
+    def plateau(self, k: int) -> tuple[float, float]:
+        """Band k's plateau (lo, hi), where phi(2^-k |xi|) is identically 1:
+        (2 - glue) 2^{k-1} < |xi| < (1 + glue) 2^k."""
+        return self.chi_edge * 2.0 ** (k - 1), (1.0 + self.glue_width) * 2.0**k
+
     def plateau_bump(self, r, lo_support, lo_one, hi_one, hi_support) -> np.ndarray:
         """Bump that is 0 outside (lo_support, hi_support), 1 on [lo_one, hi_one]."""
         r = np.asarray(r, dtype=float)
@@ -117,7 +127,7 @@ class AnnulusCutoff:
 
 def representable_bands(grid: Grid) -> tuple[int, int]:
     """Widest band window whose masks are nonempty and inside Nyquist."""
-    hi = 2.0 - CUTOFFS.glue_width
+    hi = CUTOFFS.chi_edge
     k_min = ceil(log2(1.0 / (grid.L * hi)))
     k_max = floor(log2(grid.nyquist / hi))
     return k_min, k_max
@@ -262,9 +272,7 @@ def bernstein_ratio(
     if leak > 1e-8:
         raise ValueError(f"spectrum leaks outside Q: relative mass {leak:.2e}")
     vol = float(np.prod([hi - lo for lo, hi in Q]))
-    inv_p = 0.0 if np.isinf(p) else 1.0 / p
-    inv_q = 0.0 if np.isinf(q) else 1.0 / q
-    return float(spatial_norm(grid, f, q) / (vol ** (inv_p - inv_q) * spatial_norm(grid, f, p)))
+    return float(spatial_norm(grid, f, q) / (vol ** (1.0 / p - 1.0 / q) * spatial_norm(grid, f, p)))
 
 
 def mixed_bernstein_ratio(
@@ -282,16 +290,14 @@ def mixed_bernstein_ratio(
     if not (p1 > p2 >= r):
         raise ValueError("need p1 > p2 >= r")
     spec = fourier_forward(grid, f)
-    hi = 2.0 - CUTOFFS.glue_width
+    hi = CUTOFFS.chi_edge
     annulus = (grid.xi_norm >= (1.0 + CUTOFFS.glue_width) * 2.0 ** (k - 1)) & (
         grid.xi_norm <= hi * 2.0**k
     )
     leak = _mass_share(spec, ~annulus)
     if leak > 1e-8:
         raise ValueError(f"spectrum leaks outside annulus 2^{k}: {leak:.2e}")
-    inv1 = 0.0 if np.isinf(p1) else 1.0 / p1
-    inv2 = 0.0 if np.isinf(p2) else 1.0 / p2
-    weight = 2.0 ** (k * (grid.n - 1) * (inv2 - inv1))
+    weight = 2.0 ** (k * (grid.n - 1) * (1.0 / p2 - 1.0 / p1))
     num = spatial_norm(grid, f, p1, inner=r)
     den = spatial_norm(grid, f, p2, inner=r)
     return float(num / (weight * den))

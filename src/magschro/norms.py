@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import SpaceTimeField, fourier_inverse, spatial_norm
 from .lp import band_mask, representable_bands
-from .rotate import RotationSampler, rotate_field, sup_over_rotations
+from .rotate import RotationSampler, rotate_field
 
 __all__ = [
     "AdmissiblePair",
@@ -50,11 +50,9 @@ def is_admissible(q: float, r: float, n: int) -> bool:
         raise ValueError("dimension must be >= 1")
     if q < 2 or r < 2:
         raise ValueError("admissible exponents require q, r >= 2")
-    inv_q = 0.0 if np.isinf(q) else 1.0 / q
-    inv_r = 0.0 if np.isinf(r) else 1.0 / r
     if (q, r, n) == (2, np.inf, 2):
         return False
-    return abs(2 * inv_q + n * inv_r - n / 2.0) <= 1e-12
+    return abs(2 * (1.0 / q) + n * (1.0 / r) - n / 2.0) <= 1e-12
 
 
 def admissible_pairs(n: int, count: int = 6) -> list[AdmissiblePair]:
@@ -144,8 +142,9 @@ def xdot_norm(
     the squared sup over admissible pairs of L^q L^r plus the squared
     rotated-frame component, summed over bands and square-rooted.
 
-    Only a finite admissible-pair sample and rotation sample are used; a
-    warning records this.
+    Only a finite admissible-pair sample and rotation sample are used (the
+    sup over rotations is the max over ``sampler.samples()``); a warning
+    records this.
     """
     grid = u.grid
     pairs = pairs if pairs is not None else admissible_pairs(grid.n)
@@ -153,7 +152,7 @@ def xdot_norm(
         f"xdot_norm: suprema sampled over {len(pairs)} admissible pairs and a finite rotation set",
         stacklevel=2,
     )
-    sampler = sampler or RotationSampler(grid.n, count=8)
+    rotations = (sampler or RotationSampler(grid.n, count=8)).samples()
     k_min, k_max = representable_bands(grid)
     aniso_pairs = low_dim_anisotropic_exponents(grid.n) if grid.n >= 2 else []
     spec = u.spectrum()
@@ -162,11 +161,9 @@ def xdot_norm(
         mask = band_mask(grid, k)
         u_k = SpaceTimeField(grid, fourier_inverse(grid, spec * mask))
         str_part = max(lqlr_norm(u_k, p.q, p.r) for p in pairs)
-        aniso_part = 0.0
-        for (q, r) in aniso_pairs:
-            val, _, _ = sup_over_rotations(
-                lambda U: anisotropic_norm(u_k, q, r, 2.0, U), sampler
-            )
-            aniso_part = max(aniso_part, val)
+        aniso_part = max(
+            (anisotropic_norm(u_k, q, r, 2.0, U) for q, r in aniso_pairs for U in rotations),
+            default=0.0,
+        )
         total += 2.0 ** (2 * alpha * k) * (str_part**2 + aniso_part**2)
     return float(np.sqrt(total))

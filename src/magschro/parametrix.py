@@ -99,7 +99,7 @@ from .lp import (
 )
 from .norms import time_lq
 from .potentials import VectorPotential
-from .solver import _check_error_inputs, equation_residual
+from .solver import _check_data, _check_error_inputs, equation_residual
 
 __all__ = [
     "PhaseField",
@@ -149,8 +149,7 @@ class _ChiKernels:
     """
 
     def __init__(self, sigma_max: float):
-        d = CUTOFFS.glue_width
-        a, b = 1.0 + d, 2.0 - d
+        a, b = 1.0 + CUTOFFS.glue_width, CUTOFFS.chi_edge
         n_nodes = max(96, int(np.ceil(10.0 * max(sigma_max, 1.0) * (b - a))))
         self.nodes, self.weights = _gauss_legendre(n_nodes, a, b)
         self.dchi = _chi_prime(self.nodes)
@@ -648,10 +647,7 @@ class ParametrixOperator:
         omega: AnnulusCutoff,
         product_budget: float = 5e9,
     ):
-        if A.grid != grid:
-            raise ValueError(f"potential grid {A.grid} differs from the operator grid {grid}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("data must be finite")
+        _check_data(grid, f, A)
         self.grid = grid
         fhat = fourier_forward(grid, f)
         mags = np.abs(fhat)

@@ -22,7 +22,7 @@ plus the dominating sum
 
 sup over base points and measurable paths is exact at base 0 by translation
 invariance of the full-torus mixed norms (see norms module); sup over
-rotations is the max over the sampler's samples, with no local refinement.
+rotations is the max over the sampler's samples (see rotate module).
 |d2 A_k| is the Frobenius norm of the full Hessian tensor.
 
 A is real, and so are its transforms: every read of A, dt A and a band goes
@@ -348,16 +348,14 @@ def make_potential(
     elif preset == "low_band":
         if k_cap is None and single_band is None:
             raise ValueError("low_band preset needs k_cap or single_band")
-        glue = CUTOFFS.glue_width
         rng = np.random.default_rng(np.random.SeedSequence((seed, 103)))
         if single_band is not None:
             # strictly inside the plateau of phi(2^-k .): the piece IS the band
-            lo = (2.0 - glue) * 2.0 ** (single_band - 1)
-            hi = (1.0 + glue) * 2.0**single_band
+            lo, hi = CUTOFFS.plateau(single_band)
             sel = (grid.xi_norm > lo) & (grid.xi_norm < hi)
             band_limit = single_band
         else:
-            sel = (grid.xi_norm <= (1.0 + glue) * 2.0**k_cap) & (grid.xi_norm > 0)
+            sel = (grid.xi_norm <= (1.0 + CUTOFFS.glue_width) * 2.0**k_cap) & (grid.xi_norm > 0)
             band_limit = k_cap
         if not np.any(sel):
             raise ValueError("no lattice modes in the requested band window")

@@ -1,4 +1,5 @@
-"""Rotation of periodic fields by Fourier shears, and rotation sampling.
+"""Rotation of periodic fields by Fourier shears, and rotation sampling: a sup
+over rotations is the max over a `RotationSampler`'s samples.
 
 Planar rotations decompose into three axis shears; each shear is a per-row
 Fourier phase shift.  A shear is exact only while the sheared field stays
@@ -25,7 +26,6 @@ __all__ = [
     "rotation_angle_2d",
     "rotation_2d",
     "RotationSampler",
-    "sup_over_rotations",
 ]
 
 
@@ -145,23 +145,24 @@ def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RotationSampler:
-    """Seeded sample of SO(n) used to approximate suprema over rotations.
+    """Seeded sample of SO(n); every sup over rotations in the lab is the max
+    over ``samples()``.
 
-    n=2: uniform angle grid.  n=3: seeded uniform quaternions.  ``refine_rounds``
-    local passes shrink around the current best during sup_over_rotations.
+    n=1: the identity and the point reflection.  n=2: uniform angle grid.
+    n=3: seeded uniform quaternions.
     """
 
     n: int
     count: int = 16
     seed: int = 0
-    refine_rounds: int = 2
+    refine_rounds: int = 0  # accepted only as 0: no sup refines its samples
     _samples: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"rotation count must be at least 1, got {self.count}")
-        if self.refine_rounds < 0:
-            raise ValueError(f"refine_rounds must be non-negative, got {self.refine_rounds}")
+        if self.refine_rounds != 0:
+            raise ValueError(f"refine_rounds must be 0, got {self.refine_rounds}")
 
     def samples(self) -> list[np.ndarray]:
         if self._samples is not None:
@@ -179,51 +180,3 @@ class RotationSampler:
                 mats.append(_quat_to_matrix(q))
         self._samples = mats
         return mats
-
-    def perturbations(self, base: np.ndarray, radius: float, count: int, seed: int) -> list[np.ndarray]:
-        if self.n == 1:
-            return [base]
-        if self.n == 2:
-            t0 = rotation_angle_2d(base)
-            return [rotation_2d(t0 + d) for d in np.linspace(-radius, radius, count)]
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, seed)))
-        out = []
-        for _ in range(count):
-            v = rng.normal(size=3)
-            v *= radius / max(np.linalg.norm(v), 1e-30)
-            # small rotation about axis v composed with the base
-            theta = np.linalg.norm(v)
-            if theta < 1e-15:
-                out.append(base)
-                continue
-            axis = v / theta
-            K = np.array(
-                [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-            )
-            D = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
-            out.append(D @ base)
-        return out
-
-
-def sup_over_rotations(functional, sampler: RotationSampler) -> tuple[float, np.ndarray, int]:
-    """Max of ``functional(U)`` over the sample plus local refinement passes.
-
-    Returns (value, argmax rotation, number of evaluations).
-    """
-    evals = 0
-    best_val = -np.inf
-    best_U = None
-    for U in sampler.samples():
-        v = float(functional(U))
-        evals += 1
-        if v > best_val:
-            best_val, best_U = v, U
-    radius = np.pi / (sampler.count if sampler.n == 2 else 2.0 * sampler.count ** (1.0 / 3.0))
-    for round_idx in range(sampler.refine_rounds):
-        for U in sampler.perturbations(best_U, radius, 5, round_idx):
-            v = float(functional(U))
-            evals += 1
-            if v > best_val:
-                best_val, best_U = v, U
-        radius /= 2.0
-    return best_val, best_U, evals

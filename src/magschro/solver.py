@@ -196,13 +196,19 @@ class PropagatorHandle:
         return u
 
 
-def _check_step(grid: Grid, f: np.ndarray, A, config: SolverConfig):
-    """Reject a potential on another grid, non-finite data and a step over the
-    CFL bound; no transforms, so it costs one pass over f and A."""
+def _check_data(grid: Grid, data: np.ndarray, A) -> None:
+    """Reject a potential on another grid than the data's, and non-finite data;
+    one pass over the data, no transforms."""
     if A is not None and A.grid != grid:
-        raise ValueError(f"potential grid {A.grid} differs from the solver grid {grid}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("initial data must be finite")
+        raise ValueError(f"potential grid {A.grid} differs from the data grid {grid}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data must be finite")
+
+
+def _check_step(grid: Grid, f: np.ndarray, A, config: SolverConfig):
+    """`_check_data`, then reject a step over the CFL bound; no transforms, so
+    it costs one pass over f and A."""
+    _check_data(grid, f, A)
     config.check_cfl(grid, 0.0 if A is None else float(np.max(_vec_mag(A.values))))
 
 
@@ -352,12 +358,9 @@ def equation_residual(u: SpaceTimeField, A, F) -> tuple[np.ndarray, float]:
 
 
 def _check_error_inputs(u: SpaceTimeField, A: VectorPotential | None, ks) -> None:
-    """Reject a potential on another grid than u, non-finite u and bands outside
-    ``representable_bands``; one pass over u, no transforms."""
-    if A is not None and A.grid != u.grid:
-        raise ValueError(f"potential grid {A.grid} differs from the field grid {u.grid}")
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("u must be finite")
+    """`_check_data` on u, then reject bands outside ``representable_bands``;
+    one pass over u, no transforms."""
+    _check_data(u.grid, u.values, A)
     for k in ks:
         _check_band(u.grid, k)
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden.pin import param_moves, relative_move
 from magschro.experiments import EXPERIMENT_IDS, ExperimentConfig, run
 
 pytestmark = pytest.mark.slow  # seven full experiments
@@ -150,8 +151,13 @@ def test_rows_match_golden(reports):
             same_params = _close(p["params"], params, rtol)
             if _close(old, new, rtol) and same_params and row["pass"] == p["pass"]:
                 continue
-            move = abs(new - old) / abs(old) if old else abs(new)
-            extra = "" if same_params else f"  params {p['params']} -> {params}"
+            move = relative_move(old, new)
+            extra = ""
+            if not same_params:
+                extra = f"  params {p['params']} -> {params}" + "".join(
+                    f"  {leaf} moved {m:.2e} (params envelope {p['params_envelope']:.2e})"
+                    for leaf, m in param_moves(p["params"], params).items()
+                )
             extra += "" if row["pass"] == p["pass"] else f"  pass {p['pass']} -> {row['pass']}"
             moved.append(f"{row['check_id']:<30} {old!r:<24} {new!r:<24} {move:<9.2e} "
                          f"{p['envelope']:.2e}{extra}")

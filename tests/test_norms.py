@@ -9,22 +9,25 @@ from hypothesis import strategies as st
 
 from magschro.grid import (
     SpaceTimeField,
+    fourier_inverse,
     free_evolution,
     gaussian_wavepacket,
     l2_norm,
     make_grid,
 )
+from magschro.lp import band_mask, representable_bands
 from magschro.norms import (
     AdmissiblePair,
     admissible_pairs,
     anisotropic_norm,
     is_admissible,
+    low_dim_anisotropic_exponents,
     lqlr_norm,
     path_sup_time_norm,
     time_lq,
     xdot_norm,
 )
-from magschro.rotate import RotationSampler, rotate_field, rotation_2d, sup_over_rotations
+from magschro.rotate import RotationSampler, rotate_field, rotation_2d
 
 
 class TestAdmissible:
@@ -239,43 +242,30 @@ class TestAnisotropic:
             anisotropic_norm(u, 2, 2, 1, np.eye(1))
 
 
-class TestSupOverRotations:
-    def test_constant_functional(self):
-        val, U, evals = sup_over_rotations(lambda U: 3.5, RotationSampler(2, count=8))
-        assert val == 3.5 and U.shape == (2, 2) and evals > 8
+def _two_packets(g):
+    """A static field with no rotational symmetry: two packets off the centre."""
+    f = gaussian_wavepacket(g, (16, 18), 4.0) + 0.3 * gaussian_wavepacket(g, (20, 16), 4.5)
+    return SpaceTimeField(g, np.repeat(f[None], g.n_steps + 1, axis=0))
 
-    def test_peaked_functional_argmax(self):
-        # oracle: dense 1-D angle scan
-        target = np.pi / 4
 
-        def functional(U):
-            theta = np.arctan2(U[1, 0], U[0, 0])
-            return float(np.cos(2.0 * (theta - target)))
-
-        sampler = RotationSampler(2, count=24, refine_rounds=3)
-        val, U, _ = sup_over_rotations(functional, sampler)
-        theta = np.arctan2(U[1, 0], U[0, 0]) % np.pi
-        dense = np.linspace(0, np.pi, 20001)
-        oracle_val = np.max(np.cos(2 * (dense - target)))
-        spacing = 2 * np.pi / 24
-        assert abs(theta - target) <= 2 * spacing
-        assert val >= oracle_val - 1e-3
-
+class TestRotationSampler:
     def test_doubling_sample_count_stable(self):
-        g = make_grid(2, 32, 32, 0.5, 1)
-        f = gaussian_wavepacket(g, (16, 18), 4.0) + 0.3 * gaussian_wavepacket(g, (20, 16), 4.5)
-        u = SpaceTimeField(g, np.repeat(f[None], g.n_steps + 1, axis=0))
+        u = _two_packets(make_grid(2, 32, 32, 0.5, 1))
 
-        def functional(U):
-            return anisotropic_norm(u, np.inf, 2.0, 1.0, U)
+        def sample_max(count):
+            samples = RotationSampler(2, count=count).samples()
+            return max(anisotropic_norm(u, np.inf, 2.0, 1.0, U) for U in samples)
 
-        v1, _, _ = sup_over_rotations(functional, RotationSampler(2, count=12))
-        v2, _, _ = sup_over_rotations(functional, RotationSampler(2, count=24))
+        v1, v2 = sample_max(12), sample_max(24)
         assert abs(v2 - v1) <= 0.01 * max(v1, v2)
 
-    @pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -1}, {"refine_rounds": -1}])
-    def test_sampler_rejects_empty_sample_and_negative_rounds(self, kwargs):
-        # count = 0 would make the sup a max over no rotation at all
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"count": 0}, {"count": -1}, {"refine_rounds": -1}, {"refine_rounds": 2}],
+    )
+    def test_sampler_rejects_empty_sample_and_any_refinement(self, kwargs):
+        # count = 0 would make the sup a max over no rotation at all, and every
+        # sup over rotations is the plain max over the samples
         with pytest.raises(ValueError, match="count|refine_rounds"):
             RotationSampler(2, **kwargs)
 
@@ -290,8 +280,6 @@ class TestXdot:
     def test_single_band_scaling_between_alphas(self):
         # band k0 free solution: alpha=1 vs alpha=0 ratio approximately 2^{k0}
         g = make_grid(2, 64, 32, 0.25, 1)
-        from magschro.grid import fourier_inverse
-
         k0 = -3
         sel = (g.xi_norm > 0.9 * 2.0**k0) & (g.xi_norm < 1.1 * 2.0**k0)
         spec = np.zeros(g.shape, dtype=complex)
@@ -307,3 +295,20 @@ class TestXdot:
             v1 = xdot_norm(u, 1.0, pairs=pairs, sampler=sampler)
         assert v0 > 0
         assert abs(v1 / v0 - 2.0**k0) <= 0.15 * 2.0**k0
+
+    def test_rotated_part_is_the_sample_max(self):
+        # the norm built by hand, band by band, with the plain max over the samples
+        g = make_grid(2, 32, 32, 0.5, 1)
+        u = _two_packets(g)
+        sampler = RotationSampler(2, count=3)
+        with pytest.warns(UserWarning):
+            got = xdot_norm(u, 0.5, pairs=[AdmissiblePair(np.inf, 2.0)], sampler=sampler)
+        (q, r), = low_dim_anisotropic_exponents(2)
+        k_min, k_max = representable_bands(g)
+        spec = u.spectrum()
+        total = 0.0
+        for k in range(k_min, k_max + 1):
+            u_k = SpaceTimeField(g, fourier_inverse(g, spec * band_mask(g, k)))
+            rotated = max(anisotropic_norm(u_k, q, r, 2.0, U) for U in sampler.samples())
+            total += 2.0 ** (2 * 0.5 * k) * (lqlr_norm(u_k, np.inf, 2.0) ** 2 + rotated**2)
+        assert got == np.sqrt(total)
