@@ -290,10 +290,8 @@ def mixed_bernstein_ratio(
     if not (p1 > p2 >= r):
         raise ValueError("need p1 > p2 >= r")
     spec = fourier_forward(grid, f)
-    hi = CUTOFFS.chi_edge
-    annulus = (grid.xi_norm >= (1.0 + CUTOFFS.glue_width) * 2.0 ** (k - 1)) & (
-        grid.xi_norm <= hi * 2.0**k
-    )
+    xi = grid.xi_norm
+    annulus = (xi >= CUTOFFS.plateau(k - 1)[1]) & (xi <= CUTOFFS.chi_edge * 2.0**k)
     leak = _mass_share(spec, ~annulus)
     if leak > 1e-8:
         raise ValueError(f"spectrum leaks outside annulus 2^{k}: {leak:.2e}")

@@ -62,7 +62,11 @@ and then mask per band.  That equation is the band k of the magnetic equation,
 so `solver.lp_reduced_equation_check` reads it from the solver residual.  The
 four groups of E^k, for any set of bands, come from one walk down the pieces of
 u and A (`_error_group_pass`).  A's pieces are read from its real half
-spectrum.  Nothing is cached beyond the call.
+spectrum.  Every operator of these passes acts on one time slice at a time, so
+both walk time in blocks of slices whose (block, n, x) complex fields take
+`_BLOCK_BYTES`, and a pass's transforms and walk are made once per block.  The
+L^1_t and L^inf_t norms are taken from per-slice L^2 series after the last
+block.  Nothing is cached beyond the call.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ __all__ = [
 
 SIGMA0_FACTOR = 0.5  # cancellation-correct weight of the displayed ray integral
 _CHUNK_BYTES = 2 * 2**20  # one complex temporary of the direct sum or of a chi-kernel block
+_BLOCK_BYTES = 2**19  # one (block, n, x) complex field of the error-term passes
 _TAYLOR_TAIL = 1e-16  # bound on the dropped tail of each phase series in the direct sum
 
 
@@ -940,17 +945,27 @@ def parametrix_residual(
 # -- frequency-localized error terms ----------------------------------------------
 
 
+def _time_blocks(grid: Grid) -> list[slice]:
+    """Runs of time slices whose (block, n, x) complex fields take `_BLOCK_BYTES`."""
+    size, n_t = max(1, _BLOCK_BYTES // (16 * grid.n * grid.N**grid.n)), grid.n_steps + 1
+    return [slice(i, min(i + size, n_t)) for i in range(0, n_t, size)]
+
+
 def _band_error_terms(u: SpaceTimeField, A: VectorPotential, ks):
-    """(E^k, u_hat phi_k) per band k in ks, from one transform of A and A . grad u."""
+    """(k, rows, E^k, u_hat phi_k) on each time block ``rows``, then each band k
+    of ``ks``, from one transform of A and A . grad u per block."""
     grid = u.grid
-    u_hat = u.spectrum()
-    a_hat = _real_forward(grid, A.values)
-    adv_hat = fourier_forward(grid, _advect(grid, A.values, u_hat))
-    for k in ks:
-        mask = band_mask(grid, k)
-        a_low = _real_inverse(grid, a_hat * _half(grid, _leq_mask(grid, k - 4)))
-        uk_hat = u_hat * mask
-        yield fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat), uk_hat
+    for rows in _time_blocks(grid):
+        a = A.values[rows]
+        u_hat = fourier_forward(grid, u.values[rows])
+        a_hat = _real_forward(grid, a)
+        adv_hat = fourier_forward(grid, _advect(grid, a, u_hat))
+        for k in ks:
+            mask = band_mask(grid, k)
+            a_low = _real_inverse(grid, a_hat * _half(grid, _leq_mask(grid, k - 4)))
+            uk_hat = u_hat * mask
+            e_k = fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat)
+            yield k, rows, e_k, uk_hat
 
 
 def error_term(
@@ -960,7 +975,10 @@ def error_term(
 ) -> np.ndarray:
     """E^k = P_k(A . grad u) - A_{<=k-4} . grad u_k (exact identity)."""
     _check_error_inputs(u, A, [k])
-    return next(_band_error_terms(u, A, [k]))[0]
+    e = np.empty(u.values.shape, dtype=complex)
+    for _, rows, e_k, _ in _band_error_terms(u, A, [k]):
+        e[rows] = e_k
+    return e
 
 
 def error_term_groups(
@@ -975,45 +993,53 @@ def error_term_groups(
     high_high_u: high-band pairs with u carrying the weakly higher band
     high_low:    P_k(A_{>k-4} . grad u_{<=k-4})
     """
-    return next(_error_group_pass(u, A, [k]))[1]
+    groups = {}
+    for _, rows, block in _error_group_pass(u, A, [k]):
+        for name, g in block.items():
+            groups.setdefault(name, np.empty(u.values.shape, dtype=complex))[rows] = g
+    return groups
 
 
 def _error_group_pass(u: SpaceTimeField, A: VectorPotential, ks):
-    """(k, error_term_groups(u, A, k)) for each band of ``ks``, highest first.
+    """(k, rows, the four groups of E^k on the time block ``rows``): blocks in
+    time order, and within a block each band of ``ks``, highest first.
 
-    One transform each of u and A, and one walk down the high pieces j: the top
-    1 - chi(2^{-k_max}.) as j = k_max + 1, then phi(2^{-j}.) to min(ks) - 3.  It
-    sums A_{>j} . grad u_j and A_j . grad u_{>=j} in place; band k is yielded at
-    piece k - 3 with P_k applied to both sums, so no band's groups wait.
+    Per block, one transform each of u and A, and one walk down the high pieces
+    j: the top 1 - chi(2^{-k_max}.) as j = k_max + 1, then phi(2^{-j}.) to
+    min(ks) - 3.  It sums A_{>j} . grad u_j and A_j . grad u_{>=j} in place;
+    band k is yielded at piece k - 3 with P_k applied to both sums, so no band's
+    groups wait.
     """
     _check_error_inputs(u, A, ks)
     grid = u.grid
-    u_hat = u.spectrum()
-    a_hat = _real_forward(grid, A.values)
     _, k_max = representable_bands(grid)
-    a_above, grad_above = np.zeros(A.values.shape), np.zeros(A.values.shape, dtype=complex)
-    hh_a, hh_u = np.zeros(u.values.shape, dtype=complex), np.zeros(u.values.shape, dtype=complex)
-    for j in range(k_max + 1, min(ks) - 4, -1):
-        piece = band_mask(grid, j) if j <= k_max else 1.0 - _leq_mask(grid, k_max)
-        a_j = _real_inverse(grid, a_hat * _half(grid, piece))
-        grad_j = np.stack(list(_gradient(grid, u_hat * piece)), axis=1)  # (t, n, x)
-        hh_a += np.sum(a_above * grad_j, axis=1)
-        grad_above += grad_j
-        hh_u += np.sum(a_j * grad_above, axis=1)
-        a_above += a_j
-        del a_j, grad_j  # not held while band k's groups are built and read
-        k = j + 3
-        if k in ks:
-            mask, low = band_mask(grid, k), _leq_mask(grid, k - 4)
-            a_low = _real_inverse(grid, a_hat * _half(grid, low))
-            commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
-            commutator -= _advect(grid, a_low, u_hat * mask)
-            yield k, {
-                "commutator": commutator,
-                "high_high_a": _apply_mask(grid, hh_a, mask),
-                "high_high_u": _apply_mask(grid, hh_u, mask),
-                "high_low": _apply_mask(grid, _advect(grid, A.values - a_low, u_hat * low), mask),
-            }
+    for rows in _time_blocks(grid):
+        a = A.values[rows]
+        u_hat = fourier_forward(grid, u.values[rows])
+        a_hat = _real_forward(grid, a)
+        a_above, grad_above = np.zeros(a.shape), np.zeros(a.shape, dtype=complex)
+        hh_a, hh_u = np.zeros(u_hat.shape, dtype=complex), np.zeros(u_hat.shape, dtype=complex)
+        for j in range(k_max + 1, min(ks) - 4, -1):
+            piece = band_mask(grid, j) if j <= k_max else 1.0 - _leq_mask(grid, k_max)
+            a_j = _real_inverse(grid, a_hat * _half(grid, piece))
+            grad_j = np.stack(list(_gradient(grid, u_hat * piece)), axis=1)  # (block, n, x)
+            hh_a += np.sum(a_above * grad_j, axis=1)
+            grad_above += grad_j
+            hh_u += np.sum(a_j * grad_above, axis=1)
+            a_above += a_j
+            del a_j, grad_j  # not held while band k's groups are built and read
+            k = j + 3
+            if k in ks:
+                mask, low = band_mask(grid, k), _leq_mask(grid, k - 4)
+                a_low = _real_inverse(grid, a_hat * _half(grid, low))
+                commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
+                commutator -= _advect(grid, a_low, u_hat * mask)
+                yield k, rows, {
+                    "commutator": commutator,
+                    "high_high_a": _apply_mask(grid, hh_a, mask),
+                    "high_high_u": _apply_mask(grid, hh_u, mask),
+                    "high_low": _apply_mask(grid, _advect(grid, a - a_low, u_hat * low), mask),
+                }
 
 
 def error_term_besov_ratio(
@@ -1033,19 +1059,24 @@ def error_term_besov_ratio(
 
 
 def _besov_band_norms(u: SpaceTimeField, A: VectorPotential, k_range: tuple[int, int]):
-    """(k, ||E^k||_{L1L2}, ||u_k||_{LinfL2}, E^k) per band of ``k_range``, lazily,
-    from one `_band_error_terms` pass; the Besov ratio at any s is `_besov_ratio`
-    of them.  The inputs are checked on the call, before the first band."""
+    """[(k, ||E^k||_{L1L2}, ||u_k||_{LinfL2}, E^k)] per band of ``k_range``, from
+    one `_band_error_terms` pass; the Besov ratio at any s is `_besov_ratio` of
+    them.  The norms are taken from the per-slice L^2 series after the last block;
+    E^k itself is whole, for the callers that read it."""
     ks = range(k_range[0], k_range[1] + 1)
     if not ks:
         raise ValueError(f"empty band range {k_range}")
     _check_error_inputs(u, A, ks)
     grid = u.grid
-    return (
-        (k, time_lq(grid.times, slice_l2(grid, e_k), 1.0),
-         float(np.max(slice_l2(grid, fourier_inverse(grid, uk_hat)))), e_k)
-        for k, (e_k, uk_hat) in zip(ks, _band_error_terms(u, A, ks))
-    )
+    e_of = {k: np.empty(u.values.shape, dtype=complex) for k in ks}
+    u_l2 = {k: np.empty(grid.n_steps + 1) for k in ks}
+    for k, rows, e_k, uk_hat in _band_error_terms(u, A, ks):
+        e_of[k][rows] = e_k
+        u_l2[k][rows] = slice_l2(grid, fourier_inverse(grid, uk_hat))
+    return [
+        (k, time_lq(grid.times, slice_l2(grid, e_of[k]), 1.0), float(np.max(u_l2[k])), e_of[k])
+        for k in ks
+    ]
 
 
 def _besov_ratio(band_norms, eps: float, s: float) -> float:

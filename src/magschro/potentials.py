@@ -355,7 +355,7 @@ def make_potential(
             sel = (grid.xi_norm > lo) & (grid.xi_norm < hi)
             band_limit = single_band
         else:
-            sel = (grid.xi_norm <= (1.0 + CUTOFFS.glue_width) * 2.0**k_cap) & (grid.xi_norm > 0)
+            sel = (grid.xi_norm <= CUTOFFS.plateau(k_cap)[1]) & (grid.xi_norm > 0)
             band_limit = k_cap
         if not np.any(sel):
             raise ValueError("no lattice modes in the requested band window")

@@ -2,7 +2,7 @@
 
 Runs each experiment once at seed 2026 and keeps, per row, the check id,
 ``float.hex`` of the value, the params and the pass flag; per experiment, its
-``diagnostics`` and environment stamp.  A row's ``envelope`` is its value's
+``diagnostics`` and environment stamp (the numpy and python versions).  A row's ``envelope`` is its value's
 largest relative move when the parametrix direct sum's chunks are halved and
 doubled (``parametrix._CHUNK_BYTES``), which reorders that sum's floating-point
 work and nothing else; its ``params_envelope`` is the largest such move over
@@ -20,6 +20,7 @@ from magschro import parametrix
 from magschro.experiments import EXPERIMENT_IDS, ExperimentConfig, run
 
 SEED = 2026
+STAMP = ("numpy", "python")  # the environment stamp's keys; the platform string carries the kernel build
 PATH = Path(__file__).with_name("seed2026.json")
 
 
@@ -56,7 +57,7 @@ def main() -> None:
     for experiment in EXPERIMENT_IDS:
         report = _run(experiment)
         golden[experiment] = {
-            "environment": report.environment,
+            "environment": {key: report.environment[key] for key in STAMP},
             "diagnostics": [list(d) for d in report.diagnostics],
             "rows": [
                 {"check_id": r["check_id"], "value": float.hex(r["value"]),

@@ -7,14 +7,23 @@ the glue.  `ray` reads one ray field alone, real; `sigma_at` reads sigma0 and
 sigma1 for one frequency vector, and `spectral_gradient` is the gradient by
 Fourier multipliers.  `smoothstep`, `time_derivative_4th` and
 `equation_residual` write out as plain expressions what the program evaluates
-on the glue ramp alone or in place; the tests hold the program to them bit for
-bit.
+on the glue ramp alone or in place; `band_error_terms` and `error_group_pass`
+are the error-term passes on whole (t, n, x) arrays, which the program walks
+one time block at a time.  The tests hold the program to them bit for bit.
 """
 
 import numpy as np
 
-from magschro.grid import fourier_forward, fourier_inverse
-from magschro.lp import CUTOFFS, _advect, band_mask
+from magschro.grid import _half, _real_forward, _real_inverse, fourier_forward, fourier_inverse
+from magschro.lp import (
+    CUTOFFS,
+    _advect,
+    _apply_mask,
+    _gradient,
+    _leq_mask,
+    band_mask,
+    representable_bands,
+)
 from magschro.parametrix import SIGMA0_FACTOR, PhaseField, _chi_prime
 from magschro.potentials import VectorPotential
 from magschro.solver import _time_derivative_4th
@@ -173,3 +182,50 @@ def equation_residual(u, A, F) -> np.ndarray:
     if F is not None:
         res -= np.stack([F(t) for t in grid.times])
     return res
+
+
+# -- the error-term passes on whole arrays ------------------------------------------
+
+
+def band_error_terms(u, A, ks):
+    """(E^k, u_hat phi_k) per band k in ks, from one transform of A and A . grad u."""
+    grid = u.grid
+    u_hat = fourier_forward(grid, u.values)
+    a_hat = _real_forward(grid, A.values)
+    adv_hat = fourier_forward(grid, _advect(grid, A.values, u_hat))
+    for k in ks:
+        mask = band_mask(grid, k)
+        a_low = _real_inverse(grid, a_hat * _half(grid, _leq_mask(grid, k - 4)))
+        uk_hat = u_hat * mask
+        yield fourier_inverse(grid, adv_hat * mask) - _advect(grid, a_low, uk_hat), uk_hat
+
+
+def error_group_pass(u, A, ks):
+    """(k, the four groups of E^k) for each band of ks, highest first, from one
+    walk down the high pieces j of whole (t, n, x) arrays."""
+    grid = u.grid
+    u_hat = fourier_forward(grid, u.values)
+    a_hat = _real_forward(grid, A.values)
+    _, k_max = representable_bands(grid)
+    a_above, grad_above = np.zeros(A.values.shape), np.zeros(A.values.shape, dtype=complex)
+    hh_a, hh_u = np.zeros(u.values.shape, dtype=complex), np.zeros(u.values.shape, dtype=complex)
+    for j in range(k_max + 1, min(ks) - 4, -1):
+        piece = band_mask(grid, j) if j <= k_max else 1.0 - _leq_mask(grid, k_max)
+        a_j = _real_inverse(grid, a_hat * _half(grid, piece))
+        grad_j = np.stack(list(_gradient(grid, u_hat * piece)), axis=1)  # (t, n, x)
+        hh_a += np.sum(a_above * grad_j, axis=1)
+        grad_above += grad_j
+        hh_u += np.sum(a_j * grad_above, axis=1)
+        a_above += a_j
+        k = j + 3
+        if k in ks:
+            mask, low = band_mask(grid, k), _leq_mask(grid, k - 4)
+            a_low = _real_inverse(grid, a_hat * _half(grid, low))
+            commutator = _apply_mask(grid, _advect(grid, a_low, u_hat), mask)
+            commutator -= _advect(grid, a_low, u_hat * mask)
+            yield k, {
+                "commutator": commutator,
+                "high_high_a": _apply_mask(grid, hh_a, mask),
+                "high_high_u": _apply_mask(grid, hh_u, mask),
+                "high_low": _apply_mask(grid, _advect(grid, A.values - a_low, u_hat * low), mask),
+            }

@@ -43,6 +43,8 @@ from magschro.parametrix import (
 )
 from magschro.solver import lp_reduced_equation_check
 from oracles import (
+    band_error_terms,
+    error_group_pass,
     gradient_identity_check,
     ray,
     ray_integral_trapezoid,
@@ -435,12 +437,16 @@ class TestErrorTerm:
         # 3 slices of 64 x 64.  The low pieces hold more than the mean only at
         # k = -2; at k = -4, -3 the commutator and high-low groups vanish, so
         # every group is measured against the size of E^k.  "all" takes the
-        # three bands from one pass, which yields them highest first
+        # three bands from one pass, here one time block, which yields them
+        # highest first
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
         if k == "all":
             u, A = random_pair(g, seed=9)
-            bands = list(parametrix._error_group_pass(u, A, [-4, -3, -2]))
-            assert [band for band, _ in bands] == [-2, -3, -4]
+            passes = list(parametrix._error_group_pass(u, A, [-4, -3, -2]))
+            assert [(band, rows) for band, rows, _ in passes] == [
+                (band, slice(0, 3)) for band in (-2, -3, -4)
+            ]
+            bands = [(band, groups) for band, _, groups in passes]
         else:
             u, A = random_pair(g, seed=k + 10)
             bands = [(k, error_term_groups(u, A, k))]
@@ -451,8 +457,54 @@ class TestErrorTerm:
                 assert np.max(np.abs(groups[name] - ref)) <= 1e-12 * scale, (band, name)
             assert np.max(np.abs(error_term(u, A, band) - e)) <= 1e-12 * scale
 
-    def test_transform_counts(self, fft_calls):
-        # fresh fields, so u's spectrum is taken once inside each call
+    @pytest.mark.parametrize(
+        "N, dt, T, blocks",
+        [
+            (128, 1.0 / 64.0, 1.0 / 32.0, [(0, 1), (1, 2), (2, 3)]),  # one slice per block
+            (64, 1.0 / 32.0, 0.25, [(0, 4), (4, 8), (8, 9)]),  # four, the last block short
+        ],
+    )
+    def test_time_blocks_match_whole_array_oracle(self, N, dt, T, blocks):
+        # every output is bit for bit the whole-array pass's
+        g = make_grid(2, N, 64, dt, T)
+        u, A = random_pair(g, seed=7)
+        ks = [-4, -3, -2]
+        whole = dict(error_group_pass(u, A, ks))
+        terms = list(band_error_terms(u, A, ks))
+        passes = list(parametrix._error_group_pass(u, A, ks))
+        assert [(band, rows) for band, rows, _ in passes] == [
+            (band, slice(*b)) for b in blocks for band in (-2, -3, -4)
+        ]
+        for k, (e, _) in zip(ks, terms):
+            assert np.array_equal(error_term(u, A, k), e)
+            groups = error_term_groups(u, A, k)
+            for name, ref in whole[k].items():
+                assert np.array_equal(groups[name], ref), (k, name)
+                blocks = [block[name] for band, _, block in passes if band == k]
+                assert np.array_equal(np.concatenate(blocks), ref), (k, name)
+        norms = parametrix._besov_band_norms(u, A, (-4, -2))
+        for (k, e_norm, u_norm, e_k), (e, uk_hat) in zip(norms, terms):
+            assert np.array_equal(e_k, e)
+            assert e_norm == time_lq(g.times, slice_l2(g, e), 1.0)
+            assert u_norm == float(np.max(slice_l2(g, fourier_inverse(g, uk_hat))))
+
+    def test_groups_peak_memory(self):
+        # the dyadic benchmark's size, 3 slices of 128 x 128: whole (t, n, x)
+        # arrays took a 13.5 MiB traced peak, one-slice blocks take 8.5 MiB
+        g = make_grid(2, 128, 64, 1.0 / 64.0, 1.0 / 32.0)
+        error_term_groups(*random_pair(g, seed=1), -4)  # fill the band-mask caches
+        u, A = random_pair(g, seed=1)
+        tracemalloc.start()
+        try:
+            error_term_groups(u, A, -4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5 * 2**20
+
+    def test_transform_counts(self, fft_calls, monkeypatch):
+        # fresh fields, so u's spectrum is taken once inside each call; 3 slices
+        # of 64 x 64 are one time block
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)  # 3 slices of 64 x 64
         u, A = random_pair(g, seed=1)
         error_term_groups(u, A, -4)
@@ -485,6 +537,18 @@ class TestErrorTerm:
         # the solver residual's u 1, Lap u 1 and grad u n, then P_k 2 of the
         # residual, each of 9 * 64 * 64 points
         assert (len(fft_calls), sum(fft_calls)) == (6, 221184)
+        fft_calls.clear()
+        g = make_grid(2, 128, 64, 1.0 / 64.0, 1.0 / 32.0)  # 3 slices of 128 x 128
+        u, A = random_pair(g, seed=1)
+        error_term_groups(u, A, -4)
+        # 3 blocks of one slice, each making the 64 x 64 call's transforms with
+        # 8 high pieces for 7 (k_max is one higher): 41 calls per block.  The
+        # points are those of one block of all 3 slices
+        assert (len(fft_calls), sum(fft_calls)) == (123, 2071296)
+        fft_calls.clear()
+        monkeypatch.setattr(parametrix, "_BLOCK_BYTES", 3 * parametrix._BLOCK_BYTES)
+        error_term_groups(u, A, -4)
+        assert (len(fft_calls), sum(fft_calls)) == (41, 2071296)
 
     def test_besov_ratio_matches_public_oracle(self):
         g = make_grid(2, 64, 64, 1.0 / 32.0, 1.0 / 16.0)
