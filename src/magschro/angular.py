@@ -145,6 +145,8 @@ class CapPartition:
 
     def values(self, omega: np.ndarray) -> np.ndarray:
         """Partition values psi_j(omega): columns sum to 1."""
+        if not np.isfinite(omega).all():
+            raise ValueError("omega must be finite")
         p = self.bump_values(omega)
         total = p.sum(axis=0)
         if np.min(total) <= 0:
@@ -214,8 +216,11 @@ class _PhiKernel:
     The table holds the Gauss-Legendre sums sum_j w_j phi(u_j) e^{2 pi i s u_j}
     on 240001 uniform points s, with max(128, ceil(18 s_max)) nodes on the
     support [1/4, 2] of phi.  ``_uniform_dft`` evaluates them with about
-    2 * 490 * nodes exponentials and one small matrix product (about 0.05 s
-    at s_max = 6), and no (points, nodes) phase matrix forms.
+    2 * 490 * nodes exponentials and one small matrix product, and no
+    (points, nodes) phase matrix forms.  On one thread of a 2-core Xeon the
+    table took 0.007 s at s_max = 6 (128 nodes), and at the nets
+    experiment's s_max = 47.5 (855 nodes) 0.04 s alone and 0.09 s within
+    that experiment's run.
     """
 
     def __init__(self, sigma_max: float):
@@ -258,6 +263,8 @@ def pointwise_ray_bound_check(
     inverse FFT, and the Phi0 table (see ``_PhiKernel``) forms no
     (points, nodes) matrix.
     """
+    if not np.isfinite(H_k).all():
+        raise ValueError("H_k must be finite")
     hi = CUTOFFS.chi_edge
     truncated = floor(log2(grid.L / 2.0 / hi))
     if truncated < 1 - k:
@@ -286,17 +293,38 @@ def pointwise_ray_bound_check(
 # -- cap-localized dispersive decay -------------------------------------------------
 
 
-_BLOCK_POINTS = 1 << 17  # lattice points per row or column block in _lattice_sup
+_BLOCK_POINTS = 1 << 17  # lattice points per row block in _lattice_sup
+_COLUMN_WIDTH = 32  # columns per block of _lattice_sup's axis-0 pass, cut to half its work array
 _SIGN_IMAGES = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (xi1, xi2) -> (s1 xi1, s2 xi2)
 
 
-def _cap_weight(points: np.ndarray, caps: list) -> np.ndarray:
-    """prod_j chi(2^{k_j} |omega - theta_j|) at each row omega of points (Q, n)."""
-    out = np.ones(len(points))
+def _cap_weight(w1: np.ndarray, w2: np.ndarray, caps: list) -> np.ndarray:
+    """prod_j chi(2^{k_j} |omega - theta_j|) at the points omega = (w1, w2)."""
+    out = np.ones(len(w1))
     for theta, kj in caps:
-        d = np.linalg.norm(points - np.asarray(theta)[None, :], axis=1)
+        d = np.sqrt((w1 - theta[0]) ** 2 + (w2 - theta[1]) ** 2)
         out *= CUTOFFS.chi(2.0**kj * d)
     return out
+
+
+def _prune_to_supports(sels: dict, o1: np.ndarray, o2: np.ndarray, support: list) -> None:
+    """Clear each image's mask where the image of omega = (o1, o2) leaves a cap's support.
+
+    At image (s1, s2) the expansion |omega|^2 + |theta|^2 - 2 omega.theta is
+    base - s1 cross, with cross = 2 (theta_0 o1 + theta_1 o2) where s1 == s2
+    and 2 (theta_0 o1 - theta_1 o2) otherwise.  Sign flips are exact, so
+    each test has the bits of the expansion at its own point, and theta_0 o1
+    and theta_1 o2 are formed once per cap.
+    """
+    o_sq = o1**2 + o2**2
+    for th, lim in support:
+        base = o_sq + th @ th
+        p1, p2 = th[0] * o1, th[1] * o2
+        cross = {1: 2.0 * (p1 + p2), -1: 2.0 * (p1 - p2)}  # keyed by s1 s2
+        for (s1, s2), sel in sels.items():
+            c = cross[s1 * s2]
+            sel &= (base - c if s1 > 0 else base + c) < lim
+        del base, cross  # so one cap's arrays are alive at a time
 
 
 def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
@@ -308,11 +336,11 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
     |xi_j| < 2 scale, a block of rows a at a time, and evaluates the profile
     only where 0.5 scale < |xi| < 2 scale (it is exactly 0 elsewhere).  The
     float32 r^2, the profile and the chirp depend only on (|a|, |b|), so each
-    is computed once and scattered to the four sign images (+-a, +-b), whose
-    FFT indices are a or N - a; the images of a = 0 and b = 0 are written
-    once.  Since xi_ax[-m] == -xi_ax[m] exactly in float32, r^2, omega =
-    xi / |xi| and every stored value are the bits a pointwise build over the
-    whole lattice makes.
+    is computed once and scattered, through flat indices row N + column, to
+    the four sign images (+-a, +-b), whose FFT indices are a or N - a; the
+    images of a = 0 and b = 0 are written once.  Since xi_ax[-m] == -xi_ax[m]
+    exactly in float32, r^2, omega = xi / |xi| and every stored value are the
+    bits a pointwise build over the whole lattice makes.
 
     Without caps the weight is 1 and omega is never formed; row -a then
     holds the values of row a, so it is not built and takes row a's
@@ -321,14 +349,18 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
     exactly 0 once |omega|^2 + |theta|^2 - 2 omega.theta (the expansion of
     |omega - theta|^2, to rounding) reaches ((2 - glue) / 2^k)^2 (1 + 1e-9),
     so pruned points keep the zero they would have been given, and a row
-    with no point inside is neither transformed nor stored.
+    with no point inside is neither transformed nor stored (the test is
+    ``_prune_to_supports``, once per cap and block for all four images).
 
     Rows a and -a finish in the same block, whose rows are transformed along
-    axis 1 before they are stored; the axis-0 transform then runs over
-    column blocks with a running max of |.|.  These are the two 1-D passes
-    np.fft.fft2 makes (last axis first), so the sup is bit-identical to fft2
-    of the whole buffer (the transform of a zero row is zero up to the sign
-    of 0), and untouched rows stay zero pages.
+    axis 1 before they are stored.  The axis-0 pass then copies blocks of
+    ``_COLUMN_WIDTH`` columns, untransposed, into an (N, width) view of the
+    work array, transforms them in place along axis 0, and keeps a running
+    max of |.| of their complex64 rounding, taken in buffers in the work
+    array's spare half.  These are the two 1-D passes np.fft.fft2 makes
+    (last axis first), so the sup is bit-identical to fft2 of the whole
+    buffer (the transform of a zero row is zero up to the sign of 0), and
+    untouched rows stay zero pages.
     """
     scale = 2.0**om.k_f
     m = np.fft.fftfreq(N, d=1.0 / N)  # integer modes, FFT order: 0 .. N/2 - 1 first
@@ -357,35 +389,38 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
         ri, ci, prof = ri[keep], ci[keep], prof[keep]
         r2_sel = r2[ri, ci].astype(np.float64)
         chirp = np.exp(-4j * np.pi**2 * t * r2_sel)
+        # rows +a, then rows -a; without caps row -a repeats row a and is not built
+        images = _SIGN_IMAGES if caps else _SIGN_IMAGES[:2]
+        a_pos, b_pos = a[ri] > 0, ci > 0  # where the images -a and -b are other points
+        sels = {}
+        for s1, s2 in images:
+            sel = np.ones(len(ri), dtype=bool)
+            if s1 < 0:
+                sel &= a_pos
+            if s2 < 0:
+                sel &= b_pos
+            sels[s1, s2] = sel
         if caps:
             norm = np.sqrt(r2_sel)
             o1, o2 = x1[ri].astype(np.float64) / norm, xi_q[ci].astype(np.float64) / norm
-            o_sq = o1**2 + o2**2
+            _prune_to_supports(sels, o1, o2, support)
         else:
             val = (prof * chirp * dxi**2).astype(np.complex64)
-        # rows +a, then rows -a; without caps row -a repeats row a and is not built
-        images = _SIGN_IMAGES if caps else _SIGN_IMAGES[:2]
         dest = np.concatenate([a, (N - a) % N]) if caps else a
         block = work[: len(dest)]
         block[...] = 0.0
         live = np.zeros(len(dest), dtype=bool)
         row_of = {1: ri, -1: ri + len(x1)}
-        for s1, s2 in images:
-            sel = np.ones(len(ri), dtype=bool)
-            if s1 < 0:
-                sel &= a[ri] > 0
-            if s2 < 0:
-                sel &= ci > 0
+        for (s1, s2), sel in sels.items():
             if caps:
-                for th, lim in support:
-                    sel &= o_sq + th @ th - 2.0 * (s1 * th[0] * o1 + s2 * th[1] * o2) < lim
                 sel = np.flatnonzero(sel)
-                pts = np.stack([s1 * o1[sel], s2 * o2[sel]], axis=1)
-                v = (prof[sel] * _cap_weight(pts, caps) * chirp[sel] * dxi**2).astype(np.complex64)
+                weight = _cap_weight(s1 * o1[sel], s2 * o2[sel], caps)
+                v = (prof[sel] * weight * chirp[sel] * dxi**2).astype(np.complex64)
             else:
                 v = val[sel]
-            block[row_of[s1][sel], col_of[s2][ci[sel]]] = v
-            live[row_of[s1][sel]] = True
+            rows = row_of[s1][sel]
+            block.reshape(-1)[rows * N + col_of[s2][ci[sel]]] = v
+            live[rows] = True
         rows = np.flatnonzero(live)  # rows with no point in a cap stay zero pages
         spec = work[: len(rows)]
         if len(rows) < len(dest):
@@ -395,14 +430,22 @@ def _lattice_sup(t, N: int, dxi, om, caps: list) -> float:
         if not caps:
             mirror = a[rows] > 0
             g[N - a[rows][mirror]] = spec[mirror]
+    # the axis-0 pass: column blocks in the first half of work, and the
+    # complex64 rounding and |.| of a block in the second
+    width = min(_COLUMN_WIDTH, len(work) // 2)  # work holds at least 2 rows
+    flat = work.reshape(-1)
+    spare = flat[N * width :]
+    rounded = spare.view(np.complex64)[: N * width]
+    mag = spare.view(np.float32)[2 * N * width : 3 * N * width]
     sup = 0.0
-    for j in range(0, N, step):
-        # the axis-0 transform of columns j..j+step, taken along a contiguous
-        # copy; |.| of its values rounded to complex64, as fft2 of g returns them
-        cols = work[: min(step, N - j)]
-        cols[...] = g[:, j : j + step].T
-        _fft(cols, 1, out=cols)
-        sup = max(sup, float(np.max(np.abs(cols.astype(np.complex64)))))
+    for j in range(0, N, width):
+        w = min(width, N - j)
+        cols = flat[: N * w].reshape(N, w)
+        cols[...] = g[:, j : j + w]
+        _fft(cols, 0, out=cols)
+        c64 = rounded[: N * w].reshape(N, w)
+        c64[...] = cols
+        sup = max(sup, float(np.abs(c64, out=mag[: N * w].reshape(N, w)).max()))
     return sup
 
 
@@ -424,9 +467,11 @@ def cap_oscillatory_decay(
     N^2 buffer from the quadrant xi1, xi2 >= 0, whose r^2, profile and chirp
     serve all four sign images bit for bit; cap weights are evaluated only
     inside every cap's support, where they can be nonzero.  Each block of
-    rows +-xi1 is transformed along xi2 as it is stored, and the xi1
-    transform runs over column blocks keeping a running max of |I|; the peak
-    is the buffer plus a few small blocks.  With
+    rows +-xi1 is transformed along xi2 as it is stored; the xi1 transform
+    then runs in place along axis 0 over blocks of up to 32 columns, copied
+    untransposed into the same work array, keeping a running max of |I|.
+    The peak is the buffer plus that 2^17-point work array and the row
+    block's temporaries.  With
     ``fixed_axis`` the first frequency coordinate is frozen and only the
     remaining n-1 integrate, giving the (n-1)/2 decay rate: per time the sum
     J(x2) = sum_j w_j e^{-4 pi^2 i t xi2_j^2} e^{2 pi i x2 xi2_j} over
@@ -459,8 +504,7 @@ def cap_oscillatory_decay(
         # zero-time sanity: I(0,0) = int a Omega rho drho dphi
         n_phi_s = 2048
         phi = np.linspace(0, 2 * np.pi, n_phi_s, endpoint=False)
-        omega = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        a_phi = _cap_weight(omega, caps) * (2 * np.pi / n_phi_s)
+        a_phi = _cap_weight(np.cos(phi), np.sin(phi), caps) * (2 * np.pi / n_phi_s)
         rho = np.linspace(0.45 * scale, rho_hi, 4096)
         sanity = float(np.sum(om.profile(rho) * rho) * (rho[1] - rho[0]) * np.sum(a_phi))
         return {"t": t_list, "sup": np.array(sups), "zero_time_value": sanity}
@@ -475,8 +519,7 @@ def cap_oscillatory_decay(
             n_xi = max(4096, int(np.ceil(4.4 * scale * 2.2 * x2_max)) + 1)
             xi2 = np.linspace(-2.2 * scale, 2.2 * scale, n_xi)
             r = np.sqrt(xi1**2 + xi2**2)
-            omega_pts = np.stack([np.full_like(xi2, xi1) / r, xi2 / r], axis=1)
-            w = om.profile(r) * _cap_weight(omega_pts, caps) * (xi2[1] - xi2[0])
+            w = om.profile(r) * _cap_weight(xi1 / r, xi2 / r, caps) * (xi2[1] - xi2[0])
             w = w * np.exp(-4j * np.pi**2 * t * xi2**2)
             n_x2 = 6000
             J = _uniform_dft(-x2_max, 2.0 * x2_max / (n_x2 - 1), n_x2, xi2, w)

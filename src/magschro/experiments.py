@@ -573,16 +573,18 @@ _T_LIST = (1, 1.41, 2, 2.83, 4, 5.66, 8, 11.3, 16)
 
 def _dispersive_slope(mu, seed, t_list=_T_LIST):
     tab = cap_oscillatory_decay(list(t_list), random_caps(2, mu, seed=seed + mu), k_f=0, n=2)
+    slope = decay_slope(tab)
     yield (
         f"dispersive-slope-mu{mu}",
-        abs(decay_slope(tab) + 1.0),
-        {"slope": decay_slope(tab), "sup_t1": float(tab["sup"][0])},
+        abs(slope + 1.0),
+        {"slope": slope, "sup_t1": float(tab["sup"][0])},
     )
 
 
 def _fixed_axis_slope(seed, t_list=_T_LIST):
     tab = cap_oscillatory_decay(list(t_list), [], k_f=0, n=2, fixed_axis=True)
-    yield "dispersive-fixed-axis-slope", abs(decay_slope(tab) + 0.5), {"slope": decay_slope(tab)}
+    slope = decay_slope(tab)
+    yield "dispersive-fixed-axis-slope", abs(slope + 0.5), {"slope": slope}
 
 
 def _error_terms(seed):

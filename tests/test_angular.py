@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from magschro import angular
 from magschro.angular import (
     _covering_radius,
     _lattice_sup,
@@ -281,6 +282,16 @@ class TestOscillatoryDecay:
         tab = cap_oscillatory_decay(ts, caps, k_f=k_f, n=2)
         assert tab["sup"].tolist() == one_shot_sups(ts, caps, k_f)
 
+    # 1 and 7 leave short last blocks (7 divides no N); a width past N is cut
+    # to half the work array
+    @pytest.mark.parametrize("width", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("mu", [0, 2])
+    def test_column_blocks_of_any_width(self, width, mu, monkeypatch):
+        monkeypatch.setattr(angular, "_COLUMN_WIDTH", width)
+        caps = random_caps(2, mu, seed=mu + 1)
+        tab = cap_oscillatory_decay([1.0, 2.83], caps)
+        assert tab["sup"].tolist() == one_shot_sups([1.0, 2.83], caps)
+
     @pytest.mark.parametrize("mu", [0, 2])
     def test_profile_evaluated_once_per_quadrant_point(self, mu, monkeypatch):
         # the profile sees each lattice point with m1, m2 >= 0 inside the open
@@ -310,6 +321,19 @@ class TestOscillatoryDecay:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**20
+
+    def test_benchmark_lattice_peak_memory_bounded(self):
+        # t = 2.83 runs on a 1024^2 lattice: its complex64 buffer is 8 MiB and
+        # the row and column blocks share one 2 MiB work array
+        caps = random_caps(2, 2, seed=3, k_range=(1, 1))
+        cap_oscillatory_decay([2.83], caps)  # warm caches
+        tracemalloc.start()
+        try:
+            cap_oscillatory_decay([2.83], caps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("fixed_axis", [False, True])
     @pytest.mark.parametrize("ts", [[1.0, np.nan], [np.inf], [-1.0, 2.0]])

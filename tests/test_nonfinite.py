@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magschro.angular import cap_oscillatory_decay, decay_slope
+from magschro.angular import (
+    angular_net,
+    cap_oscillatory_decay,
+    cap_partition,
+    decay_slope,
+    pointwise_ray_bound_check,
+)
 from magschro.grid import SpaceTimeField, gaussian_wavepacket, make_grid
 from magschro.parametrix import (
     AnnulusCutoff,
@@ -32,6 +38,8 @@ A = VectorPotential(G, A_VALUES)
 F = gaussian_wavepacket(G, (8, 8), 4.0)
 DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 TIMES = np.array([1.0, 2.0, 4.0])
+H = _rng.normal(size=G.shape)
+OMEGA = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]])
 
 
 def _u(values):
@@ -53,6 +61,8 @@ CASES = {
         np.array([1.0, 0.0]), lambda c: cap_oscillatory_decay([1.0], [(c, 1)])
     ),
     "decay_slope": (TIMES, lambda t: decay_slope({"t": t, "sup": 1.0 / TIMES})),
+    "pointwise_ray_bound_check": (H, lambda h: pointwise_ray_bound_check(G, h, 0)),
+    "CapPartition.values": (OMEGA, lambda w: cap_partition(angular_net(2, 2)).values(w)),
     "YNormParams": (np.array([0.5]), lambda p0: YNormParams(p0=float(p0[0]))),
     "error_term": (U, lambda u: error_term(_u(u), A, -3)),
     "error_term_groups": (U, lambda u: error_term_groups(_u(u), A, -3)),
